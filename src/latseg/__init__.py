@@ -26,13 +26,9 @@ _LATTICE_NAMES = (
     "MISSING",
     "LatticeConfig",
     "NeighborOffsets",
-    "SimplexEmbedding",
     "SparseLattice",
     "build_lattice",
-    "elevate",
     "elevate_many",
-    "key_remainder",
-    "locate",
     "neighbor_offsets",
 )
 

@@ -207,24 +207,6 @@ def _ones_pass(
     return slice(mass, indices, bary)
 
 
-def normalize(
-    raw: np.ndarray,
-    lat: SparseLattice,
-    indices: np.ndarray,
-    bary: np.ndarray,
-    blur: np.ndarray | None = None,
-) -> np.ndarray:
-    """Divide raw sliced values by the ones-signal response of the lattice.
-
-    blur is the fixed per-tap profile applied to the splatted ones before
-    slicing; None skips the blur (pure splat->slice mass). Denominators are
-    floored at NORM_EPS, so points with zero lattice support map to 0.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    denom = _ones_pass(lat, indices, bary, blur)
-    return raw / np.maximum(denom, NORM_EPS)
-
-
 @dataclass
 class BCLDescriptor:
     """Reusable geometry of one BCL application.
@@ -371,8 +353,6 @@ def project(
         raise InvalidInput(
             f"destination features must be (m, {config.dim}), got {features_dst.shape}"
         )
-    lat = build_lattice(features_src, config)
-    idx, bary = lat.embed(features_dst)
-    num = slice(splat(values, lat), idx, bary)
-    den = slice(splat(np.ones((lat.num_points, 1)), lat), idx, bary)
-    return num / np.maximum(den, NORM_EPS)
+    desc = make_descriptor(features_src, features_dst, config, normalize=True, blur=None)
+    num = slice(splat(values, desc.lattice), desc.out_indices, desc.out_bary)
+    return num / desc.denominator

@@ -78,6 +78,8 @@ def cmd_train(args):
         cfg = dataclasses.replace(cfg, lambda0=_parse_lambda_text(args.lam))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
+    if args.checkpoint is not None:
+        cfg = dataclasses.replace(cfg, checkpoint=args.checkpoint)
     if cfg.arch is None:
         raise ConfigError("config is missing required key 'arch'")
     if cfg.data_dir is None:
@@ -99,7 +101,7 @@ def cmd_train(args):
         metrics_path=out_dir / "metrics.csv",
         checkpoint_path=out_dir / "model.splt",
         state_path=out_dir / "state.splt",
-        resume_from=args.checkpoint,
+        resume_from=cfg.checkpoint,
     )
     if result.history:
         _, loss, acc, _ = result.history[-1]

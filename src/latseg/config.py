@@ -1,13 +1,16 @@
 """Run configuration: a flat `key = value` text format.
 
-Blank lines and lines starting with # are skipped. Every key must be known
-and appear at most once; values are typed per key. The same RunConfig feeds
+Blank lines and lines starting with # are skipped, and a # that starts the
+value or follows whitespace begins a comment running to the end of the line.
+Every key must be known and appear at most once; values are typed per key.
+An empty value sets an optional key (one whose default is None) to None. The same RunConfig feeds
 training and the command-line tools, with command-line flags taking
 precedence over file values and file values over the dataclass defaults.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidInput, ParseError
@@ -67,7 +70,7 @@ _SCHEMA = {
     "lambda0": _to_lambda,
     "feature_channels": _to_str_tuple,
     "lattice_channels": _to_str_tuple,
-    "num_classes": _to_int,
+    "num_classes": _to_opt_int,
     "data_dir": lambda t, k, n: t,
     "checkpoint": lambda t, k, n: t,
     "output_dir": lambda t, k, n: t,
@@ -161,6 +164,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+_OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
+
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def parse_config_text(text, source="<config>"):
     """Parse `key = value` lines into a {key: typed value} dict."""
     values = {}
@@ -172,16 +180,19 @@ def parse_config_text(text, source="<config>"):
             raise ParseError(f"{source}: expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        value = _COMMENT.sub("", value).strip()
         if not key:
             raise ParseError(f"{source}: missing key before '='", line=lineno)
         if key not in _SCHEMA:
             raise ConfigError(f"{source}: unknown key {key!r} on line {lineno}")
         if key in values:
             raise ConfigError(f"{source}: duplicate key {key!r} on line {lineno}")
-        if not value:
+        if value:
+            values[key] = _SCHEMA[key](value, key, lineno)
+        elif key in _OPTIONAL:
+            values[key] = None
+        else:
             raise ParseError(f"{source}: empty value for {key!r}", line=lineno)
-        values[key] = _SCHEMA[key](value, key, lineno)
     return values
 
 

@@ -17,9 +17,17 @@ point with respect to the d+1 simplex vertices.
 build_lattice runs this for a whole cloud, deduplicates the touched vertices
 into dense indices 0..V-1 (first-touch order, points scanned in ascending
 index, vertices in remainder order), stores the per-point embeddings, and
-resolves the one-ring adjacency of every vertex through an open-addressing
-hash table keyed on the first d coordinates (the last is implied by the
-sum-zero constraint).
+resolves the one-ring adjacency of every vertex. One sorted index over the
+first d key coordinates (the last is implied by the sum-zero constraint)
+serves the deduplication, every adjacency column, embed and lookup. Its rows
+are shifted into the vertices' bounding box padded by d+1 on every side and
+encoded either as int64 mixed-radix codes, when the padded box has at most
+2^63 - 1 cells, or else as big-endian uint64 rows compared as raw bytes.
+Both encodings sort like the rows themselves (lexicographically) and keep
+that order under a constant shift, so moving every vertex by one one-ring
+offset yields an already sorted query array: an adjacency column is one
+searchsorted. Foreign queries are clipped into the box first; a clipped row
+lies in the padding, where no vertex is.
 
 Everything here is deterministic: identical inputs produce identical dense
 indices, embeddings and adjacency, bit for bit.
@@ -27,12 +35,14 @@ indices, embeddings and adjacency, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidInput, UnsupportedError
+from .errors import EmptyInput, InvalidInput
 
 # Dense-index sentinel for "no vertex here" (absent one-ring neighbor,
 # out-point simplex corner that no input point touched).
@@ -42,7 +52,7 @@ MISSING = -1
 # without risking overflow in the repair step.
 _MAX_COORD = 2.0**52
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -77,25 +87,6 @@ class LatticeConfig:
         return LatticeConfig(self.dim, self.scale * factor)
 
 
-@dataclass(frozen=True)
-class SimplexEmbedding:
-    """One point's enclosing simplex: vertex keys plus barycentric weights.
-
-    vertex_keys has shape (d+1, d+1); row r is the remainder-r vertex.
-    bary has shape (d+1,), row-aligned with vertex_keys, sums to 1, and is
-    non-negative up to roundoff.
-    """
-
-    vertex_keys: np.ndarray
-    bary: np.ndarray
-
-
-def key_remainder(key: np.ndarray) -> int:
-    """Remainder class of a lattice key (all coordinates share it)."""
-    d1 = len(key)
-    return int(key[0] % d1)
-
-
 def _canonical_scale(config: LatticeConfig) -> np.ndarray:
     # Per-dimension elevation factor (d+1)/sqrt((i+1)(i+2)), folded together
     # with the user scale so elevation is a single multiply + recurrence.
@@ -121,14 +112,6 @@ def elevate_many(features: np.ndarray, config: LatticeConfig) -> np.ndarray:
         running = running + cf[:, i - 1]
     out[:, 0] = running
     return out
-
-
-def elevate(feature: np.ndarray, config: LatticeConfig) -> np.ndarray:
-    """Elevate one feature vector; returns a (d+1,) sum-zero vector."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise InvalidInput(f"expected a 1-d feature vector, got shape {feature.shape}")
-    return elevate_many(feature[None, :], config)[0]
 
 
 def _canonical_simplex(d: int) -> np.ndarray:
@@ -191,17 +174,6 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, bary
 
 
-def locate(elevated: np.ndarray) -> SimplexEmbedding:
-    """Enclosing simplex of one elevated point (assumed on the hyperplane)."""
-    p = np.asarray(elevated, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise InvalidInput(f"expected an elevated point of shape (d+1,), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidInput("elevated point must be finite")
-    keys, bary = _locate_many(p[None, :])
-    return SimplexEmbedding(vertex_keys=keys[0], bary=bary[0])
-
-
 @dataclass(frozen=True)
 class NeighborOffsets:
     """One-ring key offsets for a lattice of the given dimensionality.
@@ -213,19 +185,14 @@ class NeighborOffsets:
     """
 
     dim: int
-    extent: int
     offsets: np.ndarray
 
 
-def neighbor_offsets(dim: int, extent: int = 1) -> NeighborOffsets:
-    """Enumerate the one-ring offsets for dimension `dim`.
-
-    Only extent 1 (the immediate one-ring) is supported.
-    """
+@functools.lru_cache(maxsize=None)
+def neighbor_offsets(dim: int) -> NeighborOffsets:
+    """Enumerate the one-ring offsets for dimension `dim` (memoized)."""
     if dim < 1:
         raise InvalidInput(f"dim must be >= 1, got {dim}")
-    if extent != 1:
-        raise UnsupportedError(f"only extent=1 neighborhoods are supported, got {extent}")
     d1 = dim + 1
     rows = [np.zeros(d1, dtype=np.int64)]
     for r in range(1, d1):
@@ -239,79 +206,59 @@ def neighbor_offsets(dim: int, extent: int = 1) -> NeighborOffsets:
             rows.append(row)
     offsets = np.stack(rows)
     offsets.setflags(write=False)
-    return NeighborOffsets(dim=dim, extent=1, offsets=offsets)
+    return NeighborOffsets(dim=dim, offsets=offsets)
 
 
-def _hash_rows(material: np.ndarray) -> np.ndarray:
-    """64-bit multiplicative hash of int64 key material rows."""
-    with np.errstate(over="ignore"):
-        h = np.zeros(material.shape[0], dtype=np.uint64)
-        for j in range(material.shape[1]):
-            h = (h ^ material[:, j].astype(np.uint64)) * _HASH_MULT
-            h ^= h >> np.uint64(31)
-    return h
+class _VertexIndex:
+    """Sorted, deduplicated codes of (N, d) key material rows.
 
-
-class _VertexTable:
-    """Open-addressing (linear probing) map from key material to dense index.
-
-    Capacity is 2 * point_budget * (d+1) rounded up to a power of two, which
-    bounds the load factor at 1/2. The table is append-only: rows are
-    inserted once at construction and never removed. Slots store dense
-    indices; key material itself lives in the caller's vertex_keys array.
+    codes[g] is the g-th smallest distinct row's code and dense[g] its dense
+    index; dense indices follow first touch in material row order.
+    row_dense[i] is row i's dense index and first_row[v] the first row
+    touching dense index v.
     """
 
-    def __init__(self, material: np.ndarray, point_budget: int):
-        count, _ = material.shape
-        cap = 16
-        while cap < 2 * point_budget * (material.shape[1] + 1):
-            cap <<= 1
-        while cap < 2 * count:  # safety under odd call patterns
-            cap <<= 1
-        self._material = material
-        self._mask = np.int64(cap - 1)
-        self._shift = np.uint64(64 - (cap.bit_length() - 1))
-        self._slots = np.full(cap, MISSING, dtype=np.int64)
-        self._insert(material)
+    def __init__(self, material: np.ndarray):
+        d = material.shape[1]
+        self._lo = material.min(axis=0) - (d + 1)
+        self._hi = material.max(axis=0) + (d + 1)
+        spans = [int(s) for s in self._hi - self._lo + 1]
+        self._strides = None
+        if math.prod(spans) <= _INT64_MAX:
+            # Big-endian mixed radix: coordinate 0 is the most significant.
+            strides = [math.prod(spans[j + 1 :]) for j in range(d)]
+            self._strides = np.array(strides, dtype=np.int64)
 
-    def _home(self, material: np.ndarray) -> np.ndarray:
-        return (_hash_rows(material) >> self._shift).astype(np.int64)
+        codes = self._encode(material - self._lo)
+        self.codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        self.dense = np.empty_like(order)
+        self.dense[order] = np.arange(order.size)
+        self.row_dense = self.dense[inverse]
+        self.first_row = first[order]
 
-    def _insert(self, material: np.ndarray) -> None:
-        count = material.shape[0]
-        cur = self._home(material)
-        alive = np.arange(count, dtype=np.int64)
-        while alive.size:
-            s = cur[alive]
-            free = self._slots[s] == MISSING
-            cand = alive[free]
-            if cand.size:
-                # Among contenders for one free slot, the lowest dense index
-                # wins this round; losers probe forward next round.
-                uniq, first = np.unique(s[free], return_index=True)
-                self._slots[uniq] = cand[first]
-            placed = self._slots[cur[alive]] == alive
-            alive = alive[~placed]
-            cur[alive] = (cur[alive] + 1) & self._mask
+    def _encode(self, shifted: np.ndarray) -> np.ndarray:
+        # shifted: rows minus the box corner, each entry in [0, span).
+        if self._strides is not None:
+            return shifted @ self._strides
+        rows = np.ascontiguousarray(shifted, dtype=">u8")
+        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
 
-    def lookup(self, material: np.ndarray) -> np.ndarray:
-        """Dense indices for key-material rows; MISSING where unoccupied."""
-        q = material.shape[0]
-        out = np.full(q, MISSING, dtype=np.int64)
-        cur = self._home(material)
-        alive = np.arange(q, dtype=np.int64)
-        while alive.size:
-            stored = self._slots[cur[alive]]
-            empty = stored == MISSING
-            hit = np.zeros(alive.size, dtype=bool)
-            occupied = ~empty
-            if occupied.any():
-                rows = self._material[stored[occupied]]
-                hit[occupied] = (rows == material[alive[occupied]]).all(axis=1)
-            out[alive[hit]] = stored[hit]
-            alive = alive[~(hit | empty)]
-            cur[alive] = (cur[alive] + 1) & self._mask
-        return out
+    def encode(self, material: np.ndarray) -> np.ndarray:
+        """Codes of arbitrary rows, clipped into the padded box first."""
+        return self._encode(np.clip(material, self._lo, self._hi) - self._lo)
+
+    def shifted(self, offset: np.ndarray) -> np.ndarray:
+        """Codes of every indexed row moved by offset, still sorted."""
+        if self._strides is not None:
+            return self.codes + offset @ self._strides
+        rows = self.codes.view(">u8").reshape(self.codes.size, -1)
+        return self._encode(rows.astype(np.int64) + offset)
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """Dense indices of codes; MISSING where no vertex has that code."""
+        pos = np.minimum(np.searchsorted(self.codes, codes), self.codes.size - 1)
+        return np.where(self.codes[pos] == codes, self.dense[pos], MISSING)
 
 
 class SparseLattice:
@@ -330,7 +277,7 @@ class SparseLattice:
       offsets          the NeighborOffsets the adjacency columns follow
     """
 
-    def __init__(self, config, point_vertices, point_bary, vertex_keys, table, offsets):
+    def __init__(self, config, point_vertices, point_bary, vertex_keys, index, offsets):
         self.config = config
         self.num_points = point_vertices.shape[0]
         self.num_vertices = vertex_keys.shape[0]
@@ -338,31 +285,26 @@ class SparseLattice:
         self.point_bary = point_bary
         self.vertex_keys = vertex_keys
         self.offsets = offsets
-        self._table = table
+        self._index = index
 
         d = config.dim
         k = offsets.offsets.shape[0]
         adjacency = np.empty((self.num_vertices, k), dtype=np.int64)
-        material = vertex_keys[:, :d]
         for col, off in enumerate(offsets.offsets):
-            adjacency[:, col] = table.lookup(material + off[:d])
+            adjacency[index.dense, col] = index.find(index.shifted(off[:d]))
         self.adjacency = adjacency
 
         for arr in (self.point_vertices, self.point_bary, self.vertex_keys, self.adjacency):
             arr.setflags(write=False)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Dense indices of full lattice keys ((q, d+1) or (d+1,))."""
+        """Dense indices of (q, d+1) full lattice keys; MISSING where absent."""
         keys = np.asarray(keys, dtype=np.int64)
-        single = keys.ndim == 1
-        if single:
-            keys = keys[None, :]
-        if keys.shape[1] != self.config.dim + 1:
+        if keys.ndim != 2 or keys.shape[1] != self.config.dim + 1:
             raise InvalidInput(
-                f"expected keys of width {self.config.dim + 1}, got {keys.shape[1]}"
+                f"expected keys of shape (q, {self.config.dim + 1}), got {keys.shape}"
             )
-        res = self._table.lookup(keys[:, : self.config.dim])
-        return res[0] if single else res
+        return self._index.find(self._index.encode(keys[:, : self.config.dim]))
 
     def embed(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Embed another cloud against this lattice's vertex set.
@@ -376,7 +318,7 @@ class SparseLattice:
         keys, bary = _locate_many(elev)
         m, d1, _ = keys.shape
         flat = keys.reshape(m * d1, d1)[:, : self.config.dim]
-        idx = self._table.lookup(flat).reshape(m, d1)
+        idx = self._index.find(self._index.encode(flat)).reshape(m, d1)
         return idx, bary
 
     # Occupancy diagnostics used by the stats CLI.
@@ -398,38 +340,16 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
     elev = elevate_many(feats, config)
     keys, bary = _locate_many(elev)
     n, d1, _ = keys.shape
-    d = config.dim
 
-    # Deduplicate touched vertices. Dense indices follow first-touch order
-    # with points scanned ascending and simplex corners in remainder order,
-    # independent of how the rows get grouped below.
+    # Dense indices follow first-touch order with points scanned ascending and
+    # simplex corners in remainder order.
     flat_keys = keys.reshape(n * d1, d1)
-    material = flat_keys[:, :d]
-    total = material.shape[0]
-    order = np.lexsort(material.T[::-1])
-    sorted_mat = material[order]
-    new_group = np.empty(total, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (sorted_mat[1:] != sorted_mat[:-1]).any(axis=1)
-    group_sorted = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
-    first_flat = np.minimum.reduceat(order, starts)
-    num_vertices = starts.size
-
-    dense_of_group = np.empty(num_vertices, dtype=np.int64)
-    dense_of_group[np.argsort(first_flat, kind="stable")] = np.arange(num_vertices)
-    flat_dense = np.empty(total, dtype=np.int64)
-    flat_dense[order] = dense_of_group[group_sorted]
-
-    vertex_keys = np.empty((num_vertices, d1), dtype=np.int64)
-    vertex_keys[flat_dense] = flat_keys
-
-    table = _VertexTable(vertex_keys[:, :d], point_budget=n)
+    index = _VertexIndex(flat_keys[:, : config.dim])
     return SparseLattice(
         config=config,
-        point_vertices=flat_dense.reshape(n, d1),
+        point_vertices=index.row_dense.reshape(n, d1),
         point_bary=bary,
-        vertex_keys=vertex_keys,
-        table=table,
-        offsets=neighbor_offsets(d, 1),
+        vertex_keys=flat_keys[index.first_row],
+        index=index,
+        offsets=neighbor_offsets(config.dim),
     )

@@ -299,6 +299,8 @@ def forward(
     lattice_features = np.asarray(lattice_features, dtype=np.float64)
     if features.ndim != 2:
         raise ShapeError(f"features must be 2-d, got shape {features.shape}")
+    if not np.all(np.isfinite(features)):
+        raise InvalidInput("features must be finite")
     if lattice_features.shape != (features.shape[0], spec.lattice.dim):
         raise ShapeError(
             f"lattice features must be ({features.shape[0]}, {spec.lattice.dim}), "

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import network
 from .checkpoint import load_train_state, save_checkpoint, save_train_state
+from .data import _AXIS_INDEX
 from .errors import (
     ConfigError,
     DegenerateBatch,
@@ -24,8 +25,6 @@ from .errors import (
     NonFiniteGradient,
     ShapeError,
 )
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 PROB_FLOOR = 1e-12
 

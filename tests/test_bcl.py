@@ -232,7 +232,8 @@ def test_normalize_matched_kernel_preserves_constants():
             lat.point_vertices,
             lat.point_bary,
         )
-        out = bcl.normalize(raw, lat, lat.point_vertices, lat.point_bary, blur=profile / profile.sum())
+        desc = bcl.make_descriptor(pts, None, lat.config, blur=profile / profile.sum())
+        out = raw / desc.denominator
         expected = (const @ mix) * profile.sum()
         np.testing.assert_allclose(out, np.tile(expected, (n, 1)), atol=1e-6)
 
@@ -246,7 +247,7 @@ def test_normalize_dense_oracle():
     raw = bcl.slice(
         bcl.convolve(bcl.splat(values, lat), lat, bank), lat.point_vertices, lat.point_bary
     )
-    out = bcl.normalize(raw, lat, lat.point_vertices, lat.point_bary, blur=profile)
+    out = raw / bcl.make_descriptor(pts, None, lat.config, blur=profile).denominator
 
     s_splat = dense_splat_matrix(lat)
     s_slice = dense_slice_matrix(lat.point_vertices, lat.point_bary, lat.num_vertices)
@@ -262,7 +263,7 @@ def test_normalize_zero_support_outputs_zero():
     far = np.full((2, 3), 1e4)
     idx, bary = lat.embed(far)
     raw = bcl.slice(bcl.splat(np.ones((4, 1)), lat), idx, bary)
-    out = bcl.normalize(raw, lat, idx, bary)
+    out = raw / bcl.make_descriptor(pts, far, lat.config, blur=None).denominator
     np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
 

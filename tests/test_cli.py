@@ -66,6 +66,63 @@ def test_train_writes_artifacts(trained):
     assert len(lines) == 13  # header + every 10th of 120 plus the final
 
 
+def test_train_resumes_from_config_checkpoint_key(blob_dir, tmp_path, capsys):
+    def run(name, iterations, checkpoint_line="", flag=()):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(
+            "arch = B8-C2\n"
+            "lambda0 = 2\n"
+            f"data_dir = {blob_dir}\n"
+            f"output_dir = {tmp_path / name}\n"
+            "learning_rate = 0.02\n"
+            f"max_iterations = {iterations}\n"
+            "seed = 3\n"
+            f"{checkpoint_line}\n"
+        )
+        assert cli.main(["train", "--config", str(config), *flag]) == 0
+        return tmp_path / name
+
+    first = run("first", 4, "checkpoint =   # none yet")
+    state = first / "state.splt"
+    by_key = run("by_key", 8, f"checkpoint = {state}  # resume")
+    by_flag = run("by_flag", 8, flag=("--checkpoint", str(state)))
+    flag_wins = run("flag_wins", 8, f"checkpoint = {tmp_path / 'absent.splt'}",
+                    ("--checkpoint", str(state)))
+    straight = run("straight", 8)
+    capsys.readouterr()
+    model = (by_flag / "model.splt").read_bytes()
+    assert (by_key / "model.splt").read_bytes() == model
+    assert (flag_wins / "model.splt").read_bytes() == model
+    assert (straight / "model.splt").read_bytes() == model
+    # a resumed run logs only the iterations after the checkpoint
+    resumed_rows = (by_key / "metrics.csv").read_text().splitlines()
+    assert len(resumed_rows) == 1 + 4
+    assert len((straight / "metrics.csv").read_text().splitlines()) == 1 + 8
+
+
+def test_predict_nonfinite_features_exit_1(tmp_path, capsys):
+    from latseg import network
+    from latseg.checkpoint import save_checkpoint
+    from latseg.lattice import LatticeConfig
+
+    spec = network.parse_arch("B4-C2", LatticeConfig(3, 2.0))
+    params = network.init_parameters(spec, 3, np.random.default_rng(0))
+    model = tmp_path / "model.splt"
+    save_checkpoint(model, spec, params, feature_channels=("normals",))
+    rng = np.random.default_rng(1)
+    normals = rng.normal(size=(20, 3))
+    normals[4, 2] = np.nan
+    cloud_path = tmp_path / "scene.ply"
+    save_cloud(PointCloud(rng.normal(size=(20, 3)), normals=normals), cloud_path)
+
+    code = cli.main(["predict", str(cloud_path), "--checkpoint", str(model),
+                     "--out", str(tmp_path / "out.ply")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_predict_roundtrip_and_determinism(trained, blob_dir, tmp_path, capsys):
     cloud_path = sorted(blob_dir.iterdir())[0]
     out1 = tmp_path / "pred1.ply"

@@ -1,5 +1,7 @@
 """Config file parsing and RunConfig validation tests."""
 
+from pathlib import Path
+
 import pytest
 
 from latseg.config import RunConfig, load_run_config, parse_config_text
@@ -104,3 +106,40 @@ def test_load_run_config_roundtrip(tmp_path):
     # untouched keys keep their defaults
     assert cfg.learning_rate == 1e-4
     assert cfg.feature_channels == ("xyz",)
+
+
+def test_parse_inline_comments_and_empty_optional_values():
+    values = parse_config_text(
+        "seed = 7  # trailing comment\n"
+        "data_dir = run#1/\t# a # inside a value is kept\n"
+        "checkpoint = # resume path\n"
+        "output_dir =\n"
+        "num_classes = none\n"
+        "patience = 3 #\n"
+    )
+    assert values["seed"] == 7
+    assert values["data_dir"] == "run#1/"
+    assert values["checkpoint"] is None
+    assert values["output_dir"] is None
+    assert values["num_classes"] is None
+    assert values["patience"] == 3
+    assert parse_config_text("num_classes = 4 # two blobs\n")["num_classes"] == 4
+    # keys without a None default still need a value
+    with pytest.raises(ParseError) as err:
+        parse_config_text("seed = 1\nlearning_rate =   # forgot it\n")
+    assert err.value.line == 2
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A config file is", 1)[1]
+    block = after.split("```\n", 2)[1]
+    values = parse_config_text(block, source="README.md")
+    assert values["arch"] == "B16-B16-B16-C16-C2"
+    assert values["lambda0"] == (2.0,)
+    assert values["checkpoint_every"] == 100
+    assert values["num_classes"] is None
+    assert values["checkpoint"] is None
+    cfg = RunConfig(**values)
+    assert cfg.sample_size is None and cfg.patience is None
+    cfg.train_config()

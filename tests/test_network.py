@@ -5,7 +5,7 @@ import pytest
 
 from latseg import network as net
 from latseg.checkpoint import load_checkpoint, save_checkpoint
-from latseg.errors import ConfigError, ParseError, ShapeError, StateError
+from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
 
@@ -148,6 +148,16 @@ def test_forward_channel_mismatch():
         net.forward(spec, params, np.zeros((5, 4)), np.zeros((5, 3)))
     with pytest.raises(ShapeError):
         net.forward(spec, params, np.zeros((5, 3)), np.zeros((5, 2)))
+
+
+def test_forward_rejects_nonfinite_features():
+    spec, params = small_net(input_dim=3)
+    pts = np.random.default_rng(6).normal(size=(20, 3))
+    for bad in (np.nan, np.inf):
+        features = pts.copy()
+        features[7, 1] = bad
+        with pytest.raises(InvalidInput):
+            net.forward(spec, params, features, pts)
 
 
 def test_descriptor_scales_non_increasing_vertices():
