@@ -66,7 +66,6 @@ _DATA_NAMES = (
 
 _TRAIN_NAMES = (
     "OptimizerState",
-    "TrainConfig",
     "adam_step",
     "augment",
     "cross_entropy_loss",
@@ -80,7 +79,7 @@ _CHECKPOINT_NAMES = (
     "save_train_state",
 )
 
-_CONFIG_NAMES = ("RunConfig", "load_run_config", "parse_config_text")
+_CONFIG_NAMES = ("RunConfig", "TrainConfig", "load_run_config", "parse_config_text")
 
 _HOME_OF = {}
 for _module, _names in (

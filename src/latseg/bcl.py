@@ -7,15 +7,17 @@ reads them back at a set of output points (slice):
     out = slice(convolve(splat(F)))
 
 Splat scatter-adds each point's features to its d+1 simplex corners weighted
-by barycentric coordinates; slice is the transposed gather. Input and output
-clouds may differ: output points are embedded against the vertex set the
-input cloud touched, and simplex corners nobody touched contribute zero.
+by barycentric coordinates; slice is the transposed gather. One barycentric
+scatter serves both splat and slice's adjoint. Input and output clouds may
+differ: output points are embedded against the vertex set the input cloud
+touched, and simplex corners nobody touched contribute zero.
 
 With normalization on, the raw sliced values are divided point-wise by the
-result of pushing an all-ones signal through splat -> a fixed single-channel
-blur profile over the one-ring -> slice on the same lattice. The denominator
-depends only on the lattice geometry, never on features or learnable
-weights, and is floored at 1e-12 (so outputs with no lattice support are 0).
+result of pushing an all-ones signal through the same pipeline: splat ->
+convolve with a fixed single-channel, bias-free blur profile over the
+one-ring -> slice. The denominator depends only on the lattice geometry,
+never on features or learnable weights, and is floored at 1e-12 (so outputs
+with no lattice support are 0).
 
 All forward ops are linear in the features, and the backward pass is exact:
 splat and slice are mutual adjoints, and the convolution gradient
@@ -89,6 +91,23 @@ def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter(
+    values: np.ndarray, indices: np.ndarray, bary: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Barycentric scatter-add of (m, C) point values onto (V, C) vertices.
+
+    MISSING corners land in an extra bin V that is cut off, so they drop out.
+    """
+    d1 = indices.shape[1]
+    rows = np.where(indices == MISSING, num_vertices, indices).reshape(-1)
+    w = bary.reshape(-1)
+    out = np.empty((num_vertices, values.shape[1]))
+    for c in range(values.shape[1]):
+        contrib = w * np.repeat(values[:, c], d1)
+        out[:, c] = np.bincount(rows, weights=contrib, minlength=num_vertices + 1)[:num_vertices]
+    return out
+
+
 def splat(values: np.ndarray, lat: SparseLattice) -> np.ndarray:
     """Scatter-add (n, C) point features to (V, C) vertex features."""
     values = np.asarray(values, dtype=np.float64)
@@ -96,14 +115,7 @@ def splat(values: np.ndarray, lat: SparseLattice) -> np.ndarray:
         raise ShapeError(
             f"expected ({lat.num_points}, C) features, got {values.shape}"
         )
-    d1 = lat.config.dim + 1
-    rows = lat.point_vertices.reshape(-1)
-    w = lat.point_bary.reshape(-1)
-    out = np.empty((lat.num_vertices, values.shape[1]))
-    for c in range(values.shape[1]):
-        contrib = w * np.repeat(values[:, c], d1)
-        out[:, c] = np.bincount(rows, weights=contrib, minlength=lat.num_vertices)
-    return out
+    return _scatter(values, lat.point_vertices, lat.point_bary, lat.num_vertices)
 
 
 def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarray:
@@ -130,18 +142,7 @@ def slice_adjoint(
     point_grad: np.ndarray, indices: np.ndarray, bary: np.ndarray, num_vertices: int
 ) -> np.ndarray:
     """Push an (m, C) cotangent onto vertices; the transpose of slice."""
-    point_grad = np.asarray(point_grad, dtype=np.float64)
-    d1 = indices.shape[1]
-    rows = indices.reshape(-1)
-    w = bary.reshape(-1)
-    valid = rows != MISSING
-    rows_v = rows[valid]
-    w_v = w[valid]
-    out = np.empty((num_vertices, point_grad.shape[1]))
-    for c in range(point_grad.shape[1]):
-        contrib = w_v * np.repeat(point_grad[:, c], d1)[valid]
-        out[:, c] = np.bincount(rows_v, weights=contrib, minlength=num_vertices)
-    return out
+    return _scatter(np.asarray(point_grad, dtype=np.float64), indices, bary, num_vertices)
 
 
 def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.ndarray:
@@ -185,42 +186,19 @@ def convolve_backward(
     return grad_values, grad_weights, grad_out.sum(axis=0)
 
 
-def _profile_convolve(values: np.ndarray, lat: SparseLattice, profile: np.ndarray) -> np.ndarray:
-    # Single-channel, bias-free convolution with one scalar weight per tap.
-    out = np.zeros_like(values)
-    for k, wk in enumerate(profile):
-        out += wk * _gather(values, lat.adjacency[:, k])
-    return out
-
-
-def _ones_pass(
-    lat: SparseLattice, indices: np.ndarray, bary: np.ndarray, blur: np.ndarray | None
-) -> np.ndarray:
-    mass = splat(np.ones((lat.num_points, 1)), lat)
-    if blur is not None:
-        blur = np.asarray(blur, dtype=np.float64)
-        if blur.shape != (lat.adjacency.shape[1],):
-            raise ShapeError(
-                f"blur profile must have {lat.adjacency.shape[1]} taps, got {blur.shape}"
-            )
-        mass = _profile_convolve(mass, lat, blur)
-    return slice(mass, indices, bary)
-
-
 @dataclass
 class BCLDescriptor:
     """Reusable geometry of one BCL application.
 
     Captures the input-cloud lattice, the output-cloud embedding against it,
-    and (when normalizing) the cached denominator, which depends only on the
-    geometry. Build once per (cloud pair, scale); apply to any number of
-    feature matrices / filter banks.
+    and the cached normalization denominator (None when not normalizing),
+    which depends only on the geometry. Build once per (cloud pair, scale);
+    apply to any number of feature matrices / filter banks.
     """
 
     lattice: SparseLattice
     out_indices: np.ndarray
     out_bary: np.ndarray
-    normalize: bool
     denominator: np.ndarray | None  # (m, 1), already floored
 
     @property
@@ -256,9 +234,16 @@ def make_descriptor(
         out_idx, out_bary = lat.embed(features_out)
     denom = None
     if normalize:
-        profile = default_blur_profile(lat.adjacency.shape[1]) if isinstance(blur, str) else blur
-        denom = np.maximum(_ones_pass(lat, out_idx, out_bary, profile), NORM_EPS)
-    return BCLDescriptor(lat, out_idx, out_bary, normalize, denom)
+        mass = splat(np.ones((lat.num_points, 1)), lat)
+        if blur is not None:
+            taps = lat.adjacency.shape[1]
+            profile = default_blur_profile(taps) if isinstance(blur, str) else blur
+            profile = np.asarray(profile, dtype=np.float64)
+            if profile.shape != (taps,):
+                raise ShapeError(f"blur profile must have {taps} taps, got {profile.shape}")
+            mass = convolve(mass, lat, FilterBank(profile[:, None, None], np.zeros(1)))
+        denom = np.maximum(slice(mass, out_idx, out_bary), NORM_EPS)
+    return BCLDescriptor(lat, out_idx, out_bary, denom)
 
 
 @dataclass
@@ -287,7 +272,7 @@ def bcl_forward(
     splatted = splat(values, desc.lattice)
     filtered = convolve(splatted, desc.lattice, bank)
     out = slice(filtered, desc.out_indices, desc.out_bary)
-    if desc.normalize:
+    if desc.denominator is not None:
         out = out / desc.denominator
     return out, BCLState(desc, bank, splatted)
 
@@ -306,7 +291,7 @@ def bcl_backward(state: BCLState, grad_out: np.ndarray) -> GradientPair:
         raise ShapeError(
             f"grad_out has {grad_out.shape[0]} rows, descriptor expects {desc.num_out}"
         )
-    g = grad_out / desc.denominator if desc.normalize else grad_out
+    g = grad_out if desc.denominator is None else grad_out / desc.denominator
     g_filtered = slice_adjoint(g, desc.out_indices, desc.out_bary, desc.lattice.num_vertices)
     g_splat, g_w, g_b = convolve_backward(state.splatted, desc.lattice, state.bank, g_filtered)
     g_input = splat_adjoint(g_splat, desc.lattice)

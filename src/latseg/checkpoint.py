@@ -10,7 +10,8 @@ Layout (all integers little-endian):
     feats   u32 len + utf-8 comma-joined feature channel names
     latts   u32 len + utf-8 comma-joined lattice channel names
     classes u32
-    norm    u8       BCL normalization flag
+    norm    u8       BCL normalization flag: always 1 (every BCL normalizes);
+                     any other value is refused
     count   u32      tensor count, then per tensor:
         name  u32 len + utf-8 (e.g. "003.weight")
         dtype u8   0 = f32, 1 = f64, 2 = i64
@@ -68,7 +69,10 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{self.path}: string is not valid utf-8") from None
 
 
 def _pack_tensor(name: str, arr: np.ndarray, dtype_code: int) -> bytes:
@@ -103,9 +107,7 @@ def _header_bytes(
     out += np.asarray(spec.lattice.scale, dtype="<f8").tobytes()
     out += _pack_str(",".join(feature_channels))
     out += _pack_str(",".join(lattice_channels))
-    out += struct.pack("<I", spec.num_classes)
-    norm = any(getattr(l, "normalize", False) for l in spec.layers)
-    out += struct.pack("<B", 1 if norm else 0)
+    out += struct.pack("<IB", spec.num_classes, 1)
     return out
 
 
@@ -145,9 +147,11 @@ def _read_header(r: _Reader):
     feats = tuple(s for s in r.string().split(",") if s)
     latts = tuple(s for s in r.string().split(",") if s)
     num_classes = r.u32()
-    norm = bool(r.u8())
+    norm = r.u8()
+    if norm != 1:
+        raise ParseError(f"{r.path}: normalization flag must be 1, got {norm}")
     try:
-        spec = parse_arch(arch, LatticeConfig(dim, lambda0), num_classes, normalize=norm)
+        spec = parse_arch(arch, LatticeConfig(dim, lambda0), num_classes)
     except Exception as exc:
         raise ParseError(f"{r.path}: invalid architecture in checkpoint: {exc}") from exc
     return version, spec, feats, latts
@@ -220,7 +224,7 @@ def load_train_state(path):
     groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
     for _ in range(count):
         name, arr = _read_tensor(r)
-        tag, rest = name.split(".", 1)
+        tag, _, rest = name.partition(".")
         if tag not in groups:
             raise ParseError(f"{r.path}: unexpected tensor group {tag!r}")
         groups[tag][rest] = arr

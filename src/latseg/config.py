@@ -2,10 +2,12 @@
 
 Blank lines and lines starting with # are skipped, and a # that starts the
 value or follows whitespace begins a comment running to the end of the line.
-Every key must be known and appear at most once; values are typed per key.
-An empty value sets an optional key (one whose default is None) to None. The same RunConfig feeds
-training and the command-line tools, with command-line flags taking
-precedence over file values and file values over the dataclass defaults.
+Every key must be known and appear at most once; each value is parsed by
+its field's type. An empty value sets an optional key (one whose default is
+None) to None. RunConfig is TrainConfig (the training settings) plus the
+model, channel and path keys; it feeds training and the command-line tools,
+with command-line flags taking precedence over file values and file values
+over the dataclass defaults. This module does not import NumPy.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def _to_int(text, key, lineno):
         raise ParseError(f"{key}: expected an integer, got {text!r}", line=lineno) from None
 
 
+def _to_str(text, key, lineno):
+    return text
+
+
 def _to_opt_int(text, key, lineno):
     if text.lower() == "none":
         return None
@@ -65,52 +71,18 @@ def _to_lambda(text, key, lineno):
     return tuple(_to_float(p, key, lineno) for p in parts)
 
 
-_SCHEMA = {
-    "arch": lambda t, k, n: t,
-    "lambda0": _to_lambda,
-    "feature_channels": _to_str_tuple,
-    "lattice_channels": _to_str_tuple,
-    "num_classes": _to_opt_int,
-    "data_dir": lambda t, k, n: t,
-    "checkpoint": lambda t, k, n: t,
-    "output_dir": lambda t, k, n: t,
-    "learning_rate": _to_float,
-    "adam_beta1": _to_float,
-    "adam_beta2": _to_float,
-    "adam_epsilon": _to_float,
-    "batch_size": _to_int,
-    "max_iterations": _to_int,
-    "rotate": _to_bool,
-    "rotate_full_sphere": _to_bool,
-    "translate": _to_bool,
-    "scale": _to_bool,
-    "color_jitter": _to_bool,
-    "translate_magnitude": _to_float,
-    "scale_low": _to_float,
-    "scale_high": _to_float,
-    "color_jitter_magnitude": _to_float,
-    "sample_size": _to_opt_int,
-    "seed": _to_int,
-    "ignore_label": _to_opt_int,
-    "gravity_axis": lambda t, k, n: t,
-    "log_every": _to_int,
-    "checkpoint_every": _to_int,
-    "patience": _to_opt_int,
-}
+# Gravity axis name -> column of the positions.
+_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs: model, channels, paths, train settings."""
+class TrainConfig:
+    """Optimizer, batching, and augmentation settings.
 
-    arch: str | None = None
-    lambda0: tuple = (1.0,)
-    feature_channels: tuple = ("xyz",)
-    lattice_channels: tuple = ("xyz",)
-    num_classes: int | None = None
-    data_dir: str | None = None
-    checkpoint: str | None = None
-    output_dir: str | None = None
+    learning_rate accepts 0 so a frozen run can be used as a no-op baseline.
+    batch_size counts clouds accumulated per optimizer step.
+    """
+
     learning_rate: float = 1e-4
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -135,6 +107,54 @@ class RunConfig:
     patience: int | None = None
 
     def __post_init__(self):
+        if self.learning_rate < 0:
+            raise InvalidInput("learning_rate must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            b = getattr(self, name)
+            if not 0.0 <= b < 1.0:
+                raise InvalidInput(f"{name} must lie in [0, 1), got {b!r}")
+        if self.adam_epsilon <= 0:
+            raise InvalidInput("adam_epsilon must be positive")
+        if self.batch_size < 1:
+            raise InvalidInput("batch_size must be >= 1")
+        if self.max_iterations < 0:
+            raise InvalidInput("max_iterations must be >= 0")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise InvalidInput("sample_size must be >= 1 when given")
+        if not 0 < self.scale_low <= self.scale_high:
+            raise InvalidInput("need 0 < scale_low <= scale_high")
+        if self.translate_magnitude < 0 or self.color_jitter_magnitude < 0:
+            raise InvalidInput("augmentation magnitudes must be >= 0")
+        if self.gravity_axis not in _AXIS_INDEX:
+            raise InvalidInput(f"gravity_axis must be one of x/y/z, got {self.gravity_axis!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidInput("seed must be a 64-bit unsigned integer")
+        if self.log_every < 1:
+            raise InvalidInput("log_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise InvalidInput("checkpoint_every must be >= 0")
+        if self.patience is not None and self.patience < 1:
+            raise InvalidInput("patience must be >= 1 when given")
+
+
+@dataclass(frozen=True)
+class RunConfig(TrainConfig):
+    """Everything a command needs: model, channels, paths, train settings."""
+
+    arch: str | None = None
+    lambda0: tuple = (1.0,)
+    feature_channels: tuple = ("xyz",)
+    lattice_channels: tuple = ("xyz",)
+    num_classes: int | None = None
+    data_dir: str | None = None
+    checkpoint: str | None = None
+    output_dir: str | None = None
+
+    def __post_init__(self):
+        try:
+            super().__post_init__()
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
         lam = self.lambda0
         if isinstance(lam, (int, float)):
             lam = (float(lam),)
@@ -154,15 +174,26 @@ class RunConfig:
         return list(self.lambda0)
 
     def train_config(self):
-        from .train import TrainConfig
+        """The training settings alone, as a plain TrainConfig."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
-        names = {f.name for f in fields(TrainConfig)}
-        kwargs = {k: getattr(self, k) for k in names}
-        try:
-            return TrainConfig(**kwargs)
-        except InvalidInput as exc:
-            raise ConfigError(str(exc)) from exc
 
+# Value parser per key: by the field's annotation, except where a key needs
+# more than its type says.
+_BY_TYPE = {
+    "str": _to_str,
+    "str | None": _to_str,
+    "int": _to_int,
+    "int | None": _to_opt_int,
+    "float": _to_float,
+    "bool": _to_bool,
+}
+_BY_KEY = {
+    "lambda0": _to_lambda,
+    "feature_channels": _to_str_tuple,
+    "lattice_channels": _to_str_tuple,
+}
+_SCHEMA = {f.name: _BY_KEY.get(f.name) or _BY_TYPE[f.type] for f in fields(RunConfig)}
 
 _OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
 

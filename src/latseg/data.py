@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _AXIS_INDEX
 from .errors import (
     ConfigError,
     EmptyEvaluation,
@@ -25,7 +26,6 @@ from .errors import (
     UnsupportedError,
 )
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 # PLY property vocabulary. Anything else in a header is rejected.
 _PLY_FLOAT_TYPES = frozenset({"float", "float32", "double", "float64"})

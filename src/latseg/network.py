@@ -4,11 +4,12 @@ An architecture string like "C32-B64-B128-B256-C128-Cx" describes a stack of
 1x1 point convolutions (C<width>) and bilateral convolution layers
 (B<width>). The t-th BCL (t = 0, 1, ...) filters on a lattice built from the
 cloud's lattice features at scale lambda0 / 2^t, so receptive fields double
-at every BCL. After the last BCL, the responses of all BCLs are concatenated
-and fed to the remaining 1x1 convolutions; a trailing "Cx" takes its width
-from num_classes. Every parameterized layer except the final convolution is
-followed by batch normalization (over the point dimension) and ReLU, and
-class probabilities come from a row-wise softmax.
+at every BCL. Every BCL is normalized (bcl.make_descriptor's default
+one-ring blur). After the last BCL, the responses of all BCLs are
+concatenated and fed to the remaining 1x1 convolutions; a trailing "Cx"
+takes its width from num_classes. Every parameterized layer except the
+final convolution is followed by batch normalization (over the point
+dimension) and ReLU, and class probabilities come from a row-wise softmax.
 
 forward() returns probabilities plus a tape. In training mode the tape holds
 everything backward() needs for exact parameter and input gradients; batch
@@ -43,7 +44,6 @@ class Conv1x1Spec:
 class BCLSpec:
     width: int
     level: int  # lattice scale is lambda0 / 2**level
-    normalize: bool = True
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,7 @@ class NetworkSpec:
 _TOKEN = re.compile(r"^([CB])(\d+|x)$")
 
 
-def parse_arch(
-    text: str,
-    lattice: LatticeConfig,
-    num_classes: int | None = None,
-    normalize: bool = True,
-) -> NetworkSpec:
+def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None) -> NetworkSpec:
     """Parse an architecture string into a NetworkSpec.
 
     Requires at least one B token and a final C token; "x" is only legal as
@@ -129,7 +124,7 @@ def parse_arch(
     concat_placed = False
     for pos, kind, width in parsed:
         if kind == "B":
-            layers.append(BCLSpec(width=int(width), level=level, normalize=normalize))
+            layers.append(BCLSpec(width=int(width), level=level))
             layers.append(BatchNormSpec())
             layers.append(ReLUSpec())
             bcl_outputs.append(len(layers) - 1)
@@ -257,15 +252,11 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
     One descriptor per BCL layer, in layer order. Reusable across any number
     of forward/backward passes on the same cloud.
     """
-    descs = []
-    for layer in spec.layers:
-        if isinstance(layer, BCLSpec):
-            descs.append(
-                bcl.make_descriptor(
-                    lattice_features, None, spec.bcl_config(layer.level), normalize=layer.normalize
-                )
-            )
-    return descs
+    return [
+        bcl.make_descriptor(lattice_features, None, spec.bcl_config(layer.level))
+        for layer in spec.layers
+        if isinstance(layer, BCLSpec)
+    ]
 
 
 @dataclass
@@ -277,7 +268,6 @@ class Tape:
     num_points: int
     saved: list  # per-layer backward state (None in inference mode)
     outputs: list  # per-layer output arrays
-    descriptors: list  # per-BCL descriptors, in layer order
     pending_running: dict = field(default_factory=dict)  # bn layer idx -> (mean, var)
 
 
@@ -327,7 +317,6 @@ def forward(
         num_points=n,
         saved=[None] * len(spec.layers),
         outputs=[None] * len(spec.layers),
-        descriptors=descriptors,
     )
     x = features
     bcl_seen = 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import network
 from .checkpoint import load_train_state, save_checkpoint, save_train_state
-from .data import _AXIS_INDEX
+from .config import _AXIS_INDEX, TrainConfig  # train.TrainConfig is public
 from .errors import (
     ConfigError,
     DegenerateBatch,
@@ -33,68 +33,6 @@ _STREAM_ORDER = 0
 _STREAM_CROP = 1
 _STREAM_AUGMENT = 2
 _STREAM_INIT = 3
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer, batching, and augmentation settings.
-
-    learning_rate accepts 0 so a frozen run can be used as a no-op baseline.
-    batch_size counts clouds accumulated per optimizer step.
-    """
-
-    learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    batch_size: int = 1
-    max_iterations: int = 100
-    rotate: bool = False
-    rotate_full_sphere: bool = False
-    translate: bool = False
-    scale: bool = False
-    color_jitter: bool = False
-    translate_magnitude: float = 0.1
-    scale_low: float = 0.9
-    scale_high: float = 1.1
-    color_jitter_magnitude: float = 0.05
-    sample_size: int | None = None
-    seed: int = 0
-    ignore_label: int | None = None
-    gravity_axis: str = "y"
-    log_every: int = 1
-    checkpoint_every: int = 0
-    patience: int | None = None
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InvalidInput("learning_rate must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise InvalidInput(f"{name} must lie in [0, 1), got {b!r}")
-        if self.adam_epsilon <= 0:
-            raise InvalidInput("adam_epsilon must be positive")
-        if self.batch_size < 1:
-            raise InvalidInput("batch_size must be >= 1")
-        if self.max_iterations < 0:
-            raise InvalidInput("max_iterations must be >= 0")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise InvalidInput("sample_size must be >= 1 when given")
-        if not 0 < self.scale_low <= self.scale_high:
-            raise InvalidInput("need 0 < scale_low <= scale_high")
-        if self.translate_magnitude < 0 or self.color_jitter_magnitude < 0:
-            raise InvalidInput("augmentation magnitudes must be >= 0")
-        if self.gravity_axis not in _AXIS_INDEX:
-            raise InvalidInput(f"gravity_axis must be one of x/y/z, got {self.gravity_axis!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidInput("seed must be a 64-bit unsigned integer")
-        if self.log_every < 1:
-            raise InvalidInput("log_every must be >= 1")
-        if self.checkpoint_every < 0:
-            raise InvalidInput("checkpoint_every must be >= 0")
-        if self.patience is not None and self.patience < 1:
-            raise InvalidInput("patience must be >= 1 when given")
 
 
 def _stream(seed, *key):
@@ -260,6 +198,12 @@ def _cloud_tensors(cloud, feature_channels, lattice_channels, gravity_axis):
     return features, lattice_feats
 
 
+def _correct_total(probs, labels, ignore_label):
+    """(correct, total) predictions over the points not labeled ignore_label."""
+    keep = np.ones(labels.shape[0], bool) if ignore_label is None else labels != ignore_label
+    return int((network.predict(probs)[keep] == labels[keep]).sum()), int(keep.sum())
+
+
 def evaluate(spec, params, dataset, feature_channels=("xyz",),
              lattice_channels=("xyz",), ignore_label=None, gravity_axis="y"):
     """(mean loss, pooled accuracy) of inference-mode predictions."""
@@ -273,12 +217,22 @@ def evaluate(spec, params, dataset, feature_channels=("xyz",),
         probs, _ = network.forward(spec, params, features, lattice_feats)
         loss, _ = cross_entropy_loss(probs, cloud.labels, ignore_label)
         losses.append(loss)
-        pred = network.predict(probs)
-        mask = np.ones(cloud.num_points, bool) if ignore_label is None \
-            else cloud.labels != ignore_label
-        correct += int((pred[mask] == cloud.labels[mask]).sum())
-        total += int(mask.sum())
+        c, t = _correct_total(probs, cloud.labels, ignore_label)
+        correct += c
+        total += t
     return float(np.mean(losses)), correct / max(total, 1)
+
+
+def _resume_fields(spec, feature_channels, lattice_channels):
+    """What a saved training state must share with the run resuming it."""
+    return {
+        "architecture": network.resolved_arch(spec),
+        "lattice dim": spec.lattice.dim,
+        "lattice scale": spec.lattice.scale.tolist(),
+        "num_classes": spec.num_classes,
+        "feature channels": tuple(feature_channels),
+        "lattice channels": tuple(lattice_channels),
+    }
 
 
 def train_loop(spec, dataset, config, *,
@@ -297,7 +251,9 @@ def train_loop(spec, dataset, config, *,
     One iteration = one optimizer step over batch_size clouds processed in
     slot order with averaged gradients. Cloud order walks a per-epoch
     permutation. The metrics file is append-only CSV with the header
-    iteration,loss,accuracy,wall_seconds.
+    iteration,loss,accuracy,wall_seconds. A state resumed from must match
+    this run's architecture, lattice dim and scale, class count, and
+    feature and lattice channels, or ConfigError names the first mismatch.
     """
     if not dataset:
         raise EmptyInput("training dataset is empty")
@@ -305,7 +261,12 @@ def train_loop(spec, dataset, config, *,
         if cloud.labels is None:
             raise ConfigError(f"dataset cloud {i} has no labels")
     if resume_from is not None:
-        _, params, m1, m2, step, start_iteration, _, _ = load_train_state(resume_from)
+        saved, params, m1, m2, step, start_iteration, feats, latts = load_train_state(resume_from)
+        was = _resume_fields(saved, feats, latts)
+        for name, now in _resume_fields(spec, feature_channels, lattice_channels).items():
+            if was[name] != now:
+                raise ConfigError(f"{resume_from}: cannot resume: the saved state has "
+                                  f"{name} {was[name]!r}, this run has {now!r}")
         opt_state = OptimizerState(m1, m2, step)
     if params is None:
         features0 = dataset[0].channel_matrix(feature_channels, config.gravity_axis)
@@ -373,11 +334,9 @@ def train_loop(spec, dataset, config, *,
                 for li, key, g in network.named_parameters(grads):
                     grad_sum[li][key] += g
                 loss_sum += loss
-                pred = network.predict(probs)
-                mask = np.ones(cloud.num_points, bool) if config.ignore_label is None \
-                    else cloud.labels != config.ignore_label
-                correct += int((pred[mask] == cloud.labels[mask]).sum())
-                total += int(mask.sum())
+                c, t = _correct_total(probs, cloud.labels, config.ignore_label)
+                correct += c
+                total += t
             if config.batch_size > 1:
                 for li, key, g in network.named_parameters(grad_sum):
                     g /= config.batch_size

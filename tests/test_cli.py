@@ -322,3 +322,41 @@ def test_cli_rejects_bad_thread_count(capsys):
     code = cli.main(["lattice-stats", "whatever.xyz", "--threads", "0"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_predict_malformed_checkpoint_exit_2(trained, blob_dir, tmp_path, capsys):
+    raw = (trained / "model.splt").read_bytes()
+    # magic, version and length come before the architecture string; then
+    # dim, three scales, "xyz" twice with lengths and the class count come
+    # before the normalization flag
+    assert raw[12:17] == b"B8-C2"
+    norm_at = 17 + 4 + 3 * 8 + 2 * (4 + 3) + 4
+    assert raw[norm_at] == 1
+    for offset, value in ((12, 0xFF), (norm_at, 0)):
+        bad = bytearray(raw)
+        bad[offset] = value
+        (tmp_path / "bad.splt").write_bytes(bytes(bad))
+        code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                         str(tmp_path / "bad.splt"), "--out", str(tmp_path / "o.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad.splt" in err and "Traceback" not in err
+    assert not (tmp_path / "o.ply").exists()
+
+
+def test_train_resume_with_other_lambda_exit_2(trained, blob_dir, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text(
+        "arch = B8-C2\n"
+        "lambda0 = 2\n"
+        f"data_dir = {blob_dir}\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+        "max_iterations = 130\n"
+        "seed = 3\n"
+    )
+    code = cli.main(["train", "--config", str(config), "--checkpoint",
+                     str(trained / "state.splt"), "--lambda", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "lattice scale" in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()

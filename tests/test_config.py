@@ -1,10 +1,11 @@
 """Config file parsing and RunConfig validation tests."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from latseg.config import RunConfig, load_run_config, parse_config_text
+from latseg.config import _SCHEMA, RunConfig, load_run_config, parse_config_text
 from latseg.errors import ConfigError, ParseError
 
 
@@ -143,3 +144,15 @@ def test_readme_config_example_parses():
     cfg = RunConfig(**values)
     assert cfg.sample_size is None and cfg.patience is None
     cfg.train_config()
+
+
+def test_load_run_config_rejects_invalid_train_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("arch = B8-C2\nbatch_size = 0\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert "batch_size" in str(err.value)
+
+
+def test_schema_has_one_parser_per_run_config_field():
+    assert set(_SCHEMA) == {f.name for f in fields(RunConfig)}

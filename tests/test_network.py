@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from latseg import network as net
-from latseg.checkpoint import load_checkpoint, save_checkpoint
+from latseg.checkpoint import (
+    load_checkpoint,
+    load_train_state,
+    save_checkpoint,
+    save_train_state,
+)
 from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
@@ -326,3 +331,38 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ParseError):
         load_checkpoint(p)
+
+
+def _norm_flag_offset(arch, dim, feats, latts):
+    # magic, version, arch, dim, lambda0, feature and lattice channel names
+    # and the class count precede the normalization flag
+    return 4 + 4 + (4 + len(arch)) + 4 + 8 * dim + (4 + len(feats)) + (4 + len(latts)) + 4
+
+
+def test_checkpoint_malformed_header_raises_parse_error(tmp_path):
+    spec, params = small_net(arch="B4-C2")
+    good = tmp_path / "model.splt"
+    save_checkpoint(good, spec, params, ("xyz",), ("xyz",))
+    raw = good.read_bytes()
+    norm_at = _norm_flag_offset("B4-C2", 3, "xyz", "xyz")
+    assert raw[norm_at] == 1
+    # a non-utf-8 byte in the architecture string, then flag values other than 1
+    for offset, value in ((12, 0xFF), (norm_at, 0), (norm_at, 2)):
+        bad = bytearray(raw)
+        bad[offset] = value
+        path = tmp_path / "bad.splt"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+
+def test_train_state_tensor_name_without_dot_raises_parse_error(tmp_path):
+    spec, params = small_net(arch="B4-C2")
+    zeros = net.zero_like_parameters(params)
+    path = tmp_path / "state.splt"
+    save_train_state(path, spec, params, zeros, zeros, 0, 0)
+    raw = path.read_bytes()
+    assert raw.count(b"param.000.bias") == 1
+    path.write_bytes(raw.replace(b"param.000.bias", b"param-000-bias"))
+    with pytest.raises(ParseError):
+        load_train_state(path)

@@ -404,3 +404,25 @@ def test_train_loop_requires_labels():
     stripped = [dataset[0].replace(labels=None)]
     with pytest.raises(ConfigError):
         train.train_loop(spec, stripped, train.TrainConfig(max_iterations=1))
+
+
+def test_train_loop_resume_refuses_other_lattice_scale(tmp_path):
+    spec, dataset = blob_setup(arch="B4-C2", lam=2.0, clouds=2, pts=24)
+    state = tmp_path / "s.splt"
+    cfg2 = train.TrainConfig(learning_rate=0.01, max_iterations=2, seed=6)
+    train.train_loop(spec, dataset, cfg2, state_path=state)
+    other, _ = blob_setup(arch="B4-C2", lam=8.0)
+    cfg4 = train.TrainConfig(learning_rate=0.01, max_iterations=4, seed=6)
+    with pytest.raises(ConfigError, match="lattice scale"):
+        train.train_loop(other, dataset, cfg4, resume_from=state)
+
+
+def test_train_loop_resume_refuses_other_channels_of_equal_width(tmp_path):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=2, pts=24)
+    state = tmp_path / "s.splt"
+    cfg2 = train.TrainConfig(learning_rate=0.01, max_iterations=2, seed=6)
+    train.train_loop(spec, dataset, cfg2, state_path=state)
+    cfg4 = train.TrainConfig(learning_rate=0.01, max_iterations=4, seed=6)
+    with pytest.raises(ConfigError, match="feature channels"):
+        train.train_loop(spec, dataset, cfg4, resume_from=state,
+                         feature_channels=("height", "height", "height"))
