@@ -83,28 +83,28 @@ def default_blur_profile(taps: int) -> np.ndarray:
     return prof / prof.sum()
 
 
-def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row gather with MISSING -> zero row."""
-    safe = np.maximum(idx, 0)
-    out = values[safe]
-    out[idx == MISSING] = 0.0
-    return out
+def _zero_padded(values: np.ndarray) -> np.ndarray:
+    """values with one zero row appended, so indexing with MISSING (-1) reads 0."""
+    padded = np.empty((values.shape[0] + 1, values.shape[1]))
+    padded[:-1] = values
+    padded[-1] = 0.0
+    return padded
 
 
 def _scatter(
-    values: np.ndarray, indices: np.ndarray, bary: np.ndarray, num_vertices: int
+    values: np.ndarray, indices: np.ndarray, bary: np.ndarray, num_bins: int
 ) -> np.ndarray:
-    """Barycentric scatter-add of (m, C) point values onto (V, C) vertices.
+    """Barycentric scatter-add of (m, C) point values onto (num_bins, C) rows.
 
-    MISSING corners land in an extra bin V that is cut off, so they drop out.
+    Every index must lie in [0, num_bins).
     """
     d1 = indices.shape[1]
-    rows = np.where(indices == MISSING, num_vertices, indices).reshape(-1)
+    rows = indices.reshape(-1)
     w = bary.reshape(-1)
-    out = np.empty((num_vertices, values.shape[1]))
+    out = np.empty((num_bins, values.shape[1]))
     for c in range(values.shape[1]):
         contrib = w * np.repeat(values[:, c], d1)
-        out[:, c] = np.bincount(rows, weights=contrib, minlength=num_vertices + 1)[:num_vertices]
+        out[:, c] = np.bincount(rows, weights=contrib, minlength=num_bins)
     return out
 
 
@@ -129,7 +129,7 @@ def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (V, C) vertex features, got {values.shape}")
     if indices.shape != bary.shape:
         raise ShapeError("embedding indices and weights must have the same shape")
-    gathered = _gather(values, indices)  # (m, d+1, C)
+    gathered = _zero_padded(values)[indices]  # (m, d+1, C)
     return np.einsum("mk,mkc->mc", bary, gathered)
 
 
@@ -141,8 +141,13 @@ def splat_adjoint(vertex_grad: np.ndarray, lat: SparseLattice) -> np.ndarray:
 def slice_adjoint(
     point_grad: np.ndarray, indices: np.ndarray, bary: np.ndarray, num_vertices: int
 ) -> np.ndarray:
-    """Push an (m, C) cotangent onto vertices; the transpose of slice."""
-    return _scatter(np.asarray(point_grad, dtype=np.float64), indices, bary, num_vertices)
+    """Push an (m, C) cotangent onto vertices; the transpose of slice.
+
+    MISSING corners land in an extra bin V that is cut off, so they drop out.
+    """
+    rows = np.where(indices == MISSING, num_vertices, indices)
+    point_grad = np.asarray(point_grad, dtype=np.float64)
+    return _scatter(point_grad, rows, bary, num_vertices + 1)[:num_vertices]
 
 
 def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.ndarray:
@@ -159,9 +164,10 @@ def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.nda
         raise ShapeError(f"filter has {bank.taps} taps, lattice one-ring has {k_taps}")
     if bank.c_in != values.shape[1]:
         raise ShapeError(f"filter expects C_in={bank.c_in}, features have {values.shape[1]}")
+    padded = _zero_padded(values)
     out = np.tile(bank.bias, (lat.num_vertices, 1))
     for k in range(k_taps):
-        out += _gather(values, lat.adjacency[:, k]) @ bank.weights[k]
+        out += padded[lat.adjacency[:, k]] @ bank.weights[k]
     return out
 
 
@@ -174,13 +180,13 @@ def convolve_backward(
     vertices have distinct neighbors, so the input-gradient scatter has no
     index collisions.
     """
+    padded = _zero_padded(saved_values)
     grad_values = np.zeros_like(saved_values)
     grad_weights = np.empty_like(bank.weights)
     for k in range(bank.taps):
         idx = lat.adjacency[:, k]
         valid = idx != MISSING
-        gathered = _gather(saved_values, idx)
-        grad_weights[k] = gathered.T @ grad_out
+        grad_weights[k] = padded[idx].T @ grad_out
         back = grad_out @ bank.weights[k].T
         grad_values[idx[valid]] += back[valid]
     return grad_values, grad_weights, grad_out.sum(axis=0)
@@ -204,6 +210,14 @@ class BCLDescriptor:
     @property
     def num_out(self) -> int:
         return self.out_indices.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the descriptor holds, shared ones counted once."""
+        lat = self.lattice
+        own = [a for a in (self.out_indices, self.out_bary, self.denominator)
+               if a is not None and a is not lat.point_vertices and a is not lat.point_bary]
+        return lat.nbytes + sum(a.nbytes for a in own)
 
 
 _DEFAULT_BLUR = "default"

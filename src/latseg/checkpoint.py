@@ -34,7 +34,13 @@ import numpy as np
 
 from .errors import ParseError
 from .lattice import LatticeConfig
-from .network import NetworkSpec, parse_arch, resolved_arch
+from .network import (
+    NetworkSpec,
+    parameter_shapes,
+    parse_arch,
+    resolved_arch,
+    zero_like_parameters,
+)
 
 MAGIC = b"SPLT"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
@@ -157,7 +163,11 @@ def _read_header(r: _Reader):
     return version, spec, feats, latts
 
 
-def _assemble_params(spec: NetworkSpec, tensors: dict[str, np.ndarray], path: str) -> list[dict]:
+def _assemble_params(spec: NetworkSpec, tensors: dict[str, np.ndarray], path: str,
+                     shapes: list[dict] | None = None) -> list[dict]:
+    """Per-layer float64 tensors, checked key for key and shape for shape
+    against shapes: by default what parameter_shapes gives for the input
+    width read from layer 0's weight (layer 0 is always a C or B layer)."""
     params: list[dict] = [dict() for _ in spec.layers]
     for name, arr in tensors.items():
         try:
@@ -168,6 +178,19 @@ def _assemble_params(spec: NetworkSpec, tensors: dict[str, np.ndarray], path: st
         if not (0 <= idx < len(spec.layers)):
             raise ParseError(f"{path}: tensor {name!r} indexes a nonexistent layer")
         params[idx][key] = arr.astype(np.float64)
+    if shapes is None:
+        weight = params[0].get("weight")
+        if weight is None or weight.ndim < 2 or weight.shape[-2] < 1:
+            raise ParseError(f"{path}: layer 0 has no usable weight tensor")
+        shapes = parameter_shapes(spec, weight.shape[-2])
+    for i, (got, want) in enumerate(zip(params, shapes)):
+        if got.keys() != want.keys():
+            raise ParseError(f"{path}: layer {i} has tensors {sorted(got)}, "
+                             f"the architecture needs {sorted(want)}")
+        for key, shape in want.items():
+            if got[key].shape != shape:
+                raise ParseError(f"{path}: tensor {i:03d}.{key} has shape "
+                                 f"{got[key].shape}, the architecture needs {shape}")
     return params
 
 
@@ -229,6 +252,8 @@ def load_train_state(path):
             raise ParseError(f"{r.path}: unexpected tensor group {tag!r}")
         groups[tag][rest] = arr
     params = _assemble_params(spec, groups["param"], r.path)
-    m = _assemble_params(spec, groups["adam_m"], r.path)
-    v = _assemble_params(spec, groups["adam_v"], r.path)
+    moment_shapes = [{k: p.shape for k, p in layer.items()}
+                     for layer in zero_like_parameters(params)]
+    m = _assemble_params(spec, groups["adam_m"], r.path, moment_shapes)
+    v = _assemble_params(spec, groups["adam_v"], r.path, moment_shapes)
     return spec, params, m, v, adam_step, iteration, feats, latts

@@ -321,6 +321,12 @@ class SparseLattice:
         idx = self._index.find(self._index.encode(flat)).reshape(m, d1)
         return idx, bary
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays held by the lattice and its vertex index."""
+        arrays = [*vars(self).values(), *vars(self._index).values()]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
     # Occupancy diagnostics used by the stats CLI.
     def occupancy_ratio(self) -> float:
         return self.num_vertices / (self.num_points * (self.config.dim + 1))

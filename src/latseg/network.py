@@ -21,6 +21,7 @@ running statistics and keeps no backward state.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -171,47 +172,45 @@ def _layer_widths(spec: NetworkSpec, input_dim: int) -> list[int]:
     return widths
 
 
+_BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
+
+
+def parameter_shapes(spec: NetworkSpec, input_dim: int) -> list[dict]:
+    """Per layer, the {key: shape} of every tensor init_parameters gives."""
+    if input_dim < 1:
+        raise InvalidInput(f"input_dim must be >= 1, got {input_dim}")
+    taps = 2 ** (spec.lattice.dim + 1) - 1
+    shapes: list[dict] = []
+    cur = input_dim
+    for layer, width in zip(spec.layers, _layer_widths(spec, input_dim)):
+        if isinstance(layer, Conv1x1Spec):
+            shapes.append({"weight": (cur, width), "bias": (width,)})
+        elif isinstance(layer, BCLSpec):
+            shapes.append({"weight": (taps, cur, width), "bias": (width,)})
+        elif isinstance(layer, BatchNormSpec):
+            shapes.append({key: (cur,) for key in _BN_INIT})
+        else:
+            shapes.append({})
+        cur = width
+    return shapes
+
+
 def init_parameters(spec: NetworkSpec, input_dim: int, rng: np.random.Generator) -> list[dict]:
     """Fresh parameters: zero-mean uniform weights with variance 2 / fan_in.
 
     fan_in is C_in for 1x1 convolutions and K * C_in for BCLs. Biases start
     at zero, batch-norm gains at one.
     """
-    if input_dim < 1:
-        raise InvalidInput(f"input_dim must be >= 1, got {input_dim}")
-    taps = 2 ** (spec.lattice.dim + 1) - 1
     params: list[dict] = []
-    cur = input_dim
-    widths = _layer_widths(spec, input_dim)
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv1x1Spec):
-            bound = np.sqrt(6.0 / cur)
-            params.append(
-                {
-                    "weight": rng.uniform(-bound, bound, size=(cur, layer.width)),
-                    "bias": np.zeros(layer.width),
-                }
-            )
-        elif isinstance(layer, BCLSpec):
-            bound = np.sqrt(6.0 / (taps * cur))
-            params.append(
-                {
-                    "weight": rng.uniform(-bound, bound, size=(taps, cur, layer.width)),
-                    "bias": np.zeros(layer.width),
-                }
-            )
-        elif isinstance(layer, BatchNormSpec):
-            params.append(
-                {
-                    "gamma": np.ones(cur),
-                    "beta": np.zeros(cur),
-                    "running_mean": np.zeros(cur),
-                    "running_var": np.ones(cur),
-                }
-            )
-        else:
-            params.append({})
-        cur = widths[i]
+    for shapes in parameter_shapes(spec, input_dim):
+        tensors = {}
+        for key, shape in shapes.items():
+            if key == "weight":
+                bound = np.sqrt(6.0 / math.prod(shape[:-1]))
+                tensors[key] = rng.uniform(-bound, bound, size=shape)
+            else:
+                tensors[key] = _BN_INIT.get(key, np.zeros)(shape)
+        params.append(tensors)
     return params
 
 

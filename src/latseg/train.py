@@ -28,6 +28,9 @@ from .errors import (
 
 PROB_FLOOR = 1e-12
 
+# Bytes of descriptor arrays one train_loop may keep for reuse.
+_DESCRIPTOR_CACHE_BYTES = 256 << 20
+
 # stream tags for SeedSequence spawn keys
 _STREAM_ORDER = 0
 _STREAM_CROP = 1
@@ -204,17 +207,47 @@ def _correct_total(probs, labels, ignore_label):
     return int((network.predict(probs)[keep] == labels[keep]).sum()), int(keep.sum())
 
 
+class _DescriptorCache:
+    """Descriptor lists by key, kept in first-request order while their
+    arrays fit in _DESCRIPTOR_CACHE_BYTES; nothing is evicted."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.lists = {}
+        self.nbytes = 0
+
+    def get(self, key, lattice_features):
+        """The key's descriptors: kept from an earlier request, or built now."""
+        descriptors = self.lists.get(key)
+        if descriptors is None:
+            descriptors = network.prepare_descriptors(self.spec, lattice_features)
+            size = sum(d.nbytes for d in descriptors)
+            if self.nbytes + size <= _DESCRIPTOR_CACHE_BYTES:
+                self.lists[key] = descriptors
+                self.nbytes += size
+        return descriptors
+
+
 def evaluate(spec, params, dataset, feature_channels=("xyz",),
              lattice_channels=("xyz",), ignore_label=None, gravity_axis="y"):
     """(mean loss, pooled accuracy) of inference-mode predictions."""
+    return _evaluate(spec, params, dataset, lambda i, lattice_feats: None,
+                     feature_channels, lattice_channels, ignore_label, gravity_axis)
+
+
+def _evaluate(spec, params, dataset, descriptors_for, feature_channels,
+              lattice_channels, ignore_label, gravity_axis):
+    """evaluate, with descriptors_for(i, lattice_feats) giving cloud i's
+    descriptors, or None to build them in forward."""
     if not dataset:
         raise EmptyInput("nothing to evaluate")
     losses, correct, total = [], 0, 0
-    for cloud in dataset:
+    for i, cloud in enumerate(dataset):
         features, lattice_feats = _cloud_tensors(
             cloud, feature_channels, lattice_channels, gravity_axis
         )
-        probs, _ = network.forward(spec, params, features, lattice_feats)
+        probs, _ = network.forward(spec, params, features, lattice_feats,
+                                   descriptors=descriptors_for(i, lattice_feats))
         loss, _ = cross_entropy_loss(probs, cloud.labels, ignore_label)
         losses.append(loss)
         c, t = _correct_total(probs, cloud.labels, ignore_label)
@@ -254,6 +287,16 @@ def train_loop(spec, dataset, config, *,
     iteration,loss,accuracy,wall_seconds. A state resumed from must match
     this run's architecture, lattice dim and scale, class count, and
     feature and lattice channels, or ConfigError names the first mismatch.
+
+    A cloud's BCL descriptors are built once and reused on later visits
+    when no visit can change its lattice features: rotate, translate and
+    scale are off, color_jitter is off or rgb is not a lattice channel,
+    and the cloud has at most sample_size points. The validation clouds'
+    descriptors are reused across early-stopping evaluations the same way.
+    Kept descriptors are bounded by _DESCRIPTOR_CACHE_BYTES of arrays,
+    filled in first-visit order and never evicted; a cloud that does not
+    fit is rebuilt on every visit. Reuse never changes results, and a
+    resumed run starts with nothing kept.
     """
     if not dataset:
         raise EmptyInput("training dataset is empty")
@@ -275,6 +318,12 @@ def train_loop(spec, dataset, config, *,
         )
     if opt_state is None:
         opt_state = init_optimizer(params)
+
+    # A visit changes a cloud's lattice features only by cropping it or by
+    # augmenting a lattice channel.
+    fixed_lattices = not (config.rotate or config.translate or config.scale
+                          or (config.color_jitter and "rgb" in lattice_channels))
+    cache = _DescriptorCache(spec)
 
     num_clouds = len(dataset)
     perm_epoch, perm = -1, None
@@ -311,8 +360,11 @@ def train_loop(spec, dataset, config, *,
                 if epoch != perm_epoch:
                     perm_epoch = epoch
                     perm = _stream(config.seed, _STREAM_ORDER, epoch).permutation(num_clouds)
-                cloud = dataset[perm[pos]]
-                if config.sample_size is not None and cloud.num_points > config.sample_size:
+                index = int(perm[pos])
+                cloud = dataset[index]
+                cropped = (config.sample_size is not None
+                           and cloud.num_points > config.sample_size)
+                if cropped:
                     crop_rng = _stream(config.seed, _STREAM_CROP, iteration, slot)
                     cloud = cloud.take(
                         crop_rng.choice(cloud.num_points, config.sample_size, replace=False)
@@ -323,14 +375,20 @@ def train_loop(spec, dataset, config, *,
                 features, lattice_feats = _cloud_tensors(
                     cloud, feature_channels, lattice_channels, config.gravity_axis
                 )
+                descriptors = None
+                if fixed_lattices and not cropped:
+                    descriptors = cache.get(("train", index), lattice_feats)
                 probs, tape = network.forward(
-                    spec, params, features, lattice_feats, training=True
+                    spec, params, features, lattice_feats, training=True,
+                    descriptors=descriptors,
                 )
                 loss, grad_probs = cross_entropy_loss(
                     probs, cloud.labels, config.ignore_label
                 )
                 grads, _ = network.backward(tape, params, grad_probs)
                 network.commit_running_stats(tape, params)
+                # free this slot's tape before the next slot's forward
+                del tape, grad_probs
                 for li, key, g in network.named_parameters(grads):
                     grad_sum[li][key] += g
                 loss_sum += loss
@@ -357,9 +415,11 @@ def train_loop(spec, dataset, config, *,
                     )
                     metrics_fh.flush()
                 if val_dataset is not None and config.patience is not None:
-                    val_loss, _ = evaluate(
-                        spec, params, val_dataset, feature_channels,
-                        lattice_channels, config.ignore_label, config.gravity_axis
+                    val_loss, _ = _evaluate(
+                        spec, params, val_dataset,
+                        lambda i, lattice_feats: cache.get(("val", i), lattice_feats),
+                        feature_channels, lattice_channels,
+                        config.ignore_label, config.gravity_axis
                     )
                     if val_loss < best_val - 1e-12:
                         best_val, stale = val_loss, 0

@@ -344,6 +344,20 @@ def test_predict_malformed_checkpoint_exit_2(trained, blob_dir, tmp_path, capsys
     assert not (tmp_path / "o.ply").exists()
 
 
+def test_predict_checkpoint_tensor_mismatch_exit_2(trained, blob_dir, tmp_path, capsys):
+    from latseg.checkpoint import load_checkpoint, save_checkpoint
+
+    spec, params, feats, latts = load_checkpoint(trained / "model.splt")
+    del params[1]["beta"]
+    save_checkpoint(tmp_path / "bad.splt", spec, params, feats, latts)
+    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                     str(tmp_path / "bad.splt"), "--out", str(tmp_path / "o.ply")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.splt" in err and "Traceback" not in err
+    assert not (tmp_path / "o.ply").exists()
+
+
 def test_train_resume_with_other_lambda_exit_2(trained, blob_dir, tmp_path, capsys):
     config = tmp_path / "train.cfg"
     config.write_text(

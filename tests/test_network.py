@@ -366,3 +366,46 @@ def test_train_state_tensor_name_without_dot_raises_parse_error(tmp_path):
     path.write_bytes(raw.replace(b"param.000.bias", b"param-000-bias"))
     with pytest.raises(ParseError):
         load_train_state(path)
+
+
+
+def _mutations(params):
+    """Copies of params with one tensor dropped, one added, one reshaped,
+    and layer 0's weight dropped."""
+    dropped = [dict(t) for t in params]
+    del dropped[1]["gamma"]
+    added = [dict(t) for t in params]
+    added[2]["extra"] = np.zeros(3)
+    reshaped = [dict(t) for t in params]
+    w = reshaped[3]["weight"]
+    reshaped[3]["weight"] = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    no_first = [dict(t) for t in params]
+    del no_first[0]["weight"]
+    return [dropped, added, reshaped, no_first]
+
+
+def test_checkpoint_tensors_checked_against_architecture(tmp_path):
+    spec, params = small_net(arch="B4-B6-C5-C3", input_dim=5)
+    path = tmp_path / "model.splt"
+    # the input width is read from layer 0's weight, so any width loads
+    save_checkpoint(path, spec, params)
+    _, loaded, _, _ = load_checkpoint(path)
+    assert [t.keys() for t in loaded] == [t.keys() for t in params]
+    for bad in _mutations(params):
+        save_checkpoint(path, spec, bad)
+        with pytest.raises(ParseError, match="architecture needs|layer 0"):
+            load_checkpoint(path)
+
+
+def test_train_state_tensors_checked_against_architecture(tmp_path):
+    spec, params = small_net(arch="B4-B6-C5-C3", input_dim=5)
+    zeros = net.zero_like_parameters(params)
+    path = tmp_path / "state.splt"
+    save_train_state(path, spec, params, zeros, zeros, 0, 0)
+    load_train_state(path)
+    for bad_params, bad_moments in zip(_mutations(params), _mutations(zeros)):
+        for groups in ((bad_params, zeros, zeros), (params, bad_moments, zeros),
+                       (params, zeros, bad_moments)):
+            save_train_state(path, spec, *groups, 0, 0)
+            with pytest.raises(ParseError, match="architecture needs|layer 0"):
+                load_train_state(path)

@@ -426,3 +426,85 @@ def test_train_loop_resume_refuses_other_channels_of_equal_width(tmp_path):
     with pytest.raises(ConfigError, match="feature channels"):
         train.train_loop(spec, dataset, cfg4, resume_from=state,
                          feature_channels=("height", "height", "height"))
+
+
+# ------------------------------------------------------- descriptor reuse
+
+
+@pytest.fixture
+def descriptor_builds(monkeypatch):
+    """Row counts of the clouds network.prepare_descriptors was called on."""
+    rows = []
+    original = network.prepare_descriptors
+
+    def counting(spec, lattice_features):
+        rows.append(len(lattice_features))
+        return original(spec, lattice_features)
+
+    monkeypatch.setattr(network, "prepare_descriptors", counting)
+    return rows
+
+
+def test_train_loop_builds_fixed_lattices_once(descriptor_builds, monkeypatch):
+    spec, dataset = blob_setup(arch="B4-B4-C2", clouds=16, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=40, seed=9)
+    cached = train.train_loop(spec, dataset, cfg)
+    assert len(descriptor_builds) == 16
+
+    descriptor_builds.clear()
+    monkeypatch.setattr(train, "_DESCRIPTOR_CACHE_BYTES", 0)
+    rebuilt = train.train_loop(spec, dataset, cfg)
+    assert len(descriptor_builds) == 40
+    assert params_equal(cached.params, rebuilt.params)
+    assert [r[:3] for r in cached.history] == [r[:3] for r in rebuilt.history]
+
+
+def test_train_loop_rebuilds_augmented_lattices(descriptor_builds):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=16, pts=24)
+    for switch in ("rotate", "translate", "scale"):
+        descriptor_builds.clear()
+        cfg = train.TrainConfig(learning_rate=0.01, max_iterations=40, seed=9,
+                                **{switch: True})
+        train.train_loop(spec, dataset, cfg)
+        assert len(descriptor_builds) == 40, switch
+
+
+def test_train_loop_rebuilds_cropped_clouds_only(descriptor_builds):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=4, pts=32)
+    big = synthetic_two_blob_dataset(1, 64, seed=5)[0]
+    dataset[2] = big
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=20, seed=9,
+                            sample_size=40)
+    train.train_loop(spec, dataset, cfg)
+    # every cloud is visited 5 times; only the 64-point one is cropped
+    assert sorted(descriptor_builds) == [32] * 3 + [40] * 5
+
+
+def test_train_loop_color_jitter_reuses_unless_rgb_is_a_lattice_channel(descriptor_builds):
+    rng = np.random.default_rng(3)
+    _, dataset = blob_setup(clouds=4, pts=24)
+    dataset = [c.replace(rgb=rng.uniform(0, 1, size=(c.num_points, 3))) for c in dataset]
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=12, seed=9,
+                            color_jitter=True)
+    spec = network.parse_arch("B4-C2", LatticeConfig(3, 2.0))
+    train.train_loop(spec, dataset, cfg, feature_channels=("xyz", "rgb"))
+    assert len(descriptor_builds) == 4
+
+    descriptor_builds.clear()
+    spec6 = network.parse_arch("B4-C2", LatticeConfig(6, 2.0))
+    train.train_loop(spec6, dataset, cfg, feature_channels=("xyz", "rgb"),
+                     lattice_channels=("xyz", "rgb"))
+    assert len(descriptor_builds) == 12
+
+
+def test_train_loop_builds_validation_lattices_once(descriptor_builds):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=3, pts=24)
+    val = synthetic_two_blob_dataset(2, 20, seed=8)
+    for rotate, train_builds in ((False, 3), (True, 10)):
+        descriptor_builds.clear()
+        cfg = train.TrainConfig(learning_rate=0.01, max_iterations=10, seed=9,
+                                log_every=1, patience=100, rotate=rotate)
+        result = train.train_loop(spec, dataset, cfg, val_dataset=val)
+        assert len(result.history) == 10
+        assert len(descriptor_builds) == train_builds + 2
+        assert descriptor_builds.count(20) == 2
