@@ -176,19 +176,18 @@ def convolve_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of convolve w.r.t. (values, weights, bias).
 
-    For a fixed tap, each vertex has at most one neighbor and distinct
-    vertices have distinct neighbors, so the input-gradient scatter has no
-    index collisions.
+    The one-ring is closed under negation: when tap k of u reaches v, tap
+    K-k (k >= 1) of v reaches u. So the input gradient gathers grad_out
+    through the reflected taps, summed in forward tap order.
     """
     padded = _zero_padded(saved_values)
+    padded_grad = _zero_padded(grad_out)
     grad_values = np.zeros_like(saved_values)
     grad_weights = np.empty_like(bank.weights)
     for k in range(bank.taps):
-        idx = lat.adjacency[:, k]
-        valid = idx != MISSING
-        grad_weights[k] = padded[idx].T @ grad_out
-        back = grad_out @ bank.weights[k].T
-        grad_values[idx[valid]] += back[valid]
+        grad_weights[k] = padded[lat.adjacency[:, k]].T @ grad_out
+        reflected = lat.adjacency[:, -k % bank.taps]
+        grad_values += padded_grad[reflected] @ bank.weights[k].T
     return grad_values, grad_weights, grad_out.sum(axis=0)
 
 

@@ -27,6 +27,7 @@ resumed run continues bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -96,8 +97,13 @@ def _read_tensor(r: _Reader) -> tuple[str, np.ndarray]:
     ndim = r.u8()
     shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim)) if ndim else ()
     dt = _DTYPES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
+    # Python ints: a product of u32 dims must not wrap
+    payload = r.take(math.prod(shape) * dt.itemsize)
+    try:
+        arr = np.frombuffer(payload, dtype=dt).reshape(shape)
+    except ValueError:
+        # more dims than NumPy allows, or an empty tensor with huge dims
+        raise ParseError(f"{r.path}: tensor {name!r} has an impossible shape") from None
     return name, arr
 
 

@@ -233,4 +233,6 @@ def load_run_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     return RunConfig(**parse_config_text(text, source=str(path)))

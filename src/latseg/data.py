@@ -3,9 +3,10 @@
 A :class:`PointCloud` carries mandatory XYZ positions plus optional named
 channels (normals, rgb, height, labels) and free-form extra scalar columns.
 Two text formats are supported: ASCII PLY restricted to a fixed property
-vocabulary, and a headered whitespace table ("xyz text"). Floats are written
-with shortest round-trip precision so save/load is lossless for anything the
-format can represent.
+vocabulary, and a headered whitespace table ("xyz text"). They share one
+codec: one writer, and one body parser whose errors carry file line numbers.
+Floats are written with shortest round-trip precision so save/load is
+lossless for anything the format can represent.
 """
 
 from __future__ import annotations
@@ -149,32 +150,146 @@ class PointCloud:
         return np.hstack(cols)
 
 
-# ------------------------------------------------------------------ floats
+# ------------------------------------------------------------ text tables
 
-def _fmt(value):
-    # repr of a Python float is the shortest string that round-trips
-    return repr(float(value))
+# Property type that save_ply declares for each column; every other is double.
+_PLY_WRITE_TYPES = {"red": "uchar", "green": "uchar", "blue": "uchar", "label": "int"}
+
+
+def _cloud_to_columns(cloud, ply):
+    """Ordered (name, values) pairs holding exactly what is written.
+
+    PLY quantizes colors to 0..255; xyz text keeps them in [0, 1] and
+    appends the extras in name order.
+    """
+    cols = list(zip(("x", "y", "z"), cloud.positions.T))
+    if cloud.normals is not None:
+        cols += zip(("nx", "ny", "nz"), cloud.normals.T)
+    if cloud.rgb is not None:
+        rgb = cloud.rgb
+        if ply:
+            rgb = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.int64)
+        cols += zip(("red", "green", "blue"), rgb.T)
+    if cloud.height is not None:
+        cols.append(("height", cloud.height))
+    if cloud.labels is not None:
+        cols.append(("label", cloud.labels))
+    if not ply:
+        cols += sorted(cloud.extras.items())
+    return cols
+
+
+def _write_table(path, header_lines, columns):
+    """Write the header lines, then the (name, values) columns as rows."""
+    # tolist gives Python floats and ints; str of a float is its repr, the
+    # shortest string that round-trips
+    cells = [map(str, values.tolist()) for _, values in columns]
+    lines = header_lines + [" ".join(row) for row in zip(*cells)]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_lines(path):
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        return fh.read().splitlines()
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_table(lines, start, count, width, path_hint):
+    """Parse the data rows from lines[start] on into a (count, width) array.
+
+    Blank lines before the first row are skipped; count=None takes every
+    non-blank line as a row. The first structural fault in file order is
+    reported with its file line number.
+    """
+    rows = list(map(str.split, lines))
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    filled = start + np.flatnonzero(sizes[start:])
+    first = int(filled[0]) if filled.size else len(rows)
+    if count is None:
+        count = filled.size
+    end = first + count
+    bad = first + np.flatnonzero(sizes[first:end] != width)
+    if bad.size:
+        i = int(bad[0])
+        if not sizes[i]:
+            raise ParseError("blank line inside data section", line=i + 1)
+        raise ParseError(f"expected {width} columns, found {sizes[i]}", line=i + 1)
+    if end > len(rows):
+        raise ParseError(f"{path_hint}: expected {count} data rows, found "
+                         f"{len(rows) - first}", line=len(rows))
+    extra = end + np.flatnonzero(sizes[end:])
+    if extra.size:
+        raise ParseError("trailing content after data rows", line=int(extra[0]) + 1)
+    body = rows[first:end]
+    try:
+        return np.array(body, dtype=np.float64).reshape(count, width)
+    except ValueError:
+        for line, row in enumerate(body, first + 1):
+            for tok in row:
+                if not _is_number(tok):
+                    raise ParseError(f"bad numeric literal {tok!r}", line=line) from None
+        raise
+
+
+def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=None):
+    """Parse the rows under a header naming `names` into a PointCloud.
+
+    `types` maps each name to its PLY property type. None means xyz text,
+    whose only integer column is `label`. Faults are reported in this
+    order: duplicate names, rows, integer columns, missing or incomplete
+    channel groups.
+    """
+    ply = types is not None
+    if len(set(names)) != len(names):
+        noun = "property" if ply else "column"
+        raise ParseError(f"duplicate {noun} name in header", line=header_line)
+    table = _parse_table(lines, start, count, len(names), path)
+    have = dict(zip(names, table.T))
+    for name in names:
+        integral = types[name] in _PLY_INT_TYPES if ply else name == "label"
+        if integral and not np.array_equal(have[name], np.round(have[name])):
+            where = f"integer property {name!r}" if ply else f"{name} column"
+            raise ParseError(f"non-integer value in {where}")
+        if integral and name in ("red", "green", "blue"):
+            have[name] = have[name] / 255.0  # integer colors arrive as 0..255
+    for axis in ("x", "y", "z"):
+        if axis not in have:
+            raise ParseError(f"missing required property {axis!r}")
+    positions = np.column_stack([have["x"], have["y"], have["z"]])
+
+    def group(keys, label):
+        missing = sorted(set(keys) - have.keys())
+        if len(missing) == len(keys):
+            return None
+        if missing:
+            raise ParseError(f"incomplete {label} channels, missing {missing}")
+        return np.column_stack([have[k] for k in keys])
+
+    normals = group(("nx", "ny", "nz"), "normal")
+    rgb = group(("red", "green", "blue"), "color")
+    height = have.get("height")
+    labels = have.get("label")
+    if labels is not None and not np.array_equal(labels, np.round(labels)):
+        # a float-typed PLY label; integer-typed ones were checked above
+        raise ParseError("label column contains non-integers")
+    extras = {k: v for k, v in have.items() if k not in _PLY_PROPERTIES}
+    try:
+        return PointCloud(positions, normals=normals, rgb=rgb, height=height,
+                          labels=None if labels is None else labels.astype(np.int64),
+                          extras=extras)
+    except (InvalidInput, ShapeError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------- PLY
-
-def _cloud_to_columns(cloud):
-    """Ordered (name, values, kind) triples for serialization."""
-    cols = [("x", cloud.positions[:, 0], "f"),
-            ("y", cloud.positions[:, 1], "f"),
-            ("z", cloud.positions[:, 2], "f")]
-    if cloud.normals is not None:
-        for i, name in enumerate(("nx", "ny", "nz")):
-            cols.append((name, cloud.normals[:, i], "f"))
-    if cloud.rgb is not None:
-        for i, name in enumerate(("red", "green", "blue")):
-            cols.append((name, cloud.rgb[:, i], "c"))
-    if cloud.height is not None:
-        cols.append(("height", cloud.height, "f"))
-    if cloud.labels is not None:
-        cols.append(("label", cloud.labels, "i"))
-    return cols
-
 
 def save_ply(cloud, path):
     """Write ASCII PLY. Colors quantize to 0..255; extras are not storable."""
@@ -182,25 +297,11 @@ def save_ply(cloud, path):
         raise UnsupportedError(
             "PLY cannot store extra channels: " + ", ".join(sorted(cloud.extras))
         )
-    cols = _cloud_to_columns(cloud)
+    cols = _cloud_to_columns(cloud, ply=True)
     header = ["ply", "format ascii 1.0", f"element vertex {cloud.num_points}"]
-    for name, _, kind in cols:
-        ptype = {"f": "double", "c": "uchar", "i": "int"}[kind]
-        header.append(f"property {ptype} {name}")
-    header.append("end_header")
-
-    rendered = []
-    for name, values, kind in cols:
-        if kind == "f":
-            rendered.append([_fmt(v) for v in values])
-        elif kind == "c":
-            bytes_ = np.clip(np.rint(values * 255.0), 0, 255).astype(np.int64)
-            rendered.append([str(v) for v in bytes_])
-        else:
-            rendered.append([str(int(v)) for v in values])
-    lines = header + [" ".join(row) for row in zip(*rendered)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header += [f"property {_PLY_WRITE_TYPES.get(name, 'double')} {name}"
+               for name, _ in cols]
+    _write_table(path, header + ["end_header"], cols)
 
 
 def _parse_ply_header(lines):
@@ -210,11 +311,8 @@ def _parse_ply_header(lines):
     props = []
     count = None
     saw_format = False
-    i = 1
-    while i < len(lines):
-        tokens = lines[i].split()
-        lineno = i + 1
-        i += 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
@@ -252,204 +350,69 @@ def _parse_ply_header(lines):
                 raise ParseError("missing vertex element", line=lineno)
             if not props:
                 raise ParseError("vertex element has no properties", line=lineno)
-            return props, count, i
+            return props, count, lineno  # lineno indexes the first data line
         else:
             raise ParseError(f"unexpected header line {tokens[0]!r}", line=lineno)
     raise ParseError("header never terminated with end_header", line=len(lines))
 
 
-def _columns_to_cloud(names, columns, types=None):
-    """Assemble a PointCloud from named 1-D columns, validating groups."""
-    have = dict(zip(names, columns))
-    for axis in ("x", "y", "z"):
-        if axis not in have:
-            raise ParseError(f"missing required property {axis!r}")
-    positions = np.column_stack([have["x"], have["y"], have["z"]])
-
-    def group(keys, label):
-        present = [k for k in keys if k in have]
-        if not present:
-            return None
-        if len(present) != len(keys):
-            missing = sorted(set(keys) - set(present))
-            raise ParseError(f"incomplete {label} channels, missing {missing}")
-        return np.column_stack([have[k] for k in keys])
-
-    normals = group(("nx", "ny", "nz"), "normal")
-    rgb = group(("red", "green", "blue"), "color")
-    if rgb is not None and types is not None:
-        # integer-typed colors arrive as 0..255; float colors are direct
-        scaled = []
-        for i, key in enumerate(("red", "green", "blue")):
-            if types[key] in _PLY_INT_TYPES:
-                scaled.append(rgb[:, i] / 255.0)
-            else:
-                scaled.append(rgb[:, i])
-        rgb = np.column_stack(scaled)
-    height = have.get("height")
-    labels = have.get("label")
-    if labels is not None and not np.array_equal(labels, np.round(labels)):
-        raise ParseError("label column contains non-integers")
-    known = {"x", "y", "z", "nx", "ny", "nz", "red", "green", "blue",
-             "height", "label"}
-    extras = {k: v for k, v in have.items() if k not in known}
-    try:
-        return PointCloud(positions, normals=normals, rgb=rgb, height=height,
-                          labels=None if labels is None else labels.astype(np.int64),
-                          extras=extras)
-    except (InvalidInput, ShapeError) as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _parse_rows(lines, start, count, width, path_hint):
-    """Parse `count` whitespace rows of `width` columns starting at `start`."""
-    rows = []
-    lineno = start
-    for offset in range(start, len(lines)):
-        if len(rows) == count:
-            lineno = offset
-            break
-        text = lines[offset].strip()
-        if not text:
-            if rows:
-                raise ParseError("blank line inside data section", line=offset + 1)
-            continue
-        tokens = text.split()
-        if len(tokens) != width:
-            raise ParseError(
-                f"expected {width} columns, found {len(tokens)}", line=offset + 1
-            )
-        rows.append(tokens)
-        lineno = offset + 1
-    if len(rows) != count:
-        raise ParseError(
-            f"{path_hint}: expected {count} data rows, found {len(rows)}",
-            line=len(lines),
-        )
-    for offset in range(lineno, len(lines)):
-        if lines[offset].strip():
-            raise ParseError("trailing content after data rows", line=offset + 1)
-    if not rows:
-        return np.zeros((0, width))
-    try:
-        return np.array(rows, dtype=np.float64)
-    except ValueError:
-        for i, row in enumerate(rows):
-            for tok in row:
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ParseError(
-                        f"bad numeric literal {tok!r}", line=start + i + 1
-                    ) from None
-        raise
-
-
 def load_ply(path):
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     props, count, data_start = _parse_ply_header(lines)
     names = [name for name, _ in props]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate property name in header")
-    table = _parse_rows(lines, data_start, count, len(props), str(path))
-    types = {name: ptype for name, ptype in props}
-    for j, (name, ptype) in enumerate(props):
-        if ptype in _PLY_INT_TYPES and count:
-            if not np.array_equal(table[:, j], np.round(table[:, j])):
-                raise ParseError(f"non-integer value in integer property {name!r}")
-    return _columns_to_cloud(names, [table[:, j] for j in range(len(props))], types)
+    return _columns_to_cloud(names, lines, data_start, count, str(path), dict(props))
 
 
 # --------------------------------------------------------------- XYZ text
 
 def save_xyz(cloud, path):
     """Headered whitespace table; first line names the columns."""
-    cols = [(name, values, kind) for name, values, kind in _cloud_to_columns(cloud)]
-    for name in sorted(cloud.extras):
-        cols.append((name, cloud.extras[name], "f"))
-    header = "# " + " ".join(name for name, _, _ in cols)
-    rendered = []
-    for _, values, kind in cols:
-        if kind == "i":
-            rendered.append([str(int(v)) for v in values])
-        else:
-            # colors stay in [0, 1] here; the text format is float-native
-            rendered.append([_fmt(v) for v in values])
-    lines = [header] + [" ".join(row) for row in zip(*rendered)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols = _cloud_to_columns(cloud, ply=False)
+    header = "# " + " ".join(name for name, _ in cols)
+    _write_table(path, [header], cols)
 
 
 def load_xyz(path):
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.strip():
-            header_idx = i
-            break
+    lines = _read_lines(path)
+    header_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
     if header_idx is None:
         raise ParseError(f"{path}: empty file", line=1)
-    header = lines[header_idx].strip()
-    if header.startswith("#"):
-        header = header[1:]
-    names = header.split()
+    names = lines[header_idx].strip().removeprefix("#").split()
     if not names:
         raise ParseError("empty header line", line=header_idx + 1)
-
-    def _is_number(tok):
-        try:
-            float(tok)
-        except ValueError:
-            return False
-        return True
-
-    if all(_is_number(tok) for tok in names):
+    if all(map(_is_number, names)):
         raise ParseError(
             "first line must name the columns, not contain data",
             line=header_idx + 1,
         )
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate column name in header", line=header_idx + 1)
-    body = [l for l in lines[header_idx + 1:]]
-    count = sum(1 for l in body if l.strip())
-    table = _parse_rows(body, 0, count, len(names), str(path))
-    if "label" in names:
-        j = names.index("label")
-        if count and not np.array_equal(table[:, j], np.round(table[:, j])):
-            raise ParseError("non-integer value in label column")
-    return _columns_to_cloud(names, [table[:, j] for j in range(len(names))])
+    return _columns_to_cloud(names, lines, header_idx + 1, None, str(path),
+                             header_line=header_idx + 1)
 
 
-def _format_of(path, format=None):
-    if format is not None:
-        return format
-    text = str(path).lower()
-    if text.endswith(".ply"):
-        return "ply_ascii"
-    if text.endswith(".xyz") or text.endswith(".txt"):
-        return "xyz_text"
-    raise UnsupportedError(f"cannot infer format from {path!r}")
+_CODECS = {"ply_ascii": (load_ply, save_ply), "xyz_text": (load_xyz, save_xyz)}
+
+
+def _codec(path, format=None):
+    """(load, save) of the named format, else of the one the suffix names."""
+    if format is None:
+        text = str(path).lower()
+        if text.endswith(".ply"):
+            format = "ply_ascii"
+        elif text.endswith((".xyz", ".txt")):
+            format = "xyz_text"
+        else:
+            raise UnsupportedError(f"cannot infer format from {path!r}")
+    if format not in _CODECS:
+        raise UnsupportedError(f"unknown format {format!r}")
+    return _CODECS[format]
 
 
 def load_cloud(path, format=None):
-    fmt = _format_of(path, format)
-    if fmt == "ply_ascii":
-        return load_ply(path)
-    if fmt == "xyz_text":
-        return load_xyz(path)
-    raise UnsupportedError(f"unknown format {fmt!r}")
+    return _codec(path, format)[0](path)
 
 
 def save_cloud(cloud, path, format=None):
-    fmt = _format_of(path, format)
-    if fmt == "ply_ascii":
-        save_ply(cloud, path)
-    elif fmt == "xyz_text":
-        save_xyz(cloud, path)
-    else:
-        raise UnsupportedError(f"unknown format {fmt!r}")
+    _codec(path, format)[1](cloud, path)
 
 
 # ----------------------------------------------------------------- metrics

@@ -1,5 +1,7 @@
 """End-to-end command-line tests; every command runs in process."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def test_train_unknown_key_exit_2(tmp_path, capsys):
     code = cli.main(["train", "--config", str(cfg)])
     assert code == 2
     assert "warp_speed" in capsys.readouterr().err
+
+
+def test_train_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("arch = B4-C2\n# caf\u00e9\n".encode("latin-1"))
+    code = cli.main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "UTF-8" in err and "Traceback" not in err
 
 
 def test_train_writes_artifacts(trained):
@@ -342,6 +353,20 @@ def test_predict_malformed_checkpoint_exit_2(trained, blob_dir, tmp_path, capsys
         assert code == 2
         assert "bad.splt" in err and "Traceback" not in err
     assert not (tmp_path / "o.ply").exists()
+
+
+@pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (0, 2**31, 2**31, 4), (1,) * 65])
+def test_predict_impossible_tensor_shape_exit_2(trained, blob_dir, tmp_path, capsys, dims):
+    raw = (trained / "model.splt").read_bytes()
+    # the first tensor record: its name, then dtype f32, ndim and the dims
+    at = raw.index(b"000.bias") + len(b"000.bias")
+    bad = raw[:at] + bytes([0, len(dims)]) + struct.pack(f"<{len(dims)}I", *dims)
+    (tmp_path / "bad.splt").write_bytes(bad + bytes(4))
+    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                     str(tmp_path / "bad.splt"), "--out", str(tmp_path / "o.ply")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.splt" in err and "Traceback" not in err
 
 
 def test_predict_checkpoint_tensor_mismatch_exit_2(trained, blob_dir, tmp_path, capsys):

@@ -267,6 +267,22 @@ def test_xyz_bad_token_line_number(tmp_path):
     assert "oops" in str(err.value)
 
 
+@pytest.mark.parametrize("name, text, line, fragment", [
+    ("bad.xyz", "# x y z\n0 0 0\n0 oops 0\n", 3, "oops"),
+    ("gap.xyz", "\n# x y z\n0 0 0\n\n1 1 1\n", 4, "blank line"),
+    ("wide.xyz", "# x y z\n0 0 0\n1 1 1 1\n", 3, "found 4"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n\n0 0 0\n0 oops 0\n", 10, "oops"),
+], ids=["xyz-literal", "xyz-blank", "xyz-width", "ply-literal-after-blank"])
+def test_row_errors_report_file_line_numbers(tmp_path, name, text, line, fragment):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        data.load_cloud(p)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
 def test_format_inference(tmp_path):
     cloud = random_cloud(5, seed=8)
     ply = tmp_path / "a.ply"

@@ -1,0 +1,123 @@
+"""Seeded mutation fuzz of every file reader.
+
+Each reader gets a few hundred mutated copies of a valid file (a byte
+replaced, inserted or deleted, one to three times). Whatever the bytes, a
+reader may only raise a LatSegError subclass; a raw ValueError or
+UnicodeDecodeError is a bug.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from latseg import checkpoint, config, data, network
+from latseg.errors import LatSegError
+from latseg.lattice import LatticeConfig
+
+MUTATIONS = 300
+
+CONFIG_TEXT = """\
+arch              = B8-C2
+lambda0           = 2            # scalar or x,y,z triple
+feature_channels  = xyz,rgb
+lattice_channels  = xyz
+data_dir          = clouds/
+output_dir        = run1/
+learning_rate     = 0.001
+max_iterations    = 50
+sample_size       = none
+gravity_axis      = y
+rotate            = false
+scale_low         = 0.9
+patience          = none
+checkpoint        =
+"""
+
+
+def _cloud(n=6):
+    rng = np.random.default_rng(0)
+    return data.PointCloud(
+        positions=rng.normal(size=(n, 3)),
+        normals=rng.normal(size=(n, 3)),
+        rgb=rng.integers(0, 256, size=(n, 3)) / 255.0,
+        height=rng.uniform(size=n),
+        labels=rng.integers(0, 4, size=n),
+        extras={"score": rng.normal(size=n)},
+    )
+
+
+def _framing(raw, train_state):
+    """Offsets of every checkpoint byte outside the tensor payloads.
+
+    Payload bytes only change values, so mutating them tests nothing.
+    """
+    r = checkpoint._Reader(raw, "valid")
+    checkpoint._read_header(r)
+    if train_state:
+        r.u64(), r.u64()
+    r.u32()
+    offsets = list(range(r.pos))
+    while r.pos < len(raw):
+        start = r.pos
+        _, arr = checkpoint._read_tensor(r)
+        offsets += range(start, r.pos - arr.nbytes)
+    return offsets
+
+
+def _valid_file(kind, path):
+    """Write a valid file of `kind`; return (reader, mutable byte offsets)."""
+    if kind in ("ply", "xyz"):
+        cloud = _cloud()
+        if kind == "ply":
+            cloud.extras.clear()
+        getattr(data, f"save_{kind}")(cloud, path)
+        return getattr(data, f"load_{kind}"), None
+    if kind == "config":
+        path.write_text(CONFIG_TEXT)
+        return config.load_run_config, None
+    spec = network.parse_arch("B8-C2", LatticeConfig(3, 2.0), 2)
+    params = network.init_parameters(spec, 3, np.random.default_rng(1))
+    if kind == "checkpoint":
+        checkpoint.save_checkpoint(path, spec, params)
+        reader = checkpoint.load_checkpoint
+    else:
+        zeros = network.zero_like_parameters(params)
+        checkpoint.save_train_state(path, spec, params, zeros, zeros, 3, 3)
+        reader = checkpoint.load_train_state
+    return reader, _framing(path.read_bytes(), kind == "train_state")
+
+
+def _mutate(raw, offsets, rng):
+    out = bytearray(raw)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.choice(offsets) if offsets else rng.randrange(len(raw))
+        at = min(at, len(out) - 1)
+        op = rng.randrange(3)
+        if op == 0:
+            out[at] = rng.randrange(256)
+        elif op == 1:
+            out.insert(at, rng.randrange(256))
+        else:
+            del out[at]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["ply", "xyz", "config", "checkpoint", "train_state"])
+def test_mutated_files_raise_only_latseg_errors(kind, tmp_path):
+    path = tmp_path / {"ply": "c.ply", "xyz": "c.xyz", "config": "run.cfg"}.get(kind, "m.splt")
+    reader, offsets = _valid_file(kind, path)
+    raw = path.read_bytes()
+    reader(path)  # the unmutated file loads
+    rng = random.Random(f"fuzz-{kind}")
+    escaped, refused = [], 0
+    for i in range(MUTATIONS):
+        path.write_bytes(_mutate(raw, offsets, rng))
+        try:
+            reader(path)
+        except LatSegError:
+            refused += 1
+        except Exception as exc:  # noqa: BLE001 - anything else is the bug
+            escaped.append(f"mutation {i}: {type(exc).__name__}: {exc}")
+    assert not escaped, f"{len(escaped)} of {MUTATIONS} escaped:\n" + "\n".join(escaped[:5])
+    assert refused > MUTATIONS // 10
