@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-_CLOUD_SUFFIXES = (".ply", ".xyz", ".txt")
-
 
 def _set_thread_env(n):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -48,14 +46,14 @@ def _load_cloud_checked(path):
 
 
 def _load_cloud_dir(dir_path):
-    from .data import load_cloud
+    from .data import _CODECS, load_cloud
     from .errors import ConfigError
 
     p = Path(dir_path)
     if not p.is_dir():
         raise ConfigError(f"not a directory: {p}")
     files = sorted(
-        f for f in p.rglob("*") if f.is_file() and f.suffix.lower() in _CLOUD_SUFFIXES
+        f for f in p.rglob("*") if f.is_file() and f.suffix.lower() in _CODECS
     )
     if not files:
         raise ConfigError(f"no point-cloud files under {p}")

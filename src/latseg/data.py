@@ -12,6 +12,7 @@ lossless for anything the format can represent.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ _PLY_PROPERTIES = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue",
                    "height", "label")
 
 
+def _is_integral(values):
+    """True when every value is an integer that int64 holds (so not NaN or inf)."""
+    return bool(np.all(np.abs(values) < 2.0**63)) and np.array_equal(values, np.round(values))
+
+
 def _as_float_matrix(arr, name, cols):
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim != 2 or out.shape[1] != cols:
@@ -50,7 +56,8 @@ class PointCloud:
     """n points with optional per-point channels.
 
     Invariants enforced at construction: every channel has n rows, rgb lies
-    in [0, 1], labels are integers. Arrays are stored as float64 / int64.
+    in [0, 1], labels are integers that int64 holds. Arrays are stored as
+    float64 / int64.
     """
 
     positions: np.ndarray
@@ -67,15 +74,14 @@ class PointCloud:
             self.normals = _as_float_matrix(self.normals, "normals", 3)
         if self.rgb is not None:
             self.rgb = _as_float_matrix(self.rgb, "rgb", 3)
-            if self.rgb.size and (self.rgb.min() < 0.0 or self.rgb.max() > 1.0):
+            if not np.all((self.rgb >= 0.0) & (self.rgb <= 1.0)):  # refuses NaN too
                 raise InvalidInput("rgb values must lie in [0, 1]")
         if self.height is not None:
             self.height = np.asarray(self.height, dtype=np.float64).reshape(-1)
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            if labels.dtype.kind not in "iu":
-                if not np.array_equal(labels, np.round(labels)):
-                    raise InvalidInput("labels must be integers")
+            if labels.dtype.kind not in "iu" and not _is_integral(labels):
+                raise InvalidInput("labels must be integers within the int64 range")
             self.labels = labels.astype(np.int64).reshape(-1)
         for key, value in list(self.extras.items()):
             self.extras[key] = np.asarray(value, dtype=np.float64).reshape(-1)
@@ -242,10 +248,10 @@ def _parse_table(lines, start, count, width, path_hint):
 def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=None):
     """Parse the rows under a header naming `names` into a PointCloud.
 
-    `types` maps each name to its PLY property type. None means xyz text,
-    whose only integer column is `label`. Faults are reported in this
-    order: duplicate names, rows, integer columns, missing or incomplete
-    channel groups.
+    `types` maps each name to its PLY property type. None means xyz text.
+    Faults are reported in this order: duplicate names, rows, integer PLY
+    properties other than label, missing or incomplete channel groups, then
+    PointCloud's checks (labels and colours).
     """
     ply = types is not None
     if len(set(names)) != len(names):
@@ -254,11 +260,11 @@ def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=
     table = _parse_table(lines, start, count, len(names), path)
     have = dict(zip(names, table.T))
     for name in names:
-        integral = types[name] in _PLY_INT_TYPES if ply else name == "label"
-        if integral and not np.array_equal(have[name], np.round(have[name])):
-            where = f"integer property {name!r}" if ply else f"{name} column"
-            raise ParseError(f"non-integer value in {where}")
-        if integral and name in ("red", "green", "blue"):
+        if not ply or types[name] not in _PLY_INT_TYPES:
+            continue
+        if name != "label" and not _is_integral(have[name]):
+            raise ParseError(f"non-integer or out-of-range value in integer property {name!r}")
+        if name in ("red", "green", "blue"):
             have[name] = have[name] / 255.0  # integer colors arrive as 0..255
     for axis in ("x", "y", "z"):
         if axis not in have:
@@ -275,16 +281,11 @@ def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=
 
     normals = group(("nx", "ny", "nz"), "normal")
     rgb = group(("red", "green", "blue"), "color")
-    height = have.get("height")
-    labels = have.get("label")
-    if labels is not None and not np.array_equal(labels, np.round(labels)):
-        # a float-typed PLY label; integer-typed ones were checked above
-        raise ParseError("label column contains non-integers")
     extras = {k: v for k, v in have.items() if k not in _PLY_PROPERTIES}
     try:
-        return PointCloud(positions, normals=normals, rgb=rgb, height=height,
-                          labels=None if labels is None else labels.astype(np.int64),
-                          extras=extras)
+        # PointCloud refuses a non-integer label and a colour outside [0, 1]
+        return PointCloud(positions, normals=normals, rgb=rgb, height=have.get("height"),
+                          labels=have.get("label"), extras=extras)
     except (InvalidInput, ShapeError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -389,30 +390,25 @@ def load_xyz(path):
                              header_line=header_idx + 1)
 
 
-_CODECS = {"ply_ascii": (load_ply, save_ply), "xyz_text": (load_xyz, save_xyz)}
+# (load, save) per lower-case file suffix
+_CODECS = {".ply": (load_ply, save_ply), ".xyz": (load_xyz, save_xyz),
+          ".txt": (load_xyz, save_xyz)}
 
 
-def _codec(path, format=None):
-    """(load, save) of the named format, else of the one the suffix names."""
-    if format is None:
-        text = str(path).lower()
-        if text.endswith(".ply"):
-            format = "ply_ascii"
-        elif text.endswith((".xyz", ".txt")):
-            format = "xyz_text"
-        else:
-            raise UnsupportedError(f"cannot infer format from {path!r}")
-    if format not in _CODECS:
-        raise UnsupportedError(f"unknown format {format!r}")
-    return _CODECS[format]
+def _codec(path):
+    """(load, save) of the format the path's suffix names."""
+    codec = _CODECS.get(os.path.splitext(path)[1].lower())
+    if codec is None:
+        raise UnsupportedError(f"cannot infer format from {path!r}")
+    return codec
 
 
-def load_cloud(path, format=None):
-    return _codec(path, format)[0](path)
+def load_cloud(path):
+    return _codec(path)[0](path)
 
 
-def save_cloud(cloud, path, format=None):
-    _codec(path, format)[1](cloud, path)
+def save_cloud(cloud, path):
+    _codec(path)[1](cloud, path)
 
 
 # ----------------------------------------------------------------- metrics

@@ -214,11 +214,26 @@ class _VertexIndex:
 
     codes[g] is the g-th smallest distinct row's code and dense[g] its dense
     index; dense indices follow first touch in material row order.
-    row_dense[i] is row i's dense index and first_row[v] the first row
-    touching dense index v.
     """
 
+    @classmethod
+    def of_rows(cls, material: np.ndarray) -> tuple[_VertexIndex, np.ndarray, np.ndarray]:
+        """(index, row_dense, first_row) for the rows of material.
+
+        row_dense[i] is row i's dense index and first_row[v] the first row
+        touching dense index v. Only build_lattice reads them, so the index
+        does not keep them.
+        """
+        index = cls(material)
+        codes = index._encode(material - index._lo)
+        index.codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        index.dense = np.empty_like(order)
+        index.dense[order] = np.arange(order.size)
+        return index, index.dense[inverse], first[order]
+
     def __init__(self, material: np.ndarray):
+        # The box around material, padded by one ring; of_rows fills the codes.
         d = material.shape[1]
         self._lo = material.min(axis=0) - (d + 1)
         self._hi = material.max(axis=0) + (d + 1)
@@ -228,14 +243,6 @@ class _VertexIndex:
             # Big-endian mixed radix: coordinate 0 is the most significant.
             strides = [math.prod(spans[j + 1 :]) for j in range(d)]
             self._strides = np.array(strides, dtype=np.int64)
-
-        codes = self._encode(material - self._lo)
-        self.codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        self.dense = np.empty_like(order)
-        self.dense[order] = np.arange(order.size)
-        self.row_dense = self.dense[inverse]
-        self.first_row = first[order]
 
     def _encode(self, shifted: np.ndarray) -> np.ndarray:
         # shifted: rows minus the box corner, each entry in [0, span).
@@ -350,12 +357,12 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
     # Dense indices follow first-touch order with points scanned ascending and
     # simplex corners in remainder order.
     flat_keys = keys.reshape(n * d1, d1)
-    index = _VertexIndex(flat_keys[:, : config.dim])
+    index, row_dense, first_row = _VertexIndex.of_rows(flat_keys[:, : config.dim])
     return SparseLattice(
         config=config,
-        point_vertices=index.row_dense.reshape(n, d1),
+        point_vertices=row_dense.reshape(n, d1),
         point_bary=bary,
-        vertex_keys=flat_keys[index.first_row],
+        vertex_keys=flat_keys[first_row],
         index=index,
         offsets=neighbor_offsets(config.dim),
     )

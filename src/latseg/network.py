@@ -11,12 +11,13 @@ takes its width from num_classes. Every parameterized layer except the
 final convolution is followed by batch normalization (over the point
 dimension) and ReLU, and class probabilities come from a row-wise softmax.
 
-forward() returns probabilities plus a tape. In training mode the tape holds
-everything backward() needs for exact parameter and input gradients; batch
-norm uses batch statistics and stages running-statistic updates on the tape,
-which commit_running_stats() folds into the parameters (so probing forwards,
-e.g. finite differences, leave no trace). Inference mode uses the stored
-running statistics and keeps no backward state.
+forward() returns probabilities plus a tape. In training mode the tape's
+saved state is all that backward() reads for exact parameter and input
+gradients; its outputs keep every activation for the concat and callers.
+Batch norm uses batch statistics and stages running-statistic updates on
+the tape, which commit_running_stats() folds into the parameters (so probing
+forwards, e.g. finite differences, leave no trace). Inference mode uses the
+stored running statistics and keeps no backward state.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class SoftmaxSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    arch: str
+    arch: str  # as parsed, with a trailing "Cx" resolved to the class count
     layers: tuple
     lattice: LatticeConfig  # base config; BCL level t divides scale by 2^t
     num_classes: int
@@ -109,6 +110,7 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
         if num_classes is None:
             raise ParseError("architecture ends in 'Cx' but num_classes was not given")
         final_width = int(num_classes)
+        text = text[:-1] + str(final_width)
     else:
         final_width = int(final_width)
         if num_classes is not None and num_classes != final_width:
@@ -153,10 +155,7 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
 
 def resolved_arch(spec: NetworkSpec) -> str:
     """Architecture string with a trailing 'x' replaced by the class count."""
-    tokens = spec.arch.split("-")
-    if tokens[-1] == "Cx":
-        tokens[-1] = f"C{spec.num_classes}"
-    return "-".join(tokens)
+    return spec.arch
 
 
 def _layer_widths(spec: NetworkSpec, input_dim: int) -> list[int]:
@@ -181,8 +180,8 @@ def parameter_shapes(spec: NetworkSpec, input_dim: int) -> list[dict]:
         raise InvalidInput(f"input_dim must be >= 1, got {input_dim}")
     taps = 2 ** (spec.lattice.dim + 1) - 1
     shapes: list[dict] = []
-    cur = input_dim
-    for layer, width in zip(spec.layers, _layer_widths(spec, input_dim)):
+    widths = _layer_widths(spec, input_dim)
+    for layer, cur, width in zip(spec.layers, [input_dim, *widths], widths):
         if isinstance(layer, Conv1x1Spec):
             shapes.append({"weight": (cur, width), "bias": (width,)})
         elif isinstance(layer, BCLSpec):
@@ -191,7 +190,6 @@ def parameter_shapes(spec: NetworkSpec, input_dim: int) -> list[dict]:
             shapes.append({key: (cur,) for key in _BN_INIT})
         else:
             shapes.append({})
-        cur = width
     return shapes
 
 
@@ -260,11 +258,10 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
 
 @dataclass
 class Tape:
-    """Per-forward record binding activations to the spec that produced them."""
+    """Per-forward record: backward reads only saved; outputs serve the concat and callers."""
 
     spec: NetworkSpec
     training: bool
-    num_points: int
     saved: list  # per-layer backward state (None in inference mode)
     outputs: list  # per-layer output arrays
     pending_running: dict = field(default_factory=dict)  # bn layer idx -> (mean, var)
@@ -297,8 +294,8 @@ def forward(
         )
     if len(params) != len(spec.layers):
         raise ConfigError("parameter list does not match the architecture")
-    first = next(i for i, l in enumerate(spec.layers) if isinstance(l, (Conv1x1Spec, BCLSpec)))
-    expected = params[first]["weight"].shape[-2]
+    # parse_arch puts a C or B layer first, so its weight fixes the input width
+    expected = params[0]["weight"].shape[-2]
     if features.shape[1] != expected:
         raise ConfigError(
             f"network expects {expected} input channels, features have {features.shape[1]}"
@@ -309,16 +306,14 @@ def forward(
     if len(descriptors) != spec.num_bcl:
         raise ConfigError(f"expected {spec.num_bcl} descriptors, got {len(descriptors)}")
 
-    n = features.shape[0]
     tape = Tape(
         spec=spec,
         training=training,
-        num_points=n,
         saved=[None] * len(spec.layers),
         outputs=[None] * len(spec.layers),
     )
     x = features
-    bcl_seen = 0
+    descriptor_iter = iter(descriptors)
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Conv1x1Spec):
             if training:
@@ -326,8 +321,7 @@ def forward(
             x = x @ params[i]["weight"] + params[i]["bias"]
         elif isinstance(layer, BCLSpec):
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
-            x, state = bcl.bcl_forward(x, descriptors[bcl_seen], bank)
-            bcl_seen += 1
+            x, state = bcl.bcl_forward(x, next(descriptor_iter), bank)
             if training:
                 tape.saved[i] = state
             else:
@@ -354,6 +348,8 @@ def forward(
             x = np.maximum(x, 0.0)
         elif isinstance(layer, ConcatSpec):
             x = np.concatenate([tape.outputs[s] for s in layer.sources], axis=1)
+            if training:  # the split points backward cuts the cotangent at
+                tape.saved[i] = np.cumsum([tape.outputs[s].shape[1] for s in layer.sources[:-1]])
         elif isinstance(layer, SoftmaxSpec):
             x = softmax(x)
             tape.saved[i] = x if training else None
@@ -366,67 +362,54 @@ def backward(
 ) -> tuple[list[dict], np.ndarray]:
     """Exact gradients for every trainable tensor plus the input features.
 
-    grad_probs is the cotangent at the probabilities. Layers whose outputs
-    feed several consumers (BCL responses feeding both the next layer and the
-    concat) have their gradients accumulated. Raises StateError on an
-    inference tape.
+    grad_probs is the cotangent at the probabilities. The walk runs from the
+    softmax down to layer 0 with one running cotangent; the concat's slice
+    for each BCL block output joins it when the walk reaches that block.
+    Reads only tape.saved. Raises StateError on an inference tape.
     """
     if not tape.training:
         raise StateError("backward requires a tape recorded in training mode")
-    spec = tape.spec
     grad_probs = np.asarray(grad_probs, dtype=np.float64)
-    if grad_probs.shape != tape.outputs[-1].shape:
+    probs = tape.saved[-1]
+    if grad_probs.shape != probs.shape:
         raise ShapeError(
-            f"grad_probs shape {grad_probs.shape} != probabilities shape {tape.outputs[-1].shape}"
+            f"grad_probs shape {grad_probs.shape} != probabilities shape {probs.shape}"
         )
 
     grads = zero_like_parameters(params)
-    # pending[i] is the cotangent at layer i's output; index -1 is the input.
-    pending: dict[int, np.ndarray] = {len(spec.layers) - 1: grad_probs}
-
-    def send(idx: int, g: np.ndarray) -> None:
-        if idx in pending:
-            pending[idx] = pending[idx] + g
-        else:
-            pending[idx] = g
-
-    for i in range(len(spec.layers) - 1, -1, -1):
-        if i not in pending:
-            continue
-        g = pending.pop(i)
-        layer = spec.layers[i]
+    g = grad_probs
+    into: dict[int, np.ndarray] = {}  # concat source layer -> its slice of g
+    for i, layer in reversed(list(enumerate(tape.spec.layers))):
+        if i in into:
+            g = into.pop(i) + g
         if isinstance(layer, Conv1x1Spec):
             x = tape.saved[i]
             grads[i]["weight"][...] = x.T @ g
             grads[i]["bias"][...] = g.sum(axis=0)
-            send(i - 1, g @ params[i]["weight"].T)
+            g = g @ params[i]["weight"].T
         elif isinstance(layer, BCLSpec):
             pair = bcl.bcl_backward(tape.saved[i], g)
             grads[i]["weight"][...] = pair.grad_weights
             grads[i]["bias"][...] = pair.grad_bias
-            send(i - 1, pair.grad_input)
+            g = pair.grad_input
         elif isinstance(layer, BatchNormSpec):
             xhat, inv = tape.saved[i]
-            n = xhat.shape[0]
             gamma = params[i]["gamma"]
             grads[i]["gamma"][...] = np.sum(g * xhat, axis=0)
             grads[i]["beta"][...] = g.sum(axis=0)
             gx = g * gamma
             gxm = gx.mean(axis=0)
             gxxm = np.mean(gx * xhat, axis=0)
-            send(i - 1, inv * (gx - gxm - xhat * gxxm))
+            g = inv * (gx - gxm - xhat * gxxm)
         elif isinstance(layer, ReLUSpec):
-            send(i - 1, g * tape.saved[i])
+            g = g * tape.saved[i]
         elif isinstance(layer, ConcatSpec):
-            offset = 0
-            for s in layer.sources:
-                width = tape.outputs[s].shape[1]
-                send(s, g[:, offset : offset + width])
-                offset += width
+            # the last source is layer i - 1, so its slice carries on as g
+            *slices, g = np.split(g, tape.saved[i], axis=1)
+            into.update(zip(layer.sources, slices))
         elif isinstance(layer, SoftmaxSpec):
-            send(i - 1, softmax_grad(g, tape.saved[i]))
-    grad_input = pending.pop(-1, np.zeros_like(tape.outputs[0], shape=(tape.num_points, 0)))
-    return grads, grad_input
+            g = softmax_grad(g, tape.saved[i])
+    return grads, g
 
 
 def commit_running_stats(tape: Tape, params: list[dict]) -> None:

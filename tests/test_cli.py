@@ -321,6 +321,13 @@ def test_lattice_stats_vertex_monotonicity(tmp_path, capsys):
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
 
 
+def test_lattice_stats_infinite_label_exit_2(tmp_path, capsys):
+    path = tmp_path / "inf.xyz"
+    path.write_text("# x y z label\n0 0 0 inf\n")
+    assert cli.main(["lattice-stats", str(path)]) == 2
+    assert "label" in capsys.readouterr().err
+
+
 def test_lattice_stats_empty_file_nonzero(tmp_path, capsys):
     path = tmp_path / "empty.xyz"
     path.write_text("")

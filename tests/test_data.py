@@ -42,6 +42,39 @@ def test_cloud_validation():
         data.PointCloud(np.zeros((2, 3)), labels=np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("channel, value", [
+    ("rgb", np.array([[np.nan, 0.5, 0.5]])),
+    ("labels", np.array([np.inf])),
+    ("labels", np.array([np.nan])),
+    ("labels", np.array([1e19])),
+], ids=["rgb-nan", "label-inf", "label-nan", "label-beyond-int64"])
+def test_cloud_refuses_nan_colour_and_label_outside_int64(channel, value):
+    with pytest.raises(InvalidInput):
+        data.PointCloud(np.zeros((1, 3)), **{channel: value})
+
+
+_PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 1\n"
+_PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("l.xyz", "# x y z label\n0 0 0 inf\n"),
+    ("c.xyz", "# x y z red green blue\n0 0 0 nan 0.5 0.5\n"),
+    ("l.ply", _PLY_HEAD + _PLY_XYZ + "property int label\nend_header\n0 0 0 inf\n"),
+    ("fl.ply", _PLY_HEAD + _PLY_XYZ + "property float label\nend_header\n0 0 0 -inf\n"),
+    ("c.ply", _PLY_HEAD + _PLY_XYZ + "property float red\nproperty float green\n"
+     "property float blue\nend_header\n0 0 0 nan 0.5 0.5\n"),
+    ("u.ply", _PLY_HEAD + _PLY_XYZ + "property uchar red\nproperty uchar green\n"
+     "property uchar blue\nend_header\n0 0 0 inf 0 0\n"),
+], ids=["xyz-label-inf", "xyz-red-nan", "ply-int-label-inf", "ply-float-label-inf",
+        "ply-float-red-nan", "ply-uchar-red-inf"])
+def test_loaders_refuse_nonfinite_colour_and_label(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError):
+        data.load_cloud(p)
+
+
 def test_take_subsets_every_channel():
     cloud = random_cloud(10)
     sub = cloud.take([3, 1, 7])

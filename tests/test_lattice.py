@@ -326,16 +326,16 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     near = corners[rng.integers(0, 4, size=300)] + rng.integers(-3, 4, size=(300, d))
     material = np.concatenate([corners, inner, near, inner[:50]]) - 2**40
     material = np.clip(material, material[:4].min(axis=0), material[:4].max(axis=0))
-    index = _VertexIndex(material)
+    index, row_dense, first_row = _VertexIndex.of_rows(material)
     assert math.prod(int(x) for x in index._hi - index._lo + 1) == math.prod(spans)
     assert index.codes.dtype.kind == kind
 
     ref = {}
     for row in material.tolist():
         ref.setdefault(tuple(row), len(ref))
-    assert [ref[tuple(r)] for r in material.tolist()] == index.row_dense.tolist()
+    assert [ref[tuple(r)] for r in material.tolist()] == row_dense.tolist()
     np.testing.assert_array_equal(
-        material[index.first_row], np.array(list(ref), dtype=np.int64)
+        material[first_row], np.array(list(ref), dtype=np.int64)
     )
 
     probes = np.concatenate([
@@ -404,3 +404,16 @@ def test_lattice_arrays_immutable():
         lat.adjacency[0, 0] = 5
     with pytest.raises(ValueError):
         lat.point_bary[0, 0] = 5.0
+
+
+def test_nbytes_counts_each_buffer_once():
+    # a view (point_vertices reshapes the dense-index array) counts as its base
+    rng = np.random.default_rng(21)
+    lat = build_lattice(rng.normal(size=(256, 3)) * 2, LatticeConfig(3, 1.0))
+    buffers = {}
+    for arr in [*vars(lat).values(), *vars(lat._index).values()]:
+        if isinstance(arr, np.ndarray):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+    assert lat.nbytes == sum(buffers.values())

@@ -58,6 +58,12 @@ def test_parse_arch_cx_resolution():
     assert spec.num_bcl == 5
 
 
+def test_parse_arch_stores_resolved_arch():
+    spec = net.parse_arch("B4-Cx", LatticeConfig(3, 2.0), 3)
+    assert spec.arch == "B4-C3"
+    assert net.resolved_arch(spec) == "B4-C3"
+
+
 def test_parse_arch_block_ordering():
     spec = net.parse_arch("C8-B4-C2", LatticeConfig(3, 1.0))
     kinds = [type(l).__name__ for l in spec.layers]
@@ -186,6 +192,22 @@ def test_backward_zero_cotangent_gives_zero_grads():
     for _, _, g in net.named_parameters(grads):
         assert not g.any()
     assert not gin.any()
+
+
+@pytest.mark.parametrize("arch", ["C3-B4-B4-C4-C2", "C5-C4-B6-B6-B3-C7-C5-C3", "B8-C2"])
+def test_backward_reads_only_saved_state(arch):
+    # outputs are for the concat and for callers; backward needs only saved
+    spec, params = small_net(seed=3, arch=arch)
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(24, 3))
+    probs, tape = net.forward(spec, params, pts, pts, training=True)
+    cotangent = rng.normal(size=probs.shape)
+    grads, gin = net.backward(tape, params, cotangent)
+    tape.outputs[:] = [None] * len(tape.outputs)
+    grads2, gin2 = net.backward(tape, params, cotangent)
+    assert gin2.tobytes() == gin.tobytes()
+    for (_, _, a), (_, _, b) in zip(net.named_parameters(grads), net.named_parameters(grads2)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_backward_requires_training_tape():

@@ -1,5 +1,7 @@
-"""Package surface: lazy exports and a NumPy-free command-line import."""
+"""Package surface: lazy exports, a NumPy-free command-line import, and
+NumPy as the only third-party dependency."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,17 @@ def test_cli_and_config_import_without_numpy():
 def test_every_exported_name_resolves():
     for name in latseg.__all__:
         assert getattr(latseg, name) is not None, name
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "latseg"}
+    for path in sorted((SRC / "latseg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside the package
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
