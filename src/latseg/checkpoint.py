@@ -39,7 +39,6 @@ from .network import (
     NetworkSpec,
     parameter_shapes,
     parse_arch,
-    resolved_arch,
     zero_like_parameters,
 )
 
@@ -114,7 +113,7 @@ def _header_bytes(
     lattice_channels: tuple[str, ...],
 ) -> bytes:
     out = MAGIC + struct.pack("<I", version)
-    out += _pack_str(resolved_arch(spec))
+    out += _pack_str(spec.arch)
     out += struct.pack("<I", spec.lattice.dim)
     out += np.asarray(spec.lattice.scale, dtype="<f8").tobytes()
     out += _pack_str(",".join(feature_channels))

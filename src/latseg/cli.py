@@ -22,19 +22,6 @@ def _set_thread_env(n):
         os.environ[var] = str(n)
 
 
-def _parse_lambda_text(text):
-    from .errors import ConfigError
-
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--lambda: not a number list: {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError(f"--lambda: values must be positive, got {text!r}")
-    return values
-
-
 def _load_cloud_checked(path):
     from .data import load_cloud
     from .errors import ConfigError
@@ -65,7 +52,7 @@ def _load_cloud_dir(dir_path):
 
 def cmd_train(args):
     from . import network, train
-    from .config import load_run_config
+    from .config import _to_lambda, load_run_config
     from .errors import ConfigError
     from .lattice import LatticeConfig
 
@@ -73,7 +60,7 @@ def cmd_train(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.lam is not None:
-        cfg = dataclasses.replace(cfg, lambda0=_parse_lambda_text(args.lam))
+        cfg = dataclasses.replace(cfg, lambda0=_to_lambda(args.lam, "--lambda", None))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.checkpoint is not None:
@@ -82,6 +69,8 @@ def cmd_train(args):
         raise ConfigError("config is missing required key 'arch'")
     if cfg.data_dir is None:
         raise ConfigError("config is missing required key 'data_dir'")
+    if cfg.patience is not None:
+        raise ConfigError("patience needs a validation set; latseg train takes none")
 
     _, clouds = _load_cloud_dir(cfg.data_dir)
     dim = clouds[0].channel_matrix(cfg.lattice_channels, cfg.gravity_axis).shape[1]
@@ -93,7 +82,7 @@ def cmd_train(args):
     result = train.train_loop(
         spec,
         clouds,
-        cfg.train_config(),
+        cfg,
         feature_channels=cfg.feature_channels,
         lattice_channels=cfg.lattice_channels,
         metrics_path=out_dir / "metrics.csv",
@@ -219,28 +208,20 @@ def cmd_filter(args):
     import numpy as np
 
     from .bcl import project
+    from .config import _to_lambda, _to_str_tuple
     from .data import save_cloud
     from .errors import ConfigError
     from .lattice import LatticeConfig
 
-    src = _load_cloud_checked(args.src)
-    dst = _load_cloud_checked(args.dst)
-    channels = tuple(c.strip() for c in args.channels.split(",") if c.strip())
-    if not channels:
-        raise ConfigError("--channels must name at least one channel")
+    channels = _to_str_tuple(args.channels, "--channels", None)
     if "xyz" in channels:
         raise ConfigError("positions cannot be transported; pick value channels")
+    lam = _to_lambda(args.lam, "--lambda", None)
+    src = _load_cloud_checked(args.src)
+    dst = _load_cloud_checked(args.dst)
     values = src.channel_matrix(channels)
-
-    lam = _parse_lambda_text(args.lam or "1")
-    if len(lam) == 1:
-        scale = [lam[0]] * 3
-    elif len(lam) == 3:
-        scale = list(lam)
-    else:
-        raise ConfigError("--lambda for filter takes one value or an axis triple")
     out_values = project(values, src.positions, dst.positions,
-                         LatticeConfig(3, scale))
+                         LatticeConfig(3, lam[0] if len(lam) == 1 else lam))
 
     out = dst
     col = 0
@@ -269,10 +250,11 @@ def cmd_filter(args):
 
 
 def cmd_lattice_stats(args):
+    from .config import _to_positive_floats
     from .lattice import LatticeConfig, build_lattice
 
+    lambdas = _to_positive_floats(args.lam, "--lambda", None)
     cloud = _load_cloud_checked(args.cloud)
-    lambdas = _parse_lambda_text(args.lam or "1")
     print("lambda vertices occupancy adjacency_fill")
     for lam in lambdas:
         lattice = build_lattice(cloud.positions, LatticeConfig(3, lam))
@@ -332,7 +314,7 @@ def build_parser():
     p.add_argument("src", help="source cloud carrying the channels")
     p.add_argument("dst", help="destination cloud to resample onto")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", default="1",
                    help="lattice scale (one value or x,y,z triple)")
     p.add_argument("--channels", default="rgb",
                    help="comma-separated channels to transport")
@@ -341,7 +323,7 @@ def build_parser():
     p = sub.add_parser("lattice-stats", parents=[common],
                        help="vertex counts and fill ratios per lattice scale")
     p.add_argument("cloud", help="input point-cloud file")
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", default="1",
                    help="comma-separated scales to sweep")
     p.set_defaults(handler=cmd_lattice_stats)
     return parser

@@ -12,6 +12,7 @@ over the dataclass defaults. This module does not import NumPy.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -61,14 +62,22 @@ def _to_str_tuple(text, key, lineno):
     return parts
 
 
+def _to_positive_floats(text, key, lineno):
+    values = tuple(_to_float(p, key, lineno) for p in _to_str_tuple(text, key, lineno))
+    if not all(0 < v < math.inf for v in values):
+        raise ParseError(f"{key}: values must be finite and positive, got {text!r}",
+                         line=lineno)
+    return values
+
+
 def _to_lambda(text, key, lineno):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if len(parts) not in (1, 3):
+    values = _to_positive_floats(text, key, lineno)
+    if len(values) not in (1, 3):
         raise ParseError(
-            f"{key}: expected one value or an axis triple, got {len(parts)} values",
+            f"{key}: expected one value or an axis triple, got {len(values)} values",
             line=lineno,
         )
-    return tuple(_to_float(p, key, lineno) for p in parts)
+    return values
 
 
 # Gravity axis name -> column of the positions.
@@ -159,8 +168,8 @@ class RunConfig(TrainConfig):
         if isinstance(lam, (int, float)):
             lam = (float(lam),)
             object.__setattr__(self, "lambda0", lam)
-        if len(lam) not in (1, 3) or any(v <= 0 for v in lam):
-            raise ConfigError(f"lambda0 must be positive, got {lam}")
+        if len(lam) not in (1, 3) or not all(0 < v < math.inf for v in lam):
+            raise ConfigError(f"lambda0 must be finite and positive, got {lam}")
 
     def lattice_scale(self, dim):
         """Per-axis scale vector for a dim-dimensional lattice."""
@@ -172,10 +181,6 @@ class RunConfig(TrainConfig):
                 f"have {dim}"
             )
         return list(self.lambda0)
-
-    def train_config(self):
-        """The training settings alone, as a plain TrainConfig."""
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 # Value parser per key: by the field's annotation, except where a key needs

@@ -539,24 +539,23 @@ def split_dataset(num_items, fractions, seed):
 
 # --------------------------------------------------------- synthetic data
 
-def synthetic_two_blob_dataset(num_clouds, points_per_cloud, seed=0,
-                               separation=3.0, sigma=0.35, jitter=0.1):
+def synthetic_two_blob_dataset(num_clouds, points_per_cloud, seed=0):
     """Toy segmentation set: two Gaussian clusters labeled by cluster.
 
-    Every cloud gets its own uniform offset in [-jitter, jitter]^3 so the
-    clouds are not identical; rows are shuffled so labels are interleaved.
+    The clusters have standard deviation 0.35 and centres 3 apart on x.
+    Every cloud gets its own uniform offset in [-0.1, 0.1]^3 so the clouds
+    are not identical; rows are shuffled so labels are interleaved.
     """
     if num_clouds <= 0 or points_per_cloud < 2:
         raise InvalidInput("need at least one cloud of at least two points")
     rng = np.random.default_rng(seed)
-    half = separation / 2.0
     clouds = []
     for _ in range(num_clouds):
         n0 = points_per_cloud // 2
         n1 = points_per_cloud - n0
-        a = rng.normal(loc=(-half, 0.0, 0.0), scale=sigma, size=(n0, 3))
-        b = rng.normal(loc=(half, 0.0, 0.0), scale=sigma, size=(n1, 3))
-        pts = np.vstack([a, b]) + rng.uniform(-jitter, jitter, size=3)
+        a = rng.normal(loc=(-1.5, 0.0, 0.0), scale=0.35, size=(n0, 3))
+        b = rng.normal(loc=(1.5, 0.0, 0.0), scale=0.35, size=(n1, 3))
+        pts = np.vstack([a, b]) + rng.uniform(-0.1, 0.1, size=3)
         labels = np.concatenate([np.zeros(n0, np.int64), np.ones(n1, np.int64)])
         order = rng.permutation(points_per_cloud)
         clouds.append(PointCloud(pts[order], labels=labels[order]))

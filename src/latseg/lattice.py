@@ -83,9 +83,6 @@ class LatticeConfig:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "scale", scale)
 
-    def scaled_by(self, factor: float) -> "LatticeConfig":
-        return LatticeConfig(self.dim, self.scale * factor)
-
 
 def _canonical_scale(config: LatticeConfig) -> np.ndarray:
     # Per-dimension elevation factor (d+1)/sqrt((i+1)(i+2)), folded together
@@ -284,20 +281,20 @@ class SparseLattice:
       offsets          the NeighborOffsets the adjacency columns follow
     """
 
-    def __init__(self, config, point_vertices, point_bary, vertex_keys, index, offsets):
+    def __init__(self, config, point_vertices, point_bary, vertex_keys, index):
         self.config = config
         self.num_points = point_vertices.shape[0]
         self.num_vertices = vertex_keys.shape[0]
         self.point_vertices = point_vertices
         self.point_bary = point_bary
         self.vertex_keys = vertex_keys
-        self.offsets = offsets
+        self.offsets = neighbor_offsets(config.dim)
         self._index = index
 
         d = config.dim
-        k = offsets.offsets.shape[0]
+        k = self.offsets.offsets.shape[0]
         adjacency = np.empty((self.num_vertices, k), dtype=np.int64)
-        for col, off in enumerate(offsets.offsets):
+        for col, off in enumerate(self.offsets.offsets):
             adjacency[index.dense, col] = index.find(index.shifted(off[:d]))
         self.adjacency = adjacency
 
@@ -364,5 +361,4 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
         point_bary=bary,
         vertex_keys=flat_keys[first_row],
         index=index,
-        offsets=neighbor_offsets(config.dim),
     )

@@ -77,7 +77,7 @@ class NetworkSpec:
     num_bcl: int
 
     def bcl_config(self, level: int) -> LatticeConfig:
-        return self.lattice.scaled_by(0.5**level)
+        return LatticeConfig(self.lattice.dim, self.lattice.scale * 0.5**level)
 
 
 _TOKEN = re.compile(r"^([CB])(\d+|x)$")
@@ -151,11 +151,6 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
         num_classes=final_width,
         num_bcl=level,
     )
-
-
-def resolved_arch(spec: NetworkSpec) -> str:
-    """Architecture string with a trailing 'x' replaced by the class count."""
-    return spec.arch
 
 
 def _layer_widths(spec: NetworkSpec, input_dim: int) -> list[int]:

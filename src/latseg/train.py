@@ -259,7 +259,7 @@ def _evaluate(spec, params, dataset, descriptors_for, feature_channels,
 def _resume_fields(spec, feature_channels, lattice_channels):
     """What a saved training state must share with the run resuming it."""
     return {
-        "architecture": network.resolved_arch(spec),
+        "architecture": spec.arch,
         "lattice dim": spec.lattice.dim,
         "lattice scale": spec.lattice.scale.tolist(),
         "num_classes": spec.num_classes,
@@ -272,8 +272,6 @@ def train_loop(spec, dataset, config, *,
                feature_channels=("xyz",),
                lattice_channels=("xyz",),
                params=None,
-               opt_state=None,
-               start_iteration=0,
                resume_from=None,
                metrics_path=None,
                checkpoint_path=None,
@@ -284,9 +282,13 @@ def train_loop(spec, dataset, config, *,
     One iteration = one optimizer step over batch_size clouds processed in
     slot order with averaged gradients. Cloud order walks a per-epoch
     permutation. The metrics file is append-only CSV with the header
-    iteration,loss,accuracy,wall_seconds. A state resumed from must match
-    this run's architecture, lattice dim and scale, class count, and
-    feature and lattice channels, or ConfigError names the first mismatch.
+    iteration,loss,accuracy,wall_seconds. A fresh run starts at iteration 0
+    from params, or from parameters drawn from config.seed if params is None.
+    resume_from continues a saved training state instead (passing params too
+    raises ConfigError); the state must match this run's architecture,
+    lattice dim and scale, class count, and feature and lattice channels, or
+    ConfigError names the first mismatch. Early stopping needs both
+    val_dataset and config.patience.
 
     A cloud's BCL descriptors are built once and reused on later visits
     when no visit can change its lattice features: rotate, translate and
@@ -304,6 +306,8 @@ def train_loop(spec, dataset, config, *,
         if cloud.labels is None:
             raise ConfigError(f"dataset cloud {i} has no labels")
     if resume_from is not None:
+        if params is not None:
+            raise ConfigError("train_loop takes params or resume_from, not both")
         saved, params, m1, m2, step, start_iteration, feats, latts = load_train_state(resume_from)
         was = _resume_fields(saved, feats, latts)
         for name, now in _resume_fields(spec, feature_channels, lattice_channels).items():
@@ -311,13 +315,14 @@ def train_loop(spec, dataset, config, *,
                 raise ConfigError(f"{resume_from}: cannot resume: the saved state has "
                                   f"{name} {was[name]!r}, this run has {now!r}")
         opt_state = OptimizerState(m1, m2, step)
-    if params is None:
-        features0 = dataset[0].channel_matrix(feature_channels, config.gravity_axis)
-        params = network.init_parameters(
-            spec, features0.shape[1], _stream(config.seed, _STREAM_INIT)
-        )
-    if opt_state is None:
+    else:
+        if params is None:
+            features0 = dataset[0].channel_matrix(feature_channels, config.gravity_axis)
+            params = network.init_parameters(
+                spec, features0.shape[1], _stream(config.seed, _STREAM_INIT)
+            )
         opt_state = init_optimizer(params)
+        start_iteration = 0
 
     # A visit changes a cloud's lattice features only by cropping it or by
     # augmenting a lattice channel.

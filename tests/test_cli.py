@@ -52,6 +52,17 @@ def test_train_negative_lambda_exit_2(tmp_path, capsys):
     assert "lambda0" in capsys.readouterr().err
 
 
+def test_train_refuses_patience_exit_2(blob_dir, tmp_path, capsys):
+    # latseg train takes no validation set, so patience could never stop it
+    cfg = tmp_path / "patient.cfg"
+    cfg.write_text(f"arch = B4-C2\ndata_dir = {blob_dir}\nlearning_rate = 0\n"
+                   "max_iterations = 30\npatience = 1\n")
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "patience" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_unknown_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "odd.cfg"
     cfg.write_text("arch = B4-C2\nwarp_speed = 9\n")
@@ -319,6 +330,63 @@ def test_lattice_stats_vertex_monotonicity(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     counts = [int(l.split()[1]) for l in lines]
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+
+
+def _lambda_argv(command, lam, blob_dir, tmp_path):
+    """argv running command at lattice scale lam, and the path it writes."""
+    out = tmp_path / "out"
+    if command in ("train", "train-config"):
+        cfg = tmp_path / "train.cfg"
+        lam_line = f"lambda0 = {lam}\n" if command == "train-config" else ""
+        cfg.write_text(f"arch = B4-C2\n{lam_line}data_dir = {blob_dir}\n"
+                       "max_iterations = 2\n")
+        flag = [f"--lambda={lam}"] if command == "train" else []
+        return ["train", "--config", str(cfg), "--out", str(out), *flag], out
+    cloud = tmp_path / "c.ply"
+    save_cloud(PointCloud(np.random.default_rng(15).normal(size=(30, 3)),
+                          rgb=np.full((30, 3), 0.2)), cloud)
+    if command == "filter":
+        return ["filter", str(cloud), str(cloud), "--out", str(out),
+                f"--lambda={lam}"], out
+    return ["lattice-stats", str(cloud), f"--lambda={lam}"], out
+
+
+@pytest.mark.parametrize("command, lam", [
+    *((c, v) for c in ("train", "filter", "lattice-stats")
+      for v in ("abc", "0", "-1", ",", "")),
+    ("train", "1,2"),
+    ("filter", "1,2"),
+])
+def test_malformed_lambda_exit_2(command, lam, blob_dir, tmp_path, capsys):
+    argv, out = _lambda_argv(command, lam, blob_dir, tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --lambda")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e999", "2,nan,2"])
+@pytest.mark.parametrize("command", ["train", "train-config", "filter", "lattice-stats"])
+def test_nonfinite_lambda_exit_2(command, lam, blob_dir, tmp_path, capsys):
+    argv, out = _lambda_argv(command, lam, blob_dir, tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_filter_scalar_lambda_equals_its_triple(tmp_path, capsys):
+    rng = np.random.default_rng(16)
+    src = tmp_path / "src.ply"
+    save_cloud(PointCloud(rng.normal(size=(50, 3)), rgb=rng.uniform(size=(50, 3))), src)
+    for lam in ("2", "2,2,2"):
+        assert cli.main(["filter", str(src), str(src), "--out",
+                         str(tmp_path / f"{lam}.ply"), "--lambda", lam]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "2.ply").read_bytes() == (tmp_path / "2,2,2.ply").read_bytes()
 
 
 def test_lattice_stats_infinite_label_exit_2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Config file parsing and RunConfig validation tests."""
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from latseg.config import _SCHEMA, RunConfig, load_run_config, parse_config_text
+from latseg.config import _SCHEMA, RunConfig, TrainConfig, load_run_config, parse_config_text
 from latseg.errors import ConfigError, ParseError
 
 
@@ -79,15 +80,27 @@ def test_run_config_lattice_scale():
         triple.lattice_scale(4)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "1, nan, 1"])
+def test_lambda0_text_must_be_finite(text):
+    with pytest.raises(ParseError, match="finite"):
+        parse_config_text(f"lambda0 = {text}\n")
+
+
+@pytest.mark.parametrize("lam", [(math.nan,), (math.inf,), (1.0, math.inf, 1.0)])
+def test_run_config_refuses_nonfinite_lambda0(lam):
+    with pytest.raises(ConfigError, match="lambda0"):
+        RunConfig(lambda0=lam)
+
+
 def test_run_config_train_config_bridge():
     cfg = RunConfig(learning_rate=0.01, batch_size=2, rotate=True)
-    tcfg = cfg.train_config()
-    assert tcfg.learning_rate == 0.01
-    assert tcfg.batch_size == 2
-    assert tcfg.rotate is True
+    assert isinstance(cfg, TrainConfig)
+    assert cfg.learning_rate == 0.01
+    assert cfg.batch_size == 2
+    assert cfg.rotate is True
     # invalid train values surface as ConfigError, not InvalidInput
     with pytest.raises(ConfigError):
-        RunConfig(batch_size=0).train_config()
+        RunConfig(batch_size=0)
 
 
 def test_load_run_config_missing_file(tmp_path):
@@ -143,7 +156,6 @@ def test_readme_config_example_parses():
     assert values["checkpoint"] is None
     cfg = RunConfig(**values)
     assert cfg.sample_size is None and cfg.patience is None
-    cfg.train_config()
 
 
 def test_load_run_config_rejects_invalid_train_value(tmp_path):

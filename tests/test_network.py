@@ -54,14 +54,14 @@ def test_parse_arch_structure():
 def test_parse_arch_cx_resolution():
     spec = net.parse_arch("C32-B64-B128-B256-B256-B256-C128-Cx", LatticeConfig(3, 64.0), 4)
     assert spec.num_classes == 4
-    assert net.resolved_arch(spec).endswith("-C4")
+    assert spec.arch.endswith("-C4")
     assert spec.num_bcl == 5
 
 
 def test_parse_arch_stores_resolved_arch():
     spec = net.parse_arch("B4-Cx", LatticeConfig(3, 2.0), 3)
     assert spec.arch == "B4-C3"
-    assert net.resolved_arch(spec) == "B4-C3"
+    assert spec.arch == "B4-C3"
 
 
 def test_parse_arch_block_ordering():
@@ -328,7 +328,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.splt"
     save_checkpoint(path, spec, params, ("rgb", "height"), ("xyz",))
     spec2, params2, feats, latts = load_checkpoint(path)
-    assert net.resolved_arch(spec2) == net.resolved_arch(spec)
+    assert spec2.arch == spec.arch
     assert feats == ("rgb", "height") and latts == ("xyz",)
     np.testing.assert_allclose(spec2.lattice.scale, spec.lattice.scale)
 

@@ -357,7 +357,7 @@ def test_train_loop_writes_metrics_and_checkpoint(tmp_path):
         assert float(r[1]) > 0 and 0 <= float(r[2]) <= 1 and float(r[3]) >= 0
 
     spec2, params2, feats, latts = load_checkpoint(ckpt)
-    assert network.resolved_arch(spec2) == network.resolved_arch(spec)
+    assert spec2.arch == spec.arch
     assert feats == ("xyz",)
     _, _, _, _, step, iteration, _, _ = load_train_state(state)
     assert step == 4 and iteration == 4
@@ -426,6 +426,17 @@ def test_train_loop_resume_refuses_other_channels_of_equal_width(tmp_path):
     with pytest.raises(ConfigError, match="feature channels"):
         train.train_loop(spec, dataset, cfg4, resume_from=state,
                          feature_channels=("height", "height", "height"))
+
+
+def test_train_loop_refuses_params_with_resume_from(tmp_path):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=2, pts=24)
+    state = tmp_path / "s.splt"
+    cfg2 = train.TrainConfig(learning_rate=0.01, max_iterations=2, seed=6)
+    train.train_loop(spec, dataset, cfg2, state_path=state)
+    params = network.init_parameters(spec, 3, np.random.default_rng(0))
+    cfg4 = train.TrainConfig(learning_rate=0.01, max_iterations=4, seed=6)
+    with pytest.raises(ConfigError, match="resume_from"):
+        train.train_loop(spec, dataset, cfg4, params=params, resume_from=state)
 
 
 # ------------------------------------------------------- descriptor reuse
