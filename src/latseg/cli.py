@@ -1,6 +1,7 @@
 """Command-line front end: train, predict, eval, filter, lattice-stats.
 
-Exit codes: 0 success, 1 runtime error, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime error, 2 usage, configuration or file-system
+error.
 
 numpy and the compute modules are imported inside the command handlers, not
 at module scope: --threads writes the BLAS thread-count environment
@@ -20,16 +21,6 @@ def _set_thread_env(n):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = str(n)
-
-
-def _load_cloud_checked(path):
-    from .data import load_cloud
-    from .errors import ConfigError
-
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"cloud file not found: {p}")
-    return load_cloud(p)
 
 
 def _load_cloud_dir(dir_path):
@@ -106,13 +97,10 @@ def cmd_train(args):
 def cmd_predict(args):
     from . import network
     from .checkpoint import load_checkpoint
-    from .data import save_cloud
-    from .errors import ConfigError
+    from .data import load_cloud, save_cloud
 
-    if not Path(args.checkpoint).is_file():
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     spec, params, feature_channels, lattice_channels = load_checkpoint(args.checkpoint)
-    cloud = _load_cloud_checked(args.cloud)
+    cloud = load_cloud(args.cloud)
     features = cloud.channel_matrix(feature_channels)
     lattice_feats = cloud.channel_matrix(lattice_channels)
     probs, _ = network.forward(spec, params, features, lattice_feats)
@@ -140,7 +128,7 @@ def _require_labels(cloud, path):
 
 
 def cmd_eval(args):
-    from .data import compute_iou, shapenet_miou
+    from .data import compute_iou, load_cloud, shapenet_miou
     from .errors import ConfigError
 
     pred_path, gt_path = Path(args.pred), Path(args.gt)
@@ -156,12 +144,12 @@ def cmd_eval(args):
             target = gt_path / r
             if not target.is_file():
                 raise ConfigError(f"ground truth missing for {r}")
-            gt_clouds.append(_load_cloud_checked(target))
+            gt_clouds.append(load_cloud(target))
         preds = [_require_labels(c, f) for c, f in zip(pred_clouds, pred_files)]
         gts = [_require_labels(c, gt_path / r) for c, r in zip(gt_clouds, rel)]
     else:
-        preds = [_require_labels(_load_cloud_checked(pred_path), pred_path)]
-        gts = [_require_labels(_load_cloud_checked(gt_path), gt_path)]
+        preds = [_require_labels(load_cloud(pred_path), pred_path)]
+        gts = [_require_labels(load_cloud(gt_path), gt_path)]
         rel = [pred_path]
 
     if args.mode == "average_iou":
@@ -209,7 +197,7 @@ def cmd_filter(args):
 
     from .bcl import project
     from .config import _to_lambda, _to_str_tuple
-    from .data import save_cloud
+    from .data import load_cloud, save_cloud
     from .errors import ConfigError
     from .lattice import LatticeConfig
 
@@ -217,8 +205,8 @@ def cmd_filter(args):
     if "xyz" in channels:
         raise ConfigError("positions cannot be transported; pick value channels")
     lam = _to_lambda(args.lam, "--lambda", None)
-    src = _load_cloud_checked(args.src)
-    dst = _load_cloud_checked(args.dst)
+    src = load_cloud(args.src)
+    dst = load_cloud(args.dst)
     values = src.channel_matrix(channels)
     out_values = project(values, src.positions, dst.positions,
                          LatticeConfig(3, lam[0] if len(lam) == 1 else lam))
@@ -251,15 +239,19 @@ def cmd_filter(args):
 
 def cmd_lattice_stats(args):
     from .config import _to_positive_floats
+    from .data import load_cloud
     from .lattice import LatticeConfig, build_lattice
 
     lambdas = _to_positive_floats(args.lam, "--lambda", None)
-    cloud = _load_cloud_checked(args.cloud)
-    print("lambda vertices occupancy adjacency_fill")
+    cloud = load_cloud(args.cloud)
+    # every lattice is built before the first line, so a failing scale
+    # leaves stdout empty
+    rows = ["lambda vertices occupancy adjacency_fill"]
     for lam in lambdas:
         lattice = build_lattice(cloud.positions, LatticeConfig(3, lam))
-        print(f"{lam:g} {lattice.num_vertices} "
-              f"{lattice.occupancy_ratio():.6e} {lattice.adjacency_fill():.4f}")
+        rows.append(f"{lam:g} {lattice.num_vertices} "
+                    f"{lattice.occupancy_ratio():.6e} {lattice.adjacency_fill():.4f}")
+    print("\n".join(rows))
     return 0
 
 
@@ -344,8 +336,9 @@ def main(argv=None):
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except LatSegError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 Blank lines and lines starting with # are skipped, and a # that starts the
 value or follows whitespace begins a comment running to the end of the line.
 Every key must be known and appear at most once; each value is parsed by
-its field's type. An empty value sets an optional key (one whose default is
-None) to None. RunConfig is TrainConfig (the training settings) plus the
-model, channel and path keys; it feeds training and the command-line tools,
-with command-line flags taking precedence over file values and file values
-over the dataclass defaults. This module does not import NumPy.
+its field's type. An empty value or `none` (any case) sets an optional key
+(one whose default is None) to None. RunConfig is TrainConfig (the training
+settings) plus the model, channel and path keys; it feeds training and the
+command-line tools, with command-line flags taking precedence over file
+values and file values over the dataclass defaults. This module does not
+import NumPy.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def _to_int(text, key, lineno):
 
 def _to_str(text, key, lineno):
     return text
-
-
-def _to_opt_int(text, key, lineno):
-    if text.lower() == "none":
-        return None
-    return _to_int(text, key, lineno)
 
 
 def _to_str_tuple(text, key, lineno):
@@ -183,13 +178,11 @@ class RunConfig(TrainConfig):
         return list(self.lambda0)
 
 
-# Value parser per key: by the field's annotation, except where a key needs
-# more than its type says.
+# Value parser per key: by the field's annotation, less an optional key's
+# "| None", except where a key needs more than its type says.
 _BY_TYPE = {
     "str": _to_str,
-    "str | None": _to_str,
     "int": _to_int,
-    "int | None": _to_opt_int,
     "float": _to_float,
     "bool": _to_bool,
 }
@@ -198,7 +191,8 @@ _BY_KEY = {
     "feature_channels": _to_str_tuple,
     "lattice_channels": _to_str_tuple,
 }
-_SCHEMA = {f.name: _BY_KEY.get(f.name) or _BY_TYPE[f.type] for f in fields(RunConfig)}
+_SCHEMA = {f.name: _BY_KEY.get(f.name) or _BY_TYPE[f.type.removesuffix(" | None")]
+           for f in fields(RunConfig)}
 
 _OPTIONAL = frozenset(f.name for f in fields(RunConfig) if f.default is None)
 
@@ -223,10 +217,10 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError(f"{source}: unknown key {key!r} on line {lineno}")
         if key in values:
             raise ConfigError(f"{source}: duplicate key {key!r} on line {lineno}")
-        if value:
-            values[key] = _SCHEMA[key](value, key, lineno)
-        elif key in _OPTIONAL:
+        if key in _OPTIONAL and value.lower() in ("", "none"):
             values[key] = None
+        elif value:
+            values[key] = _SCHEMA[key](value, key, lineno)
         else:
             raise ParseError(f"{source}: empty value for {key!r}", line=lineno)
     return values

@@ -356,7 +356,7 @@ def train_loop(spec, dataset, config, *,
 
     iteration = start_iteration
     try:
-        for iteration in range(start_iteration, config.max_iterations):
+        while iteration < config.max_iterations:
             grad_sum = network.zero_like_parameters(params)
             loss_sum, correct, total = 0.0, 0, 0
             for slot in range(config.batch_size):
@@ -432,13 +432,11 @@ def train_loop(spec, dataset, config, *,
                         stale += 1
                         if stale >= config.patience:
                             stopped_early = True
-            if config.checkpoint_every and done % config.checkpoint_every == 0:
-                _save_artifacts(done)
-            if stopped_early:
-                iteration += 1
+            iteration = done
+            if stopped_early or iteration == config.max_iterations:
                 break
-        else:
-            iteration = config.max_iterations
+            if config.checkpoint_every and iteration % config.checkpoint_every == 0:
+                _save_artifacts(iteration)
         _save_artifacts(iteration)
     finally:
         if metrics_fh is not None:

@@ -332,6 +332,15 @@ def test_lattice_stats_vertex_monotonicity(tmp_path, capsys):
     assert all(a >= b for a, b in zip(counts, counts[1:])), counts
 
 
+def test_lattice_stats_failing_scale_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "cube.xyz"
+    save_cloud(PointCloud(np.random.default_rng(17).uniform(size=(300, 3))), path)
+    assert cli.main(["lattice-stats", str(path), "--lambda", "1,1e20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
+
+
 def _lambda_argv(command, lam, blob_dir, tmp_path):
     """argv running command at lattice scale lam, and the path it writes."""
     out = tmp_path / "out"
@@ -402,6 +411,28 @@ def test_lattice_stats_empty_file_nonzero(tmp_path, capsys):
     code = cli.main(["lattice-stats", str(path)])
     assert code != 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["filter", "predict", "train"])
+def test_file_system_error_exit_2(command, trained, blob_dir, tmp_path, capsys):
+    cloud = sorted(blob_dir.iterdir())[0]
+    if command == "train":
+        out = tmp_path / "taken"
+        out.write_text("")
+        config = tmp_path / "train.cfg"
+        config.write_text(f"arch = B4-C2\ndata_dir = {blob_dir}\nmax_iterations = 1\n")
+        argv = ["train", "--config", str(config), "--out", str(out)]
+    else:
+        out = tmp_path / "a_directory.ply"
+        out.mkdir()
+        argv = {"filter": ["filter", str(cloud), str(cloud), "--channels", "height"],
+                "predict": ["predict", str(cloud), "--checkpoint",
+                            str(trained / "model.splt")]}[command]
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_rejects_bad_thread_count(capsys):

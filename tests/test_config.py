@@ -144,6 +144,16 @@ def test_parse_inline_comments_and_empty_optional_values():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("word", ["none", "None", "NONE"])
+def test_none_unsets_every_optional_key(word):
+    optional = [f.name for f in fields(RunConfig) if f.default is None]
+    values = parse_config_text("".join(f"{key} = {word}\n" for key in optional))
+    assert values == dict.fromkeys(optional)
+    # a key with a non-None default takes `none` as its literal text
+    with pytest.raises(ConfigError, match="gravity_axis"):
+        RunConfig(**parse_config_text(f"gravity_axis = {word}\n"))
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     after = readme.split("A config file is", 1)[1]

@@ -1,12 +1,10 @@
-"""Package surface: lazy exports, a NumPy-free command-line import, and
-NumPy as the only third-party dependency."""
+"""Package surface: a NumPy-free command-line import, and NumPy as the only
+third-party dependency."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
-
-import latseg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,11 +19,6 @@ def test_cli_and_config_import_without_numpy():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-
-
-def test_every_exported_name_resolves():
-    for name in latseg.__all__:
-        assert getattr(latseg, name) is not None, name
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -439,6 +439,38 @@ def test_train_loop_refuses_params_with_resume_from(tmp_path):
         train.train_loop(spec, dataset, cfg4, params=params, resume_from=state)
 
 
+def test_train_loop_resume_past_max_iterations_keeps_its_count(tmp_path):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=2, pts=24)
+    paths = {"metrics_path": tmp_path / "m.csv", "checkpoint_path": tmp_path / "model.splt",
+             "state_path": tmp_path / "s.splt"}
+    cfg10 = train.TrainConfig(learning_rate=0.01, max_iterations=10, seed=6)
+    train.train_loop(spec, dataset, cfg10, **paths)
+    before = {name: path.read_bytes() for name, path in paths.items()}
+    cfg5 = train.TrainConfig(learning_rate=0.01, max_iterations=5, seed=6)
+    result = train.train_loop(spec, dataset, cfg5, resume_from=paths["state_path"], **paths)
+    assert result.iterations == 10
+    assert result.history == []
+    assert {name: path.read_bytes() for name, path in paths.items()} == before
+    _, _, _, _, step, iteration, _, _ = load_train_state(paths["state_path"])
+    assert step == 10 and iteration == 10
+
+
+def test_train_loop_saves_each_checkpointed_count_once(tmp_path, monkeypatch):
+    saved = []
+    real_save = train.save_train_state
+
+    def counting_save(path, *args):
+        saved.append(args[5])  # the iteration count
+        real_save(path, *args)
+
+    monkeypatch.setattr(train, "save_train_state", counting_save)
+    spec, dataset = blob_setup(arch="B4-C2", clouds=2, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=12, seed=6,
+                            checkpoint_every=4)
+    train.train_loop(spec, dataset, cfg, state_path=tmp_path / "s.splt")
+    assert saved == [4, 8, 12]
+
+
 # ------------------------------------------------------- descriptor reuse
 
 
