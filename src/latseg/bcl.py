@@ -38,6 +38,10 @@ from .lattice import MISSING, LatticeConfig, SparseLattice, build_lattice
 # Floor for normalization denominators; keeps unsupported outputs at exactly 0.
 NORM_EPS = 1e-12
 
+# Output rows per slice gather; bounds its (rows, d+1, C) temporary (1 MiB at
+# d = 3, C = 128). 256 rows ran as fast as 1024 and faster than one gather.
+_SLICE_ROWS = 256
+
 
 @dataclass
 class FilterBank:
@@ -129,8 +133,12 @@ def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (V, C) vertex features, got {values.shape}")
     if indices.shape != bary.shape:
         raise ShapeError("embedding indices and weights must have the same shape")
-    gathered = _zero_padded(values)[indices]  # (m, d+1, C)
-    return np.einsum("mk,mkc->mc", bary, gathered)
+    padded = _zero_padded(values)
+    out = np.empty((indices.shape[0], values.shape[1]))
+    for start in range(0, indices.shape[0], _SLICE_ROWS):
+        rows = np.s_[start:start + _SLICE_ROWS]
+        np.einsum("mk,mkc->mc", bary[rows], padded[indices[rows]], out=out[rows])
+    return out
 
 
 def splat_adjoint(vertex_grad: np.ndarray, lat: SparseLattice) -> np.ndarray:
@@ -286,7 +294,7 @@ def bcl_forward(
     filtered = convolve(splatted, desc.lattice, bank)
     out = slice(filtered, desc.out_indices, desc.out_bary)
     if desc.denominator is not None:
-        out = out / desc.denominator
+        out /= desc.denominator
     return out, BCLState(desc, bank, splatted)
 
 

@@ -11,13 +11,17 @@ takes its width from num_classes. Every parameterized layer except the
 final convolution is followed by batch normalization (over the point
 dimension) and ReLU, and class probabilities come from a row-wise softmax.
 
-forward() returns probabilities plus a tape. In training mode the tape's
-saved state is all that backward() reads for exact parameter and input
-gradients; its outputs keep every activation for the concat and callers.
-Batch norm uses batch statistics and stages running-statistic updates on
-the tape, which commit_running_stats() folds into the parameters (so probing
-forwards, e.g. finite differences, leave no trace). Inference mode uses the
-stored running statistics and keeps no backward state.
+forward() returns probabilities plus a tape. The concat reads one buffer:
+each BCL block's ReLU writes its own column range of it, so the concat
+copies nothing. In training mode the tape's saved state is all that
+backward() reads for exact parameter and input gradients, and its outputs
+keep every layer's activation for callers. Batch norm uses batch statistics
+and stages running-statistic updates on the tape, which
+commit_running_stats() folds into the parameters (so probing forwards, e.g.
+finite differences, leave no trace). Inference mode uses the stored running
+statistics, runs batch norm and ReLU in place, and keeps neither backward
+state nor outputs: apart from the concat buffer, an activation lives only
+until the next layer has read it.
 """
 
 from __future__ import annotations
@@ -253,11 +257,14 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
 
 @dataclass
 class Tape:
-    """Per-forward record: backward reads only saved; outputs serve the concat and callers."""
+    """Per-forward record: backward reads only saved; outputs are kept for callers.
+
+    Both lists are all None in inference mode.
+    """
 
     spec: NetworkSpec
     training: bool
-    saved: list  # per-layer backward state (None in inference mode)
+    saved: list  # per-layer backward state
     outputs: list  # per-layer output arrays
     pending_running: dict = field(default_factory=dict)  # bn layer idx -> (mean, var)
 
@@ -307,13 +314,21 @@ def forward(
         saved=[None] * len(spec.layers),
         outputs=[None] * len(spec.layers),
     )
+    # each BCL block's ReLU writes its own column range of the concat buffer
+    widths = _layer_widths(spec, features.shape[1])
+    concat = next(layer for layer in spec.layers if isinstance(layer, ConcatSpec))
+    bounds = np.cumsum([0] + [widths[s] for s in concat.sources])
+    buffer = np.empty((features.shape[0], bounds[-1]))
+    columns = {s: buffer[:, a:b] for s, a, b in zip(concat.sources, bounds, bounds[1:])}
+
     x = features
     descriptor_iter = iter(descriptors)
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Conv1x1Spec):
             if training:
                 tape.saved[i] = x
-            x = x @ params[i]["weight"] + params[i]["bias"]
+            x = x @ params[i]["weight"]
+            x += params[i]["bias"]
         elif isinstance(layer, BCLSpec):
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
             x, state = bcl.bcl_forward(x, next(descriptor_iter), bank)
@@ -333,22 +348,29 @@ def forward(
                     BN_MOMENTUM * p["running_mean"] + (1.0 - BN_MOMENTUM) * mean,
                     BN_MOMENTUM * p["running_var"] + (1.0 - BN_MOMENTUM) * var,
                 )
-            else:
-                inv = 1.0 / np.sqrt(p["running_var"] + BN_EPS)
-                xhat = (x - p["running_mean"]) * inv
-            x = p["gamma"] * xhat + p["beta"]
+                x = p["gamma"] * xhat + p["beta"]
+            else:  # x is this forward's own fresh array and no tape keeps it
+                x -= p["running_mean"]
+                x *= 1.0 / np.sqrt(p["running_var"] + BN_EPS)
+                x *= p["gamma"]
+                x += p["beta"]
         elif isinstance(layer, ReLUSpec):
             if training:
                 tape.saved[i] = x > 0
-            x = np.maximum(x, 0.0)
+            if i in columns:
+                out = columns[i]
+            else:  # in training the tape keeps x as the batch norm's output
+                out = None if training else x
+            x = np.maximum(x, 0.0, out=out)
         elif isinstance(layer, ConcatSpec):
-            x = np.concatenate([tape.outputs[s] for s in layer.sources], axis=1)
+            x = buffer
             if training:  # the split points backward cuts the cotangent at
-                tape.saved[i] = np.cumsum([tape.outputs[s].shape[1] for s in layer.sources[:-1]])
+                tape.saved[i] = bounds[1:-1]
         elif isinstance(layer, SoftmaxSpec):
             x = softmax(x)
             tape.saved[i] = x if training else None
-        tape.outputs[i] = x
+        if training:
+            tape.outputs[i] = x
     return x, tape
 
 

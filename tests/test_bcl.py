@@ -118,6 +118,22 @@ def test_slice_after_splat_single_point():
     assert out[0, 0] <= 5.0 + 1e-12
 
 
+@pytest.mark.parametrize("channels", [1, 5])
+def test_slice_chunk_boundaries_match_one_einsum(channels):
+    # two full row chunks plus one row, some output points far off the lattice
+    rng = np.random.default_rng(21)
+    lat = build_lattice(rng.normal(size=(300, 3)), LatticeConfig(3, 1.5))
+    m = 2 * bcl._SLICE_ROWS + 1
+    out_pts = rng.normal(size=(m, 3)) * rng.choice([1.0, 3.0], size=(m, 1))
+    idx, bary = lat.embed(out_pts)
+    assert (idx == MISSING).any() and not (idx == MISSING).all()
+    values = rng.normal(size=(lat.num_vertices, channels))
+    padded = np.vstack([values, np.zeros((1, channels))])
+    expected = np.einsum("mk,mkc->mc", bary, padded[idx])
+    out = bcl.slice(values, idx, bary)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
 def test_splat_slice_adjoint():
     rng = np.random.default_rng(3)
     for trial in range(20):

@@ -505,3 +505,38 @@ def test_train_resume_with_other_lambda_exit_2(trained, blob_dir, tmp_path, caps
     assert code == 2
     assert "lattice scale" in err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_predict_unknown_out_suffix_exit_2_before_forward(trained, blob_dir, tmp_path,
+                                                          capsys, monkeypatch):
+    from latseg import network
+
+    def forward(*args, **kwargs):
+        raise AssertionError("the network ran before --out was checked")
+
+    monkeypatch.setattr(network, "forward", forward)
+    out = tmp_path / "pred.foo"
+    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                     str(trained / "model.splt"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "pred.foo" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_filter_unknown_out_suffix_exit_2_before_projection(blob_dir, tmp_path,
+                                                            capsys, monkeypatch):
+    from latseg import bcl
+
+    def project(*args, **kwargs):
+        raise AssertionError("the projection ran before --out was checked")
+
+    monkeypatch.setattr(bcl, "project", project)
+    cloud = blob_dir / "cloud0.ply"
+    out = tmp_path / "moved.foo"
+    code = cli.main(["filter", str(cloud), str(cloud), "--channels", "height",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "moved.foo" in err and "Traceback" not in err
+    assert not out.exists()
