@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError, StateError
+from .errors import InvalidInput, ShapeError
 from .lattice import MISSING, LatticeConfig, SparseLattice, build_lattice
 
 # Floor for normalization denominators; keeps unsupported outputs at exactly 0.
@@ -267,46 +267,27 @@ def make_descriptor(
     return BCLDescriptor(lat, out_idx, out_bary, denom)
 
 
-@dataclass
-class BCLState:
-    """Forward-pass residue needed by bcl_backward; release() drops it."""
-
-    desc: BCLDescriptor
-    bank: FilterBank
-    splatted: np.ndarray | None
-
-    def release(self) -> None:
-        self.splatted = None
-
-
-@dataclass
-class GradientPair:
-    grad_input: np.ndarray
-    grad_weights: np.ndarray
-    grad_bias: np.ndarray
-
-
 def bcl_forward(
     values: np.ndarray, desc: BCLDescriptor, bank: FilterBank
-) -> tuple[np.ndarray, BCLState]:
-    """splat -> convolve -> slice (-> normalize), retaining backward state."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """splat -> convolve -> slice (-> normalize); returns (out, splatted)."""
     splatted = splat(values, desc.lattice)
     filtered = convolve(splatted, desc.lattice, bank)
     out = slice(filtered, desc.out_indices, desc.out_bary)
     if desc.denominator is not None:
         out /= desc.denominator
-    return out, BCLState(desc, bank, splatted)
+    return out, splatted
 
 
-def bcl_backward(state: BCLState, grad_out: np.ndarray) -> GradientPair:
-    """Exact gradients of bcl_forward w.r.t. input features, weights, bias.
+def bcl_backward(
+    desc: BCLDescriptor, bank: FilterBank, splatted: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact gradients of bcl_forward w.r.t. (input features, weights, bias),
+    given the splatted vertex features it returned.
 
     The normalization denominator is geometry-only, so it enters as a
     constant per-point factor.
     """
-    if state.splatted is None:
-        raise StateError("bcl_backward called without retained forward state")
-    desc = state.desc
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape[0] != desc.num_out:
         raise ShapeError(
@@ -314,9 +295,8 @@ def bcl_backward(state: BCLState, grad_out: np.ndarray) -> GradientPair:
         )
     g = grad_out if desc.denominator is None else grad_out / desc.denominator
     g_filtered = slice_adjoint(g, desc.out_indices, desc.out_bary, desc.lattice.num_vertices)
-    g_splat, g_w, g_b = convolve_backward(state.splatted, desc.lattice, state.bank, g_filtered)
-    g_input = splat_adjoint(g_splat, desc.lattice)
-    return GradientPair(g_input, g_w, g_b)
+    g_splat, g_w, g_b = convolve_backward(splatted, desc.lattice, bank, g_filtered)
+    return splat_adjoint(g_splat, desc.lattice), g_w, g_b
 
 
 def bcl_apply(
@@ -328,11 +308,9 @@ def bcl_apply(
     normalize: bool = True,
     blur=_DEFAULT_BLUR,
 ) -> np.ndarray:
-    """One-shot BCL: build the descriptor, run forward, drop the state."""
+    """One-shot BCL: build the descriptor and run forward."""
     desc = make_descriptor(features_in, features_out, config, normalize, blur)
-    out, state = bcl_forward(values, desc, bank)
-    state.release()
-    return out
+    return bcl_forward(values, desc, bank)[0]
 
 
 def project(

@@ -35,12 +35,7 @@ import numpy as np
 
 from .errors import ParseError
 from .lattice import LatticeConfig
-from .network import (
-    NetworkSpec,
-    parameter_shapes,
-    parse_arch,
-    zero_like_parameters,
-)
+from .network import NetworkSpec, named_parameters, parameter_shapes, parse_arch
 
 MAGIC = b"SPLT"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
@@ -257,8 +252,9 @@ def load_train_state(path):
             raise ParseError(f"{r.path}: unexpected tensor group {tag!r}")
         groups[tag][rest] = arr
     params = _assemble_params(spec, groups["param"], r.path)
-    moment_shapes = [{k: p.shape for k, p in layer.items()}
-                     for layer in zero_like_parameters(params)]
+    moment_shapes: list[dict] = [{} for _ in params]
+    for i, key, p in named_parameters(params):
+        moment_shapes[i][key] = p.shape
     m = _assemble_params(spec, groups["adam_m"], r.path, moment_shapes)
     v = _assemble_params(spec, groups["adam_v"], r.path, moment_shapes)
     return spec, params, m, v, adam_step, iteration, feats, latts

@@ -38,15 +38,17 @@ def _load_cloud_dir(dir_path):
     return files, [load_cloud(f) for f in files]
 
 
-def _require_out_format(path):
-    """Refuse an --out path whose suffix names no format, before any work."""
+def _require_formats(*paths):
+    """Refuse any cloud path, input or output, whose suffix names no format,
+    before any work."""
     from .data import _codec
     from .errors import ConfigError, UnsupportedError
 
-    try:
-        _codec(path)
-    except UnsupportedError as exc:
-        raise ConfigError(f"--out: {exc}") from None
+    for path in paths:
+        try:
+            _codec(path)
+        except UnsupportedError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ------------------------------------------------------------------- train
@@ -110,7 +112,7 @@ def cmd_predict(args):
     from .checkpoint import load_checkpoint
     from .data import load_cloud, save_cloud
 
-    _require_out_format(args.out)
+    _require_formats(args.cloud, args.out)
     spec, params, feature_channels, lattice_channels = load_checkpoint(args.checkpoint)
     cloud = load_cloud(args.cloud)
     features = cloud.channel_matrix(feature_channels)
@@ -217,7 +219,7 @@ def cmd_filter(args):
     if "xyz" in channels:
         raise ConfigError("positions cannot be transported; pick value channels")
     lam = _to_lambda(args.lam, "--lambda", None)
-    _require_out_format(args.out)
+    _require_formats(args.src, args.dst, args.out)
     src = load_cloud(args.src)
     dst = load_cloud(args.dst)
     values = src.channel_matrix(channels)

@@ -14,14 +14,17 @@ dimension) and ReLU, and class probabilities come from a row-wise softmax.
 forward() returns probabilities plus a tape. The concat reads one buffer:
 each BCL block's ReLU writes its own column range of it, so the concat
 copies nothing. In training mode the tape's saved state is all that
-backward() reads for exact parameter and input gradients, and its outputs
-keep every layer's activation for callers. Batch norm uses batch statistics
-and stages running-statistic updates on the tape, which
-commit_running_stats() folds into the parameters (so probing forwards, e.g.
-finite differences, leave no trace). Inference mode uses the stored running
-statistics, runs batch norm and ReLU in place, and keeps neither backward
-state nor outputs: apart from the concat buffer, an activation lives only
-until the next layer has read it.
+backward() reads for exact parameter and input gradients (a BCL saves its
+descriptor, filter bank and splatted vertex features), and its outputs
+keep every layer's activation for callers. trainable_vector() and
+trainable_views() turn per-layer tensors, such as backward()'s gradients,
+into one flat vector and back: the layout train_loop optimizes in. Batch
+norm uses batch statistics and stages running-statistic updates on the
+tape, which commit_running_stats() folds into the parameters (so probing
+forwards, e.g. finite differences, leave no trace). Inference mode uses the
+stored running statistics, runs batch norm and ReLU in place, and keeps
+neither backward state nor outputs: apart from the concat buffer, an
+activation lives only until the next layer has read it.
 """
 
 from __future__ import annotations
@@ -223,11 +226,20 @@ def named_parameters(params: list[dict]):
                 yield i, key, tensors[key]
 
 
-def zero_like_parameters(params: list[dict]) -> list[dict]:
-    return [
-        {k: np.zeros_like(v) for k, v in tensors.items() if k in _TRAINABLE}
-        for tensors in params
-    ]
+def trainable_vector(params: list[dict]) -> np.ndarray:
+    """A copy of every trainable tensor, raveled and joined in named_parameters order."""
+    return np.concatenate([a.ravel() for _, _, a in named_parameters(params)])
+
+
+def trainable_views(vector: np.ndarray, params: list[dict]) -> list[dict]:
+    """Per layer, {key: view of vector} shaped like the trainable tensors of
+    params; the inverse of trainable_vector."""
+    views: list[dict] = [{} for _ in params]
+    start = 0
+    for i, key, a in named_parameters(params):
+        views[i][key] = vector[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return views
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -259,7 +271,8 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
 class Tape:
     """Per-forward record: backward reads only saved; outputs are kept for callers.
 
-    Both lists are all None in inference mode.
+    saved[i] is what layer i's backward step reads, e.g. a BCL's
+    (desc, bank, splatted). Both lists are all None in inference mode.
     """
 
     spec: NetworkSpec
@@ -330,12 +343,12 @@ def forward(
             x = x @ params[i]["weight"]
             x += params[i]["bias"]
         elif isinstance(layer, BCLSpec):
+            desc = next(descriptor_iter)
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
-            x, state = bcl.bcl_forward(x, next(descriptor_iter), bank)
+            x, splatted = bcl.bcl_forward(x, desc, bank)
             if training:
-                tape.saved[i] = state
-            else:
-                state.release()
+                tape.saved[i] = (desc, bank, splatted)
+            del splatted  # an inference forward frees it here
         elif isinstance(layer, BatchNormSpec):
             p = params[i]
             if training:
@@ -393,7 +406,7 @@ def backward(
             f"grad_probs shape {grad_probs.shape} != probabilities shape {probs.shape}"
         )
 
-    grads = zero_like_parameters(params)
+    grads: list[dict] = [{} for _ in params]
     g = grad_probs
     into: dict[int, np.ndarray] = {}  # concat source layer -> its slice of g
     for i, layer in reversed(list(enumerate(tape.spec.layers))):
@@ -401,19 +414,15 @@ def backward(
             g = into.pop(i) + g
         if isinstance(layer, Conv1x1Spec):
             x = tape.saved[i]
-            grads[i]["weight"][...] = x.T @ g
-            grads[i]["bias"][...] = g.sum(axis=0)
+            grads[i] = {"weight": x.T @ g, "bias": g.sum(axis=0)}
             g = g @ params[i]["weight"].T
         elif isinstance(layer, BCLSpec):
-            pair = bcl.bcl_backward(tape.saved[i], g)
-            grads[i]["weight"][...] = pair.grad_weights
-            grads[i]["bias"][...] = pair.grad_bias
-            g = pair.grad_input
+            g, weight, bias = bcl.bcl_backward(*tape.saved[i], g)
+            grads[i] = {"weight": weight, "bias": bias}
         elif isinstance(layer, BatchNormSpec):
             xhat, inv = tape.saved[i]
             gamma = params[i]["gamma"]
-            grads[i]["gamma"][...] = np.sum(g * xhat, axis=0)
-            grads[i]["beta"][...] = g.sum(axis=0)
+            grads[i] = {"gamma": np.sum(g * xhat, axis=0), "beta": g.sum(axis=0)}
             gx = g * gamma
             gxm = gx.mean(axis=0)
             gxxm = np.mean(gx * xhat, axis=0)

@@ -85,41 +85,31 @@ def cross_entropy_loss(probabilities, labels, ignore_label=None):
 
 @dataclass
 class OptimizerState:
-    first_moment: list[dict]
-    second_moment: list[dict]
+    """Adam's first and second moments, two vectors laid out like the
+    parameter vector (network.trainable_vector order), and the step count."""
+
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
 
 
-def init_optimizer(params):
-    return OptimizerState(
-        first_moment=network.zero_like_parameters(params),
-        second_moment=network.zero_like_parameters(params),
-        step=0,
-    )
-
-
-def adam_step(params, grads, state, config):
-    """One bias-corrected Adam update, in place.
+def adam_step(theta, grad, state, config):
+    """One bias-corrected Adam update of the parameter vector theta, in place.
 
     The whole step is refused (nothing mutated, counter untouched) if any
     gradient entry is not finite.
     """
-    for i, key, g in network.named_parameters(grads):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"gradient for layer {i} {key!r} is not finite")
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("gradient is not finite")
     t = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     lr, eps = config.learning_rate, config.adam_epsilon
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    for i, key, g in network.named_parameters(grads):
-        m = state.first_moment[i][key]
-        v = state.second_moment[i][key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        params[i][key] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * np.square(grad)
+    theta -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     state.step = t
 
 
@@ -284,6 +274,9 @@ def train_loop(spec, dataset, config, *,
     permutation. The metrics file is append-only CSV with the header
     iteration,loss,accuracy,wall_seconds. A fresh run starts at iteration 0
     from params, or from parameters drawn from config.seed if params is None.
+    params is never written to, running statistics included: the loop
+    trains a copy whose trainable tensors are views of one float64 vector,
+    which adam_step updates, and returns it as TrainResult.params.
     resume_from continues a saved training state instead (passing params too
     raises ConfigError); the state must match this run's architecture,
     lattice dim and scale, class count, and feature and lattice channels, or
@@ -314,15 +307,20 @@ def train_loop(spec, dataset, config, *,
             if was[name] != now:
                 raise ConfigError(f"{resume_from}: cannot resume: the saved state has "
                                   f"{name} {was[name]!r}, this run has {now!r}")
-        opt_state = OptimizerState(m1, m2, step)
+        opt_state = OptimizerState(network.trainable_vector(m1),
+                                   network.trainable_vector(m2), step)
     else:
         if params is None:
             features0 = dataset[0].channel_matrix(feature_channels, config.gravity_axis)
             params = network.init_parameters(
                 spec, features0.shape[1], _stream(config.seed, _STREAM_INIT)
             )
-        opt_state = init_optimizer(params)
+        size = sum(a.size for _, _, a in network.named_parameters(params))
+        opt_state = OptimizerState(np.zeros(size), np.zeros(size))
         start_iteration = 0
+    theta = network.trainable_vector(params)
+    params = [{key: views[key] if key in views else a.copy() for key, a in tensors.items()}
+              for tensors, views in zip(params, network.trainable_views(theta, params))]
 
     # A visit changes a cloud's lattice features only by cropping it or by
     # augmenting a lattice channel.
@@ -350,14 +348,15 @@ def train_loop(spec, dataset, config, *,
                             feature_channels, lattice_channels)
         if state_path is not None:
             save_train_state(state_path, spec, params,
-                             opt_state.first_moment, opt_state.second_moment,
+                             network.trainable_views(opt_state.first_moment, params),
+                             network.trainable_views(opt_state.second_moment, params),
                              opt_state.step, iteration,
                              feature_channels, lattice_channels)
 
     iteration = start_iteration
     try:
         while iteration < config.max_iterations:
-            grad_sum = network.zero_like_parameters(params)
+            grad = np.zeros(theta.size)
             loss_sum, correct, total = 0.0, 0, 0
             for slot in range(config.batch_size):
                 sample = iteration * config.batch_size + slot
@@ -390,23 +389,22 @@ def train_loop(spec, dataset, config, *,
                 loss, grad_probs = cross_entropy_loss(
                     probs, cloud.labels, config.ignore_label
                 )
-                grads, _ = network.backward(tape, params, grad_probs)
+                grad += network.trainable_vector(network.backward(tape, params, grad_probs)[0])
                 network.commit_running_stats(tape, params)
                 # free this slot's tape before the next slot's forward
                 del tape, grad_probs
-                for li, key, g in network.named_parameters(grads):
-                    grad_sum[li][key] += g
                 loss_sum += loss
                 c, t = _correct_total(probs, cloud.labels, config.ignore_label)
                 correct += c
                 total += t
-            if config.batch_size > 1:
-                for li, key, g in network.named_parameters(grad_sum):
-                    g /= config.batch_size
+            grad /= config.batch_size
             try:
-                adam_step(params, grad_sum, opt_state, config)
+                adam_step(theta, grad, opt_state, config)
             except NonFiniteGradient as exc:
-                raise NonFiniteGradient(f"iteration {iteration}: {exc}") from exc
+                i, key = next((i, key) for i, key, g in network.named_parameters(
+                    network.trainable_views(grad, params)) if not np.isfinite(g).all())
+                raise NonFiniteGradient(f"iteration {iteration}: gradient for layer {i} "
+                                        f"{key!r} is not finite") from exc
 
             done = iteration + 1
             if done % config.log_every == 0 or done == config.max_iterations:

@@ -200,15 +200,15 @@ def test_criterion_05_gradient_exactness():
     desc = bcl.make_descriptor(feats, None, cfg)
 
     def bcl_objective():
-        out, state = bcl.bcl_forward(values, desc, bcl.FilterBank(weights, bias))
-        state.release()
+        out, _ = bcl.bcl_forward(values, desc, bcl.FilterBank(weights, bias))
         return float(np.sum(probe * out))
 
-    out, state = bcl.bcl_forward(values, desc, bcl.FilterBank(weights, bias))
-    grads = bcl.bcl_backward(state, probe)
-    worst = rel_err(fd_grad(bcl_objective, weights), grads.grad_weights)
-    worst = max(worst, rel_err(fd_grad(bcl_objective, bias), grads.grad_bias))
-    worst = max(worst, rel_err(fd_grad(bcl_objective, values), grads.grad_input))
+    bank = bcl.FilterBank(weights, bias)
+    _, splatted = bcl.bcl_forward(values, desc, bank)
+    grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, probe)
+    worst = rel_err(fd_grad(bcl_objective, weights), grad_weights)
+    worst = max(worst, rel_err(fd_grad(bcl_objective, bias), grad_bias))
+    worst = max(worst, rel_err(fd_grad(bcl_objective, values), grad_input))
     assert worst < 1e-4
 
     # (b) full two-BCL network on 12 points
@@ -259,8 +259,7 @@ def test_criterion_06_constant_preservation():
         tap0 = np.zeros(taps)
         tap0[0] = 1.0
         desc = bcl.make_descriptor(feats, None, cfg, normalize=True, blur=tap0)
-        out, state = bcl.bcl_forward(values, desc, bcl.identity_bank(taps, c))
-        state.release()
+        out, _ = bcl.bcl_forward(values, desc, bcl.identity_bank(taps, c))
         worst = max(worst, float(np.max(np.abs(out - values))))
 
         # random mixing kernel shaped like the blur profile: every constant
@@ -269,8 +268,7 @@ def test_criterion_06_constant_preservation():
         profile = bcl.default_blur_profile(taps)
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(c))
         desc2 = bcl.make_descriptor(feats, None, cfg, normalize=True)
-        out2, state2 = bcl.bcl_forward(values, desc2, bank)
-        state2.release()
+        out2, _ = bcl.bcl_forward(values, desc2, bank)
         expected = np.tile(const @ mix, (n, 1))
         worst = max(worst, float(np.max(np.abs(out2 - expected))))
         assert worst <= 1e-6

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from latseg import bcl
-from latseg.errors import ShapeError, StateError
+from latseg.errors import ShapeError
 from latseg.lattice import MISSING, LatticeConfig, build_lattice
 
 H = 1e-5
@@ -347,12 +347,12 @@ def test_bcl_backward_identity_net_matches_dense_transpose():
     pts, lat, values = random_instance(rng, n=9, d=2, c=1)
     desc = bcl.make_descriptor(pts, None, lat.config, normalize=False)
     bank = bcl.identity_bank(desc.lattice.adjacency.shape[1], 1)
-    _, state = bcl.bcl_forward(values, desc, bank)
+    _, splatted = bcl.bcl_forward(values, desc, bank)
     g = rng.normal(size=(9, 1))
-    pair = bcl.bcl_backward(state, g)
+    grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
     s_splat = dense_splat_matrix(desc.lattice)
     s_slice = dense_slice_matrix(desc.out_indices, desc.out_bary, desc.lattice.num_vertices)
-    np.testing.assert_allclose(pair.grad_input, s_splat.T @ (s_slice.T @ g), atol=1e-10)
+    np.testing.assert_allclose(grad_input, s_splat.T @ (s_slice.T @ g), atol=1e-10)
 
 
 def test_bcl_backward_zero_grad():
@@ -362,11 +362,11 @@ def test_bcl_backward_zero_grad():
     bank = bcl.FilterBank(
         rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)), rng.normal(size=2)
     )
-    _, state = bcl.bcl_forward(values, desc, bank)
-    pair = bcl.bcl_backward(state, np.zeros((10, 2)))
-    assert not pair.grad_input.any()
-    assert not pair.grad_weights.any()
-    assert not pair.grad_bias.any()
+    _, splatted = bcl.bcl_forward(values, desc, bank)
+    grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, np.zeros((10, 2)))
+    assert not grad_input.any()
+    assert not grad_weights.any()
+    assert not grad_bias.any()
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -381,26 +381,15 @@ def test_bcl_backward_finite_differences(normalized):
     values = rng.normal(size=(7, 2))
     probe = rng.normal(size=(desc.num_out, 3))
 
-    out, state = bcl.bcl_forward(values, desc, bank)
-    pair = bcl.bcl_backward(state, probe)
+    _, splatted = bcl.bcl_forward(values, desc, bank)
+    grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, probe)
 
     def objective():
         return np.sum(probe * bcl.bcl_forward(values, desc, bank)[0])
 
-    assert rel_err(fd_grad(objective, values), pair.grad_input) < 1e-4
-    assert rel_err(fd_grad(objective, bank.weights), pair.grad_weights) < 1e-4
-    assert rel_err(fd_grad(objective, bank.bias), pair.grad_bias) < 1e-4
-
-
-def test_bcl_backward_without_state_raises():
-    rng = np.random.default_rng(20)
-    pts, lat, values = random_instance(rng)
-    desc = bcl.make_descriptor(pts, None, lat.config, normalize=False)
-    bank = bcl.identity_bank(desc.lattice.adjacency.shape[1], 3)
-    _, state = bcl.bcl_forward(values, desc, bank)
-    state.release()
-    with pytest.raises(StateError):
-        bcl.bcl_backward(state, np.zeros((10, 3)))
+    assert rel_err(fd_grad(objective, values), grad_input) < 1e-4
+    assert rel_err(fd_grad(objective, bank.weights), grad_weights) < 1e-4
+    assert rel_err(fd_grad(objective, bank.bias), grad_bias) < 1e-4
 
 
 def test_bcl_permutation_equivariance():

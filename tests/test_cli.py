@@ -509,34 +509,46 @@ def test_train_resume_with_other_lambda_exit_2(trained, blob_dir, tmp_path, caps
 
 def test_predict_unknown_out_suffix_exit_2_before_forward(trained, blob_dir, tmp_path,
                                                           capsys, monkeypatch):
-    from latseg import network
+    from latseg import checkpoint, data, network
 
-    def forward(*args, **kwargs):
-        raise AssertionError("the network ran before --out was checked")
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the suffixes were checked")
 
-    monkeypatch.setattr(network, "forward", forward)
-    out = tmp_path / "pred.foo"
-    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
-                     str(trained / "model.splt"), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "pred.foo" in err and "Traceback" not in err
-    assert not out.exists()
+    foo = tmp_path / "c0.foo"
+    foo.write_bytes((blob_dir / "cloud0.ply").read_bytes())
+    monkeypatch.setattr(network, "forward", refuse)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    monkeypatch.setattr(data, "load_cloud", refuse)
+    # an unknown --out suffix, then an unknown input suffix
+    for cloud, out, named in ((blob_dir / "cloud0.ply", tmp_path / "pred.foo", "pred.foo"),
+                              (foo, tmp_path / "p.ply", "c0.foo")):
+        code = cli.main(["predict", str(cloud), "--checkpoint",
+                         str(trained / "model.splt"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_filter_unknown_out_suffix_exit_2_before_projection(blob_dir, tmp_path,
                                                             capsys, monkeypatch):
-    from latseg import bcl
+    from latseg import bcl, data
 
-    def project(*args, **kwargs):
-        raise AssertionError("the projection ran before --out was checked")
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the suffixes were checked")
 
-    monkeypatch.setattr(bcl, "project", project)
+    monkeypatch.setattr(bcl, "project", refuse)
+    monkeypatch.setattr(data, "load_cloud", refuse)
     cloud = blob_dir / "cloud0.ply"
-    out = tmp_path / "moved.foo"
-    code = cli.main(["filter", str(cloud), str(cloud), "--channels", "height",
-                     "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "moved.foo" in err and "Traceback" not in err
-    assert not out.exists()
+    foo = tmp_path / "c0.foo"
+    foo.write_bytes(cloud.read_bytes())
+    # an unknown --out suffix, then an unknown source and destination suffix
+    for src, dst, out, named in ((cloud, cloud, tmp_path / "moved.foo", "moved.foo"),
+                                 (foo, cloud, tmp_path / "p.ply", "c0.foo"),
+                                 (cloud, foo, tmp_path / "p.ply", "c0.foo")):
+        code = cli.main(["filter", str(src), str(dst), "--channels", "height",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert not out.exists()

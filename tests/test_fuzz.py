@@ -82,7 +82,7 @@ def _valid_file(kind, path):
         checkpoint.save_checkpoint(path, spec, params)
         reader = checkpoint.load_checkpoint
     else:
-        zeros = network.zero_like_parameters(params)
+        zeros = network.trainable_views(np.zeros_like(network.trainable_vector(params)), params)
         checkpoint.save_train_state(path, spec, params, zeros, zeros, 3, 3)
         reader = checkpoint.load_train_state
     return reader, _framing(path.read_bytes(), kind == "train_state")

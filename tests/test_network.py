@@ -412,7 +412,7 @@ def test_checkpoint_malformed_header_raises_parse_error(tmp_path):
 
 def test_train_state_tensor_name_without_dot_raises_parse_error(tmp_path):
     spec, params = small_net(arch="B4-C2")
-    zeros = net.zero_like_parameters(params)
+    zeros = net.trainable_views(np.zeros_like(net.trainable_vector(params)), params)
     path = tmp_path / "state.splt"
     save_train_state(path, spec, params, zeros, zeros, 0, 0)
     raw = path.read_bytes()
@@ -453,7 +453,7 @@ def test_checkpoint_tensors_checked_against_architecture(tmp_path):
 
 def test_train_state_tensors_checked_against_architecture(tmp_path):
     spec, params = small_net(arch="B4-B6-C5-C3", input_dim=5)
-    zeros = net.zero_like_parameters(params)
+    zeros = net.trainable_views(np.zeros_like(net.trainable_vector(params)), params)
     path = tmp_path / "state.splt"
     save_train_state(path, spec, params, zeros, zeros, 0, 0)
     load_train_state(path)

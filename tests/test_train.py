@@ -93,69 +93,108 @@ def test_cross_entropy_rejects():
 # ------------------------------------------------------------------- adam
 
 
-def toy_problem(seed=0, shape=(4, 3)):
-    rng = np.random.default_rng(seed)
-    params = [{"weight": rng.normal(size=shape)}]
-    return params, train.init_optimizer(params)
+def toy_problem(seed=0, size=12):
+    theta = np.random.default_rng(seed).normal(size=size)
+    return theta, train.OptimizerState(np.zeros(size), np.zeros(size))
 
 
 def test_adam_zero_gradient_is_identity():
-    params, state = toy_problem()
-    before = copy_params(params)
-    train.adam_step(params, [{"weight": np.zeros((4, 3))}], state, train.TrainConfig())
-    assert params_equal(params, before)
+    theta, state = toy_problem()
+    before = theta.copy()
+    train.adam_step(theta, np.zeros(12), state, train.TrainConfig())
+    assert np.array_equal(theta, before)
     assert state.step == 1
 
 
 def test_adam_first_step_closed_form():
-    params, state = toy_problem(seed=1)
-    g = np.random.default_rng(2).normal(size=(4, 3))
+    theta, state = toy_problem(seed=1)
+    g = np.random.default_rng(2).normal(size=12)
     cfg = train.TrainConfig(learning_rate=0.01)
-    before = copy_params(params)
-    train.adam_step(params, [{"weight": g}], state, cfg)
-    expected = before[0]["weight"] - 0.01 * g / (np.abs(g) + 1e-8)
-    np.testing.assert_allclose(params[0]["weight"], expected, atol=1e-12)
+    before = theta.copy()
+    train.adam_step(theta, g, state, cfg)
+    expected = before - 0.01 * g / (np.abs(g) + 1e-8)
+    np.testing.assert_allclose(theta, expected, atol=1e-12)
 
 
 def test_adam_descends_quadratic():
     # target far enough that no coordinate converges (and starts ringing)
     # within the horizon; every step then strictly reduces the loss
     target = np.array([20.0, -10.0, 5.0])
-    params = [{"weight": np.zeros(3)}]
-    state = train.init_optimizer(params)
+    theta, state = np.zeros(3), train.OptimizerState(np.zeros(3), np.zeros(3))
     cfg = train.TrainConfig(learning_rate=0.01)
     losses = []
     for _ in range(100):
-        x = params[0]["weight"]
-        losses.append(0.5 * float(np.sum((x - target) ** 2)))
-        train.adam_step(params, [{"weight": x - target}], state, cfg)
+        losses.append(0.5 * float(np.sum((theta - target) ** 2)))
+        train.adam_step(theta, theta - target, state, cfg)
     assert all(b < a for a, b in zip(losses[5:], losses[6:]))
     assert losses[-1] < losses[0]
 
 
 def test_adam_lr_zero_leaves_params_bitwise():
-    params, state = toy_problem(seed=3)
-    before = copy_params(params)
+    theta, state = toy_problem(seed=3)
+    before = theta.copy()
     cfg = train.TrainConfig(learning_rate=0.0)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        train.adam_step(params, [{"weight": rng.normal(size=(4, 3))}], state, cfg)
-    assert params_equal(params, before)
+        train.adam_step(theta, rng.normal(size=12), state, cfg)
+    assert np.array_equal(theta, before)
     assert state.step == 5
 
 
 def test_adam_refuses_nonfinite_without_mutating():
-    params, state = toy_problem(seed=5)
-    train.adam_step(params, [{"weight": np.ones((4, 3))}], state, train.TrainConfig())
-    before = copy_params(params)
-    m_before = copy_params(state.first_moment)
-    bad = np.ones((4, 3))
-    bad[2, 1] = np.nan
+    theta, state = toy_problem(seed=5)
+    train.adam_step(theta, np.ones(12), state, train.TrainConfig())
+    before = theta.copy()
+    m_before = state.first_moment.copy()
+    v_before = state.second_moment.copy()
+    bad = np.ones(12)
+    bad[7] = np.nan
     with pytest.raises(NonFiniteGradient):
-        train.adam_step(params, [{"weight": bad}], state, train.TrainConfig())
-    assert params_equal(params, before)
-    assert params_equal(state.first_moment, m_before)
+        train.adam_step(theta, bad, state, train.TrainConfig())
+    assert np.array_equal(theta, before)
+    assert np.array_equal(state.first_moment, m_before)
+    assert np.array_equal(state.second_moment, v_before)
     assert state.step == 1
+
+
+def per_tensor_zeros(params):
+    return [{k: np.zeros_like(v) for k, v in tensors.items()
+             if k in ("weight", "bias", "gamma", "beta")} for tensors in params]
+
+
+def per_tensor_adam_step(params, grads, first, second, t, config):
+    """Reference: Adam as one loop over the tensors of per-layer dicts."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    lr, eps = config.learning_rate, config.adam_epsilon
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for i, key, g in network.named_parameters(grads):
+        m = first[i][key]
+        v = second[i][key]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        params[i][key] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_adam_step_matches_per_tensor_reference():
+    spec = network.parse_arch("B4-B6-C5-C3", LatticeConfig(3, 2.0))
+    params = network.init_parameters(spec, 5, np.random.default_rng(0))
+    first, second = per_tensor_zeros(params), per_tensor_zeros(params)
+    theta = network.trainable_vector(params)
+    state = train.OptimizerState(np.zeros(theta.size), np.zeros(theta.size))
+    cfg = train.TrainConfig(learning_rate=0.01)
+    rng = np.random.default_rng(1)
+    for t in range(1, 6):
+        grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=v.shape)
+                  for k, v in tensors.items()} for tensors in per_tensor_zeros(params)]
+        per_tensor_adam_step(params, grads, first, second, t, cfg)
+        train.adam_step(theta, network.trainable_vector(grads), state, cfg)
+    assert state.step == 5
+    assert theta.tobytes() == network.trainable_vector(params).tobytes()
+    assert state.first_moment.tobytes() == network.trainable_vector(first).tobytes()
+    assert state.second_moment.tobytes() == network.trainable_vector(second).tobytes()
 
 
 # ----------------------------------------------------------- train config
@@ -302,6 +341,25 @@ def test_train_loop_lr_zero_is_frozen():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_loop_leaves_given_params_untouched():
+    spec, dataset = blob_setup(clouds=2, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=3, seed=2)
+    init = network.init_parameters(spec, 3, np.random.default_rng(0))
+    before = copy_params(init)
+    result = train.train_loop(spec, dataset, cfg, params=init)
+    assert [t.keys() for t in init] == [t.keys() for t in before]
+    for got, want in zip(init, before):
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+    # the trained values, running statistics included, come back only here
+    for layer, key in ((0, "weight"), (1, "running_mean"), (1, "running_var")):
+        assert not np.array_equal(result.params[layer][key], before[layer][key])
+    trainable = [a for _, _, a in network.named_parameters(result.params)]
+    theta = trainable[0].base
+    assert theta.ndim == 1 and theta.size == sum(a.size for a in trainable)
+    assert all(a.base is theta for a in trainable)
+
+
 def test_train_loop_deterministic():
     spec, dataset = blob_setup(clouds=3, pts=24)
     cfg = train.TrainConfig(
@@ -396,7 +454,7 @@ def test_train_loop_nonfinite_reports_iteration():
     params[0]["weight"][0, 0, 0] = np.nan
     with pytest.raises(NonFiniteGradient) as err:
         train.train_loop(spec, dataset, cfg, params=params)
-    assert "iteration 0" in str(err.value)
+    assert "iteration 0: gradient for layer 0 'weight' is not finite" in str(err.value)
 
 
 def test_train_loop_requires_labels():
