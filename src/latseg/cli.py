@@ -162,6 +162,7 @@ def cmd_eval(args):
         preds = [_require_labels(c, f) for c, f in zip(pred_clouds, pred_files)]
         gts = [_require_labels(c, gt_path / r) for c, r in zip(gt_clouds, rel)]
     else:
+        _require_formats(args.pred, args.gt)
         preds = [_require_labels(load_cloud(pred_path), pred_path)]
         gts = [_require_labels(load_cloud(gt_path), gt_path)]
         rel = [pred_path]
@@ -258,6 +259,7 @@ def cmd_lattice_stats(args):
     from .lattice import LatticeConfig, build_lattice
 
     lambdas = _to_positive_floats(args.lam, "--lambda", None)
+    _require_formats(args.cloud)
     cloud = load_cloud(args.cloud)
     # every lattice is built before the first line, so a failing scale
     # leaves stdout empty

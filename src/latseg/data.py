@@ -5,6 +5,9 @@ channels (normals, rgb, height, labels) and free-form extra scalar columns.
 Two text formats are supported: ASCII PLY restricted to a fixed property
 vocabulary, and a headered whitespace table ("xyz text"). They share one
 codec: one writer, and one body parser whose errors carry file line numbers.
+The parser reads a plain table through np.loadtxt and falls back to
+splitting every line with str.split, which accepts what float() does and
+finds the faulty line, whenever loadtxt refuses the table.
 Floats are written with shortest round-trip precision so save/load is
 lossless for anything the format can represent.
 """
@@ -208,13 +211,47 @@ def _is_number(tok):
     return True
 
 
+def _load_fast(lines, start, count, width):
+    """The (count, width) table from lines[start] on through np.loadtxt, or None.
+
+    Blank lines before the first row are skipped; count=None takes every
+    line up to the last non-blank one. None means "not a plain table": it
+    is empty, trailing content follows it, loadtxt refuses a token, or the
+    shape differs (loadtxt drops blank lines, so one inside the data loses
+    a row). loadtxt accepts a subset of what float() does (not "1_0" or
+    non-ASCII digits), bit-equal on what it accepts.
+    """
+    first, end = start, len(lines)
+    while first < end and not lines[first].strip():
+        first += 1
+    if count is None:
+        while end > first and not lines[end - 1].strip():
+            end -= 1
+        count = end - first
+    else:
+        end = first + count
+        if end > len(lines) or any(map(str.strip, lines[end:])):
+            return None
+    if not count:  # loadtxt warns on empty input
+        return None
+    try:
+        table = np.loadtxt(lines[first:end], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (count, width) else None
+
+
 def _parse_table(lines, start, count, width, path_hint):
     """Parse the data rows from lines[start] on into a (count, width) array.
 
     Blank lines before the first row are skipped; count=None takes every
-    non-blank line as a row. The first structural fault in file order is
-    reported with its file line number.
+    non-blank line as a row. A plain table parses through _load_fast; any
+    other falls back to splitting every line, and the first structural
+    fault in file order is reported with its file line number.
     """
+    table = _load_fast(lines, start, count, width)
+    if table is not None:
+        return table
     rows = list(map(str.split, lines))
     sizes = np.fromiter(map(len, rows), np.int64, len(rows))
     filled = start + np.flatnonzero(sizes[start:])

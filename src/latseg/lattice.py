@@ -16,17 +16,18 @@ point with respect to the d+1 simplex vertices.
 
 build_lattice runs this for a whole cloud, deduplicates the touched vertices
 into dense indices 0..V-1 (first-touch order, points scanned in ascending
-index, vertices in remainder order), stores the per-point embeddings, and
-resolves the one-ring adjacency of every vertex. One sorted index over the
-first d key coordinates (the last is implied by the sum-zero constraint)
-serves the deduplication, every adjacency column, embed and lookup. Its rows
-are shifted into the vertices' bounding box padded by d+1 on every side and
-encoded either as int64 mixed-radix codes, when the padded box has at most
-2^63 - 1 cells, or else as big-endian uint64 rows compared as raw bytes.
-Both encodings sort like the rows themselves (lexicographically) and keep
-that order under a constant shift, so moving every vertex by one one-ring
-offset yields an already sorted query array: an adjacency column is one
-searchsorted. Foreign queries are clipped into the box first; a clipped row
+index, vertices in remainder order) and stores the per-point embeddings.
+The one-ring adjacency of every vertex is resolved on its first read, so a
+lattice that is only splatted and sliced never pays for it. One sorted
+index over the first d key coordinates (the last is implied by the sum-zero
+constraint) serves the deduplication, every adjacency column, embed and
+lookup. Its rows are shifted into the vertices' bounding box padded by d+1
+on every side and encoded either as int64 mixed-radix codes, when the
+padded box has at most 2^63 - 1 cells, or else as big-endian uint64 rows
+compared as raw bytes. Both encodings sort like the rows themselves
+(lexicographically) and keep that order under a constant shift, so moving
+every vertex by one one-ring offset yields an already sorted query array:
+an adjacency column is one searchsorted. Foreign queries are clipped into the box first; a clipped row
 lies in the padding, where no vertex is.
 
 Everything here is deterministic: identical inputs produce identical dense
@@ -277,7 +278,8 @@ class SparseLattice:
       point_bary       (n, d+1) float64 barycentric weights, column-aligned
       vertex_keys      (V, d+1) int64 lattice key of each dense index
       adjacency        (V, K) int64 dense index of each one-ring neighbor,
-                       MISSING where unoccupied; column 0 is the identity
+                       MISSING where unoccupied; column 0 is the identity.
+                       Resolved on first read and kept from then on
       offsets          the NeighborOffsets the adjacency columns follow
     """
 
@@ -290,16 +292,17 @@ class SparseLattice:
         self.vertex_keys = vertex_keys
         self.offsets = neighbor_offsets(config.dim)
         self._index = index
+        for arr in (self.point_vertices, self.point_bary, self.vertex_keys):
+            arr.setflags(write=False)
 
-        d = config.dim
-        k = self.offsets.offsets.shape[0]
-        adjacency = np.empty((self.num_vertices, k), dtype=np.int64)
+    @functools.cached_property
+    def adjacency(self) -> np.ndarray:
+        index, d = self._index, self.config.dim
+        adjacency = np.empty((self.num_vertices, self.offsets.offsets.shape[0]), dtype=np.int64)
         for col, off in enumerate(self.offsets.offsets):
             adjacency[index.dense, col] = index.find(index.shifted(off[:d]))
-        self.adjacency = adjacency
-
-        for arr in (self.point_vertices, self.point_bary, self.vertex_keys, self.adjacency):
-            arr.setflags(write=False)
+        adjacency.setflags(write=False)
+        return adjacency
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Dense indices of (q, d+1) full lattice keys; MISSING where absent."""
@@ -327,7 +330,8 @@ class SparseLattice:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held by the lattice and its vertex index."""
+        """Bytes of the arrays held by the lattice and its vertex index, the
+        adjacency once it has been read."""
         arrays = [*vars(self).values(), *vars(self._index).values()]
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 

@@ -449,3 +449,47 @@ def test_project_smoothing_residual_decreases_with_scale():
         out = bcl.project(vals, pts, pts, LatticeConfig(3, lam))
         residuals.append(np.mean(np.abs(out - vals)))
     assert all(a > b for a, b in zip(residuals, residuals[1:])), residuals
+
+
+# ------------------------------------------------------- lazy adjacency
+
+
+def test_project_never_builds_the_adjacency(monkeypatch):
+    made = []
+    make_descriptor = bcl.make_descriptor
+
+    def recording(*args, **kwargs):
+        made.append(make_descriptor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(bcl, "make_descriptor", recording)
+    rng = np.random.default_rng(26)
+    bcl.project(rng.normal(size=(50, 2)), rng.normal(size=(50, 3)),
+                rng.normal(size=(30, 3)), LatticeConfig(3, 2.0))
+    assert len(made) == 1
+    assert "adjacency" not in vars(made[0].lattice)
+
+
+def test_default_blur_descriptor_holds_a_read_only_adjacency():
+    rng = np.random.default_rng(27)
+    lat = bcl.make_descriptor(rng.normal(size=(80, 3)), None, LatticeConfig(3, 2.0)).lattice
+    assert "adjacency" in vars(lat)  # the ones-pass blur read it
+    off = lat.offsets.offsets
+    keys = lat.vertex_keys[:, None, :] + off[None]
+    want = lat.lookup(keys.reshape(-1, off.shape[1])).reshape(lat.num_vertices, -1)
+    np.testing.assert_array_equal(lat.adjacency, want)
+    assert not lat.adjacency.flags.writeable
+    assert lat.adjacency is lat.adjacency  # resolved once
+
+
+def test_prepared_descriptor_bytes_count_the_adjacency():
+    # the training descriptor cache budgets with nbytes, so the pinned byte
+    # counts include each lattice's adjacency
+    from latseg import network
+
+    rng = np.random.default_rng(23)
+    spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
+    descs = network.prepare_descriptors(spec, rng.normal(size=(300, 3)))
+    assert [d.nbytes for d in descs] == [207984, 136584, 61824]
+    for d in descs:
+        assert "adjacency" in vars(d.lattice)

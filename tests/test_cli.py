@@ -552,3 +552,37 @@ def test_filter_unknown_out_suffix_exit_2_before_projection(blob_dir, tmp_path,
         assert code == 2
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_eval_unknown_input_suffix_exit_2(blob_dir, tmp_path, capsys, monkeypatch):
+    from latseg import data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cloud loaded before the suffixes were checked")
+
+    monkeypatch.setattr(data, "load_cloud", refuse)
+    cloud = blob_dir / "cloud0.ply"
+    foo = tmp_path / "c0.foo"
+    foo.write_bytes(cloud.read_bytes())
+    for pred, gt in ((foo, cloud), (cloud, foo)):
+        code = cli.main(["eval", str(pred), str(gt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'{foo}'" in err  # the path as given, not a PosixPath repr
+        assert "PosixPath" not in err and "Traceback" not in err
+
+
+def test_lattice_stats_unknown_input_suffix_exit_2(blob_dir, tmp_path, capsys, monkeypatch):
+    from latseg import data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cloud loaded before its suffix was checked")
+
+    monkeypatch.setattr(data, "load_cloud", refuse)
+    foo = tmp_path / "c0.foo"
+    foo.write_bytes((blob_dir / "cloud0.ply").read_bytes())
+    code = cli.main(["lattice-stats", str(foo)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"'{foo}'" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

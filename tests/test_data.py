@@ -1,5 +1,7 @@
 """Point-cloud container, file format, and metric tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,74 @@ def test_format_inference(tmp_path):
     np.testing.assert_array_equal(data.load_cloud(xyz).positions, cloud.positions)
     with pytest.raises(UnsupportedError):
         data.save_cloud(cloud, tmp_path / "a.obj")
+
+
+def _valid_tables(tmp_path):
+    """Valid PLY and xyz files in every spelling the fast path must read."""
+    rng = np.random.default_rng(12)
+    cloud = random_cloud(60, seed=12)
+    # decades of magnitude, negative zero, a subnormal, a nan and infinities
+    cloud.positions *= 10.0 ** rng.integers(-12, 13, size=(60, 1))
+    cloud.height[:5] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -7.0]
+    cloud.extras["score"] = rng.normal(size=60)
+    cloud.extras["score"][:3] = [np.nan, np.inf, -np.inf]
+    cloud.labels -= 3  # negative labels too
+    data.save_ply(cloud.replace(extras={}), tmp_path / "short.ply")
+    data.save_xyz(cloud, tmp_path / "short.xyz")
+
+    # %.17g floats, float colours and an integer label
+    names = ["x", "y", "z", "nx", "ny", "nz", "red", "green", "blue", "height", "label"]
+    table = np.column_stack([cloud.positions, cloud.normals, cloud.rgb, cloud.height,
+                             cloud.labels])
+    rows = [" ".join("%.17g" % v for v in row[:-1]) + " %d" % row[-1] for row in table]
+    header = ["ply", "format ascii 1.0", "element vertex 60"]
+    header += [f"property {'int' if n == 'label' else 'double'} {n}" for n in names]
+    (tmp_path / "g17.ply").write_text("\n".join(header + ["end_header"] + rows) + "\n")
+    (tmp_path / "g17.xyz").write_text("# " + " ".join(names) + "\n" + "\n".join(rows) + "\n")
+
+    # blank lines before the first row and after the last
+    for name, header_end in (("short.ply", "end_header\n"), ("short.xyz", "\n")):
+        head, body = (tmp_path / name).read_text().split(header_end, 1)
+        (tmp_path / f"blank-{name}").write_text(head + header_end + "\n \t\n" + body + "\t\n\n")
+    return sorted(tmp_path.iterdir())
+
+
+def _cloud_bytes(cloud):
+    channels = [("positions", cloud.positions), *cloud._channels()]
+    return {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in channels}
+
+
+def test_fast_and_split_parsers_load_identical_clouds(tmp_path, monkeypatch):
+    paths = _valid_tables(tmp_path)
+    fast_hits = []
+    load_fast = data._load_fast
+
+    def counting(*args):
+        table = load_fast(*args)
+        fast_hits.append(table is not None)
+        return table
+
+    monkeypatch.setattr(data, "_load_fast", counting)
+    fast = [_cloud_bytes(data.load_cloud(p)) for p in paths]
+    assert fast_hits == [True] * len(paths)  # every file took the fast path
+    monkeypatch.setattr(data, "_load_fast", lambda *args: None)
+    split = [_cloud_bytes(data.load_cloud(p)) for p in paths]
+    for path, a, b in zip(paths, fast, split):
+        assert a == b, path.name
+
+
+@pytest.mark.parametrize("name, text", [
+    ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n"),
+    ("empty.xyz", "# x y z label\n\n"),
+], ids=["ply-vertex-0", "xyz-header-only"])
+def test_empty_tables_load_without_warning(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = data.load_cloud(p)
+    assert cloud.num_points == 0
 
 
 # --------------------------------------------------------------------- IoU

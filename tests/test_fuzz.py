@@ -1,9 +1,12 @@
-"""Seeded mutation fuzz of every file reader.
+"""Seeded fuzz of every file reader.
 
 Each reader gets a few hundred mutated copies of a valid file (a byte
 replaced, inserted or deleted, one to three times). Whatever the bytes, a
 reader may only raise a LatSegError subclass; a raw ValueError or
 UnicodeDecodeError is a bug.
+
+The text-table fast path (np.loadtxt) is fuzzed against the split parser's
+float() on random tokens: whatever loadtxt accepts must read the same.
 """
 
 import random
@@ -121,3 +124,51 @@ def test_mutated_files_raise_only_latseg_errors(kind, tmp_path):
             escaped.append(f"mutation {i}: {type(exc).__name__}: {exc}")
     assert not escaped, f"{len(escaped)} of {MUTATIONS} escaped:\n" + "\n".join(escaped[:5])
     assert refused > MUTATIONS // 10
+
+
+# str.split whitespace beyond space and tab; loadtxt must split on it too
+WHITESPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+NAMED = ("nan", "NaN", "-nan", "+nan", "inf", "-inf", "+Inf", "infinity", "-INFINITY",
+         "-0.0", "-0", "4.9e-324", "2.2250738585072014e-308", "1e-320", "1e400", "-1e400")
+STRAY = ("_", "x", "a", "d", "e", "E", ".", "+", "-", "\u0661", "\uff15", "\u07c1")
+
+
+def _digits(rng, most):
+    return "".join(rng.choice("0123456789") for _ in range(rng.randint(0, most)))
+
+
+def _token(rng):
+    if rng.random() < 0.2:
+        return rng.choice(NAMED)
+    tok = rng.choice(("", "", "+", "-")) + _digits(rng, 5)
+    if rng.random() < 0.5:
+        tok += "." + _digits(rng, 5)
+    if rng.random() < 0.4:
+        tok += rng.choice("eE") + rng.choice(("", "+", "-")) + _digits(rng, 3)
+    if rng.random() < 0.25:
+        at = rng.randint(0, len(tok))
+        tok = tok[:at] + rng.choice(STRAY) + tok[at:]
+    return tok or "0"
+
+
+def _gap(rng, least):
+    return "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(least, 2)))
+
+
+def test_loadtxt_accepts_only_what_float_reads_alike():
+    rng = random.Random("fuzz-loadtxt")
+    accepted = refused = 0
+    for _ in range(3000):
+        tokens = [_token(rng) for _ in range(rng.randint(1, 4))]
+        line = _gap(rng, 0) + "".join(t + _gap(rng, 1) for t in tokens).rstrip(WHITESPACE)
+        try:
+            row = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2)[0]
+        except ValueError:
+            refused += 1
+            continue
+        accepted += 1
+        assert line.split() == tokens, repr(line)
+        assert row.size == len(tokens), repr(line)
+        want = np.array([float(t) for t in tokens])
+        assert np.array_equal(row.view(np.int64), want.view(np.int64)), repr(line)
+    assert accepted > 1000 and refused > 300
