@@ -110,9 +110,13 @@ def cmd_train(args):
 def cmd_predict(args):
     from . import network
     from .checkpoint import load_checkpoint
-    from .data import load_cloud, save_cloud
+    from .data import _codec, load_cloud, save_cloud, save_ply
+    from .errors import ConfigError
 
     _require_formats(args.cloud, args.out)
+    if args.probs and _codec(args.out)[1] is save_ply:
+        raise ConfigError(f"--probs needs an xyz text --out; PLY cannot store extra "
+                          f"channels: {args.out}")
     spec, params, feature_channels, lattice_channels = load_checkpoint(args.checkpoint)
     cloud = load_cloud(args.cloud)
     features = cloud.channel_matrix(feature_channels)
@@ -121,10 +125,7 @@ def cmd_predict(args):
     labels = network.predict(probs)
     out = cloud.replace(labels=labels)
     if args.probs:
-        extras = dict(out.extras)
-        for c in range(probs.shape[1]):
-            extras[f"prob{c}"] = probs[:, c]
-        out = out.replace(extras=extras)
+        out = out.with_channels([f"prob{c}" for c in range(probs.shape[1])], probs)
     save_cloud(out, args.out)
     print(f"wrote {out.num_points} labeled points to {args.out}")
     return 0
@@ -165,7 +166,7 @@ def cmd_eval(args):
         _require_formats(args.pred, args.gt)
         preds = [_require_labels(load_cloud(pred_path), pred_path)]
         gts = [_require_labels(load_cloud(gt_path), gt_path)]
-        rel = [pred_path]
+        rel = [Path(pred_path.name)]  # a lone file is categorised by its name
 
     if args.mode == "average_iou":
         import numpy as np
@@ -208,8 +209,6 @@ def cmd_eval(args):
 
 
 def cmd_filter(args):
-    import numpy as np
-
     from .bcl import project
     from .config import _to_lambda, _to_str_tuple
     from .data import load_cloud, save_cloud
@@ -226,24 +225,7 @@ def cmd_filter(args):
     values = src.channel_matrix(channels)
     out_values = project(values, src.positions, dst.positions,
                          LatticeConfig(3, lam[0] if len(lam) == 1 else lam))
-
-    out = dst
-    col = 0
-    for name in channels:
-        if name == "rgb":
-            out = out.replace(rgb=np.clip(out_values[:, col:col + 3], 0.0, 1.0))
-            col += 3
-        elif name == "normals":
-            out = out.replace(normals=out_values[:, col:col + 3])
-            col += 3
-        elif name == "height":
-            out = out.replace(height=out_values[:, col])
-            col += 1
-        else:
-            extras = dict(out.extras)
-            extras[name] = out_values[:, col]
-            out = out.replace(extras=extras)
-            col += 1
+    out = dst.with_channels(channels, out_values)
     save_cloud(out, args.out)
     print(f"projected {', '.join(channels)} from {args.src} onto "
           f"{out.num_points} points, wrote {args.out}")

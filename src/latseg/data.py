@@ -2,6 +2,9 @@
 
 A :class:`PointCloud` carries mandatory XYZ positions plus optional named
 channels (normals, rgb, height, labels) and free-form extra scalar columns.
+One table, ``_COLUMNS``, names those channels and the file columns that hold
+them; the PLY vocabulary, row subsets, feature matrices and both codecs read
+it, and any other column is an extra.
 Two text formats are supported: ASCII PLY restricted to a fixed property
 vocabulary, and a headered whitespace table ("xyz text"). They share one
 codec: one writer, and one body parser whose errors carry file line numbers.
@@ -32,14 +35,21 @@ from .errors import (
 )
 
 
+# Each named PointCloud channel and the file columns holding it, in file
+# order. Any other column is an extra.
+_COLUMNS = {"positions": ("x", "y", "z"), "normals": ("nx", "ny", "nz"),
+            "rgb": ("red", "green", "blue"), "height": ("height",), "labels": ("label",)}
+# channel_matrix's name for each named channel it reads; labels are no feature
+_FEATURES = {"xyz" if name == "positions" else name: name
+             for name in _COLUMNS if name != "labels"}
+
 # PLY property vocabulary. Anything else in a header is rejected.
 _PLY_FLOAT_TYPES = frozenset({"float", "float32", "double", "float64"})
 _PLY_INT_TYPES = frozenset(
     {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", "uint16",
      "int", "uint", "int32", "uint32"}
 )
-_PLY_PROPERTIES = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue",
-                   "height", "label")
+_PLY_PROPERTIES = frozenset(col for cols in _COLUMNS.values() for col in cols)
 
 
 def _is_integral(values):
@@ -88,19 +98,18 @@ class PointCloud:
             self.labels = labels.astype(np.int64).reshape(-1)
         for key, value in list(self.extras.items()):
             self.extras[key] = np.asarray(value, dtype=np.float64).reshape(-1)
-        for name, arr in self._channels():
+        for name, arr in [*self._channels(), *self.extras.items()]:
             if arr.shape[0] != n:
                 raise ShapeError(
                     f"channel {name!r} has {arr.shape[0]} rows, expected {n}"
                 )
 
     def _channels(self):
-        for name in ("normals", "rgb", "height", "labels"):
+        """(name, array) of each named channel present, in table order."""
+        for name in _COLUMNS:
             arr = getattr(self, name)
             if arr is not None:
                 yield name, arr
-        for name, arr in self.extras.items():
-            yield name, arr
 
     @property
     def num_points(self):
@@ -109,14 +118,8 @@ class PointCloud:
     def take(self, indices):
         """Row subset (or reorder) across every channel."""
         idx = np.asarray(indices)
-        return PointCloud(
-            positions=self.positions[idx],
-            normals=None if self.normals is None else self.normals[idx],
-            rgb=None if self.rgb is None else self.rgb[idx],
-            height=None if self.height is None else self.height[idx],
-            labels=None if self.labels is None else self.labels[idx],
-            extras={k: v[idx] for k, v in self.extras.items()},
-        )
+        return self.replace(**{name: arr[idx] for name, arr in self._channels()},
+                            extras={k: v[idx] for k, v in self.extras.items()})
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes)
@@ -133,36 +136,49 @@ class PointCloud:
             raise ConfigError(f"unknown gravity axis {gravity_axis!r}")
         cols = []
         for name in names:
-            if name == "xyz":
-                cols.append(self.positions)
-            elif name == "normals":
-                if self.normals is None:
-                    raise ConfigError("channel 'normals' requested but absent")
-                cols.append(self.normals)
-            elif name == "rgb":
-                if self.rgb is None:
-                    raise ConfigError("channel 'rgb' requested but absent")
-                cols.append(self.rgb)
+            field_name = _FEATURES.get(name)
+            arr = self.extras.get(name) if field_name is None else getattr(self, field_name)
+            if arr is not None:
+                cols.append(arr if arr.ndim == 2 else arr[:, None])
             elif name == "height":
-                if self.height is not None:
-                    cols.append(self.height[:, None])
-                else:
-                    up = self.positions[:, _AXIS_INDEX[gravity_axis]]
-                    base = up.min() if up.size else 0.0
-                    cols.append((up - base)[:, None])
-            elif name in self.extras:
-                cols.append(self.extras[name][:, None])
-            else:
+                up = self.positions[:, _AXIS_INDEX[gravity_axis]]
+                base = up.min() if up.size else 0.0
+                cols.append((up - base)[:, None])
+            elif field_name is None:
                 raise ConfigError(f"unknown channel {name!r}")
+            else:
+                raise ConfigError(f"channel {name!r} requested but absent")
         if not cols:
             raise ConfigError("no channels requested")
         return np.hstack(cols)
+
+    def with_channels(self, names, matrix):
+        """Copy with the named channels set from matrix's columns.
+
+        The inverse of channel_matrix: names are read the same way, each
+        takes as many columns as channel_matrix gives it, and a name outside
+        the vocabulary becomes (or replaces) an extra.
+        """
+        named, extras, col = {}, dict(self.extras), 0
+        for name in names:
+            field_name = _FEATURES.get(name)
+            width = 1 if field_name is None else len(_COLUMNS[field_name])
+            if field_name is None:
+                extras[name] = matrix[:, col]
+            else:
+                named[field_name] = matrix[:, col:col + width]
+            col += width
+        if "rgb" in named:
+            # colours blended or projected from [0, 1] can round a hair past it
+            named["rgb"] = np.clip(named["rgb"], 0.0, 1.0)
+        return self.replace(**named, extras=extras)
 
 
 # ------------------------------------------------------------ text tables
 
 # Property type that save_ply declares for each column; every other is double.
-_PLY_WRITE_TYPES = {"red": "uchar", "green": "uchar", "blue": "uchar", "label": "int"}
+_PLY_WRITE_TYPES = {**dict.fromkeys(_COLUMNS["rgb"], "uchar"),
+                    **dict.fromkeys(_COLUMNS["labels"], "int")}
 
 
 def _cloud_to_columns(cloud, ply):
@@ -171,18 +187,11 @@ def _cloud_to_columns(cloud, ply):
     PLY quantizes colors to 0..255; xyz text keeps them in [0, 1] and
     appends the extras in name order.
     """
-    cols = list(zip(("x", "y", "z"), cloud.positions.T))
-    if cloud.normals is not None:
-        cols += zip(("nx", "ny", "nz"), cloud.normals.T)
-    if cloud.rgb is not None:
-        rgb = cloud.rgb
-        if ply:
-            rgb = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.int64)
-        cols += zip(("red", "green", "blue"), rgb.T)
-    if cloud.height is not None:
-        cols.append(("height", cloud.height))
-    if cloud.labels is not None:
-        cols.append(("label", cloud.labels))
+    cols = []
+    for name, arr in cloud._channels():
+        if ply and name == "rgb":
+            arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.int64)
+        cols += zip(_COLUMNS[name], arr.reshape(-1, len(_COLUMNS[name])).T)
     if not ply:
         cols += sorted(cloud.extras.items())
     return cols
@@ -299,30 +308,27 @@ def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=
     for name in names:
         if not ply or types[name] not in _PLY_INT_TYPES:
             continue
-        if name != "label" and not _is_integral(have[name]):
+        if name not in _COLUMNS["labels"] and not _is_integral(have[name]):
             raise ParseError(f"non-integer or out-of-range value in integer property {name!r}")
-        if name in ("red", "green", "blue"):
+        if name in _COLUMNS["rgb"]:
             have[name] = have[name] / 255.0  # integer colors arrive as 0..255
-    for axis in ("x", "y", "z"):
-        if axis not in have:
-            raise ParseError(f"missing required property {axis!r}")
-    positions = np.column_stack([have["x"], have["y"], have["z"]])
-
-    def group(keys, label):
-        missing = sorted(set(keys) - have.keys())
+    channels = {}
+    for name, keys in _COLUMNS.items():
+        missing = [k for k in keys if k not in have]
+        if name == "positions" and missing:
+            raise ParseError(f"missing required property {missing[0]!r}")
         if len(missing) == len(keys):
-            return None
+            continue
         if missing:
-            raise ParseError(f"incomplete {label} channels, missing {missing}")
-        return np.column_stack([have[k] for k in keys])
-
-    normals = group(("nx", "ny", "nz"), "normal")
-    rgb = group(("red", "green", "blue"), "color")
+            noun = {"normals": "normal", "rgb": "color"}[name]
+            raise ParseError(f"incomplete {noun} channels, missing {sorted(missing)}")
+        # a single column passes through as the view it is
+        channels[name] = (np.column_stack([have[k] for k in keys]) if len(keys) > 1
+                          else have[keys[0]])
     extras = {k: v for k, v in have.items() if k not in _PLY_PROPERTIES}
     try:
         # PointCloud refuses a non-integer label and a colour outside [0, 1]
-        return PointCloud(positions, normals=normals, rgb=rgb, height=have.get("height"),
-                          labels=have.get("label"), extras=extras)
+        return PointCloud(**channels, extras=extras)
     except (InvalidInput, ShapeError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -454,8 +460,8 @@ def save_cloud(cloud, path):
 class IoUReport:
     """Per-class intersection-over-union plus the unweighted average.
 
-    Classes whose union is empty carry no information and are excluded
-    from both the table and the average.
+    Every class that occurs in the prediction or the ground truth has a
+    nonempty union, so each one is in the table and the average.
     """
 
     per_class: dict[int, float]
@@ -476,7 +482,7 @@ class IoUReport:
         return "\n".join(lines)
 
 
-def compute_iou(pred, gt, num_classes=None, ignore_label=None):
+def compute_iou(pred, gt, ignore_label=None):
     """IoU per class over two label vectors.
 
     Ground-truth rows equal to ignore_label are dropped before counting,
@@ -493,23 +499,15 @@ def compute_iou(pred, gt, num_classes=None, ignore_label=None):
         pred, gt = pred[keep], gt[keep]
     if pred.shape[0] == 0:
         raise EmptyEvaluation("no evaluable points")
-    if num_classes is None:
-        classes = np.union1d(np.unique(pred), np.unique(gt))
-    else:
-        classes = np.arange(num_classes)
     per_class, inter_of, union_of = {}, {}, {}
-    for c in classes:
+    for c in np.union1d(np.unique(pred), np.unique(gt)):
         p = pred == c
         g = gt == c
         inter = int(np.count_nonzero(p & g))
         union = int(np.count_nonzero(p | g))
-        if union == 0:
-            continue
         per_class[int(c)] = inter / union
         inter_of[int(c)] = inter
         union_of[int(c)] = union
-    if not per_class:
-        raise EmptyEvaluation("no class has a nonempty union")
     average = sum(per_class.values()) / len(per_class)
     return IoUReport(per_class, average, inter_of, union_of)
 

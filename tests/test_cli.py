@@ -247,6 +247,15 @@ def test_eval_shapenet_mode(tmp_path, capsys):
     assert "instance average miou: 1.0000" in out
 
 
+def test_eval_shapenet_file_category_ignores_directories(tmp_path, capsys):
+    path = tmp_path / "objects" / "chair_1.xyz"
+    path.parent.mkdir()
+    save_cloud(PointCloud(np.zeros((4, 3)), labels=[0, 1, 0, 1]), path)
+    assert cli.main(["eval", str(path.resolve()), str(path),
+                     "--mode", "shapenet_miou"]) == 0
+    assert "chair: 1.0000" in capsys.readouterr().out.splitlines()
+
+
 def test_filter_constant_channel(tmp_path, capsys):
     rng = np.random.default_rng(12)
     # 0.2 is exactly 51/255, so the uchar color round trip adds no error
@@ -528,6 +537,25 @@ def test_predict_unknown_out_suffix_exit_2_before_forward(trained, blob_dir, tmp
         assert code == 2
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_predict_probs_to_ply_exit_2_before_forward(trained, blob_dir, tmp_path,
+                                                   capsys, monkeypatch):
+    from latseg import checkpoint, data, network
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before --probs was checked against --out")
+
+    monkeypatch.setattr(network, "forward", refuse)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", refuse)
+    monkeypatch.setattr(data, "load_cloud", refuse)
+    out = tmp_path / "p.PLY"
+    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                     str(trained / "model.splt"), "--out", str(out), "--probs"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--probs" in err and "PLY" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_filter_unknown_out_suffix_exit_2_before_projection(blob_dir, tmp_path,

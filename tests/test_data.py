@@ -120,6 +120,26 @@ def test_channel_matrix_extras():
     np.testing.assert_array_equal(mat[:, 3], [1, 2, 3])
 
 
+def test_with_channels_inverts_channel_matrix():
+    rng = np.random.default_rng(4)
+    cloud = data.PointCloud(rng.normal(size=(5, 3)), normals=rng.normal(size=(5, 3)),
+                            rgb=rng.uniform(size=(5, 3)), height=rng.uniform(size=5),
+                            extras={"curv": rng.normal(size=5)})
+    names = ("height", "curv", "rgb", "normals")
+    mat = cloud.channel_matrix(names)
+    assert mat.shape == (5, 8)
+    np.testing.assert_array_equal(mat[:, 1], cloud.extras["curv"])
+    back = data.PointCloud(cloud.positions).with_channels(names, mat)
+    for name in ("positions", "normals", "rgb", "height"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(cloud, name))
+    assert back.labels is None and back.extras.keys() == {"curv"}
+    np.testing.assert_array_equal(back.extras["curv"], cloud.extras["curv"])
+    np.testing.assert_array_equal(back.channel_matrix(names), mat)
+    # a colour one ulp above 1 is clipped, not refused
+    mat[0, 2] = np.nextafter(1.0, 2.0)
+    assert data.PointCloud(cloud.positions).with_channels(names, mat).rgb[0, 0] == 1.0
+
+
 # --------------------------------------------------------------------- PLY
 
 
@@ -361,7 +381,7 @@ def _valid_tables(tmp_path):
 
 
 def _cloud_bytes(cloud):
-    channels = [("positions", cloud.positions), *cloud._channels()]
+    channels = [*cloud._channels(), *cloud.extras.items()]
     return {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in channels}
 
 
@@ -430,12 +450,6 @@ def test_iou_ignore_label():
 def test_iou_length_mismatch():
     with pytest.raises(ShapeError):
         data.compute_iou([0, 1], [0, 1, 2])
-
-
-def test_iou_empty_union_classes_excluded():
-    report = data.compute_iou([0, 0], [0, 0], num_classes=5)
-    assert set(report.per_class) == {0}
-    assert report.average == 1.0
 
 
 def test_iou_relabel_invariance():
