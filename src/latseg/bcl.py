@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ShapeError
+from .errors import ShapeError
 from .lattice import MISSING, LatticeConfig, SparseLattice, build_lattice
 
 # Floor for normalization denominators; keeps unsupported outputs at exactly 0.
@@ -247,11 +247,6 @@ def make_descriptor(
     if features_out is None:
         out_idx, out_bary = lat.point_vertices, lat.point_bary
     else:
-        features_out = np.asarray(features_out, dtype=np.float64)
-        if features_out.ndim != 2 or features_out.shape[1] != config.dim:
-            raise ShapeError(
-                f"output features must be (m, {config.dim}), got {features_out.shape}"
-            )
         out_idx, out_bary = lat.embed(features_out)
     denom = None
     if normalize:
@@ -326,17 +321,6 @@ def project(
     channels are reproduced exactly wherever the destination has lattice
     support, and unsupported destinations get 0.
     """
-    values = np.asarray(values, dtype=np.float64)
-    features_src = np.asarray(features_src, dtype=np.float64)
-    if values.shape[0] != features_src.shape[0]:
-        raise ShapeError(
-            f"values rows {values.shape[0]} != source cloud rows {features_src.shape[0]}"
-        )
-    features_dst = np.asarray(features_dst, dtype=np.float64)
-    if features_dst.ndim != 2 or features_dst.shape[1] != config.dim:
-        raise InvalidInput(
-            f"destination features must be (m, {config.dim}), got {features_dst.shape}"
-        )
     desc = make_descriptor(features_src, features_dst, config, normalize=True, blur=None)
     num = slice(splat(values, desc.lattice), desc.out_indices, desc.out_bary)
     return num / desc.denominator

@@ -17,6 +17,7 @@ Layout (all integers little-endian):
         dtype u8   0 = f32, 1 = f64, 2 = i64
         ndim  u8, dims u32[ndim]
         data  raw little-endian payload
+    The last tensor ends the file, and no tensor name repeats.
 
 Version-1 files store every tensor as f32: loading upcasts to f64 exactly
 and saving rounds once, so load(save(load(f))) is a fixed point and
@@ -99,6 +100,19 @@ def _read_tensor(r: _Reader) -> tuple[str, np.ndarray]:
         # more dims than NumPy allows, or an empty tensor with huge dims
         raise ParseError(f"{r.path}: tensor {name!r} has an impossible shape") from None
     return name, arr
+
+
+def _read_tensors(r: _Reader) -> dict[str, np.ndarray]:
+    """The tensor table that ends the file, by name; refuses a repeated name."""
+    tensors = {}
+    for _ in range(r.u32()):
+        name, arr = _read_tensor(r)
+        if name in tensors:
+            raise ParseError(f"{r.path}: tensor {name!r} appears twice")
+        tensors[name] = arr
+    if r.pos != len(r.data):
+        raise ParseError(f"{r.path}: trailing bytes after the last tensor")
+    return tensors
 
 
 def _header_bytes(
@@ -204,9 +218,7 @@ def load_checkpoint(path):
     version, spec, feats, latts = _read_header(r)
     if version != 1:
         raise ParseError(f"{r.path}: expected an inference checkpoint, got version {version}")
-    count = r.u32()
-    tensors = dict(_read_tensor(r) for _ in range(count))
-    return spec, _assemble_params(spec, tensors, r.path), feats, latts
+    return spec, _assemble_params(spec, _read_tensors(r), r.path), feats, latts
 
 
 def save_train_state(
@@ -243,10 +255,8 @@ def load_train_state(path):
         raise ParseError(f"{r.path}: expected a training state, got version {version}")
     adam_step = r.u64()
     iteration = r.u64()
-    count = r.u32()
     groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for _ in range(count):
-        name, arr = _read_tensor(r)
+    for name, arr in _read_tensors(r).items():
         tag, _, rest = name.partition(".")
         if tag not in groups:
             raise ParseError(f"{r.path}: unexpected tensor group {tag!r}")

@@ -51,6 +51,16 @@ def _require_formats(*paths):
             raise ConfigError(str(exc)) from None
 
 
+def _refuse_ply_extras(out, extras):
+    """Refuse, before any work, extra channels bound for a PLY out path."""
+    from .data import _codec, save_ply
+    from .errors import ConfigError
+
+    if extras and _codec(out)[1] is save_ply:
+        raise ConfigError(f"PLY cannot store extra channels: {extras}; "
+                          f"write {out} as xyz text instead")
+
+
 # ------------------------------------------------------------------- train
 
 
@@ -61,14 +71,10 @@ def cmd_train(args):
     from .lattice import LatticeConfig
 
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.lam is not None:
-        cfg = dataclasses.replace(cfg, lambda0=_to_lambda(args.lam, "--lambda", None))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    if args.checkpoint is not None:
-        cfg = dataclasses.replace(cfg, checkpoint=args.checkpoint)
+    lam = None if args.lam is None else _to_lambda(args.lam, "--lambda", None)
+    flags = {"seed": args.seed, "lambda0": lam, "output_dir": args.out,
+             "checkpoint": args.checkpoint}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     if cfg.arch is None:
         raise ConfigError("config is missing required key 'arch'")
     if cfg.data_dir is None:
@@ -110,13 +116,10 @@ def cmd_train(args):
 def cmd_predict(args):
     from . import network
     from .checkpoint import load_checkpoint
-    from .data import _codec, load_cloud, save_cloud, save_ply
-    from .errors import ConfigError
+    from .data import load_cloud, save_cloud
 
     _require_formats(args.cloud, args.out)
-    if args.probs and _codec(args.out)[1] is save_ply:
-        raise ConfigError(f"--probs needs an xyz text --out; PLY cannot store extra "
-                          f"channels: {args.out}")
+    _refuse_ply_extras(args.out, "prob0, prob1, ... (--probs)" if args.probs else "")
     spec, params, feature_channels, lattice_channels = load_checkpoint(args.checkpoint)
     cloud = load_cloud(args.cloud)
     features = cloud.channel_matrix(feature_channels)
@@ -211,7 +214,7 @@ def cmd_eval(args):
 def cmd_filter(args):
     from .bcl import project
     from .config import _to_lambda, _to_str_tuple
-    from .data import load_cloud, save_cloud
+    from .data import _FEATURES, load_cloud, save_cloud
     from .errors import ConfigError
     from .lattice import LatticeConfig
 
@@ -220,6 +223,9 @@ def cmd_filter(args):
         raise ConfigError("positions cannot be transported; pick value channels")
     lam = _to_lambda(args.lam, "--lambda", None)
     _require_formats(args.src, args.dst, args.out)
+    # labels are left to channel_matrix, which says they are no feature
+    _refuse_ply_extras(args.out, ", ".join(
+        c for c in channels if c not in _FEATURES and c != "labels"))
     src = load_cloud(args.src)
     dst = load_cloud(args.dst)
     values = src.channel_matrix(channels)
@@ -259,8 +265,6 @@ def cmd_lattice_stats(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the run seed")
     common.add_argument("--threads", type=int, default=None,
                         help="thread count for numeric kernels (set before "
                              "numpy loads; 1 gives reproducible runs)")
@@ -279,6 +283,7 @@ def build_parser():
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="initial lattice scale override")
+    p.add_argument("--seed", type=int, default=None, help="override the run seed")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", parents=[common],

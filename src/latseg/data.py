@@ -144,6 +144,8 @@ class PointCloud:
                 up = self.positions[:, _AXIS_INDEX[gravity_axis]]
                 base = up.min() if up.size else 0.0
                 cols.append((up - base)[:, None])
+            elif name == "labels":
+                raise ConfigError("labels are not a feature channel")
             elif field_name is None:
                 raise ConfigError(f"unknown channel {name!r}")
             else:

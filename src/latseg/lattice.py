@@ -182,7 +182,6 @@ class NeighborOffsets:
     (coordinate 0 is the most significant bit).
     """
 
-    dim: int
     offsets: np.ndarray
 
 
@@ -204,7 +203,7 @@ def neighbor_offsets(dim: int) -> NeighborOffsets:
             rows.append(row)
     offsets = np.stack(rows)
     offsets.setflags(write=False)
-    return NeighborOffsets(dim=dim, offsets=offsets)
+    return NeighborOffsets(offsets)
 
 
 class _VertexIndex:
@@ -345,13 +344,9 @@ class SparseLattice:
 
 def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
     """Build the sparse lattice touched by a cloud of (n, d) feature rows."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise InvalidInput(f"expected a 2-d feature array, got shape {feats.shape}")
-    if feats.shape[0] == 0:
+    elev = elevate_many(features, config)
+    if elev.shape[0] == 0:
         raise EmptyInput("cannot build a lattice from an empty cloud")
-
-    elev = elevate_many(feats, config)
     keys, bary = _locate_many(elev)
     n, d1, _ = keys.shape
 

@@ -46,7 +46,6 @@ BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 @dataclass(frozen=True)
 class Conv1x1Spec:
     width: int
-    final: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
     """Parse an architecture string into a NetworkSpec.
 
     Requires at least one B token and a final C token; "x" is only legal as
-    the final C width and resolves to num_classes. A literal final width must
-    agree with num_classes when both are given.
+    the final C width and resolves to num_classes. Every width is at least 1;
+    a literal final width must agree with num_classes when both are given.
     """
     tokens = text.split("-")
     parsed = []
@@ -106,6 +105,9 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
         kind, width = m.group(1), m.group(2)
         if width == "x" and (kind != "C" or pos != len(tokens) - 1):
             raise ParseError(f"token {tok!r} at position {pos}: 'x' is only legal as the final C width")
+        width = width if width == "x" else int(width)
+        if width == 0:
+            raise ParseError(f"token {tok!r} at position {pos}: width must be at least 1")
         parsed.append((pos, kind, width))
     if not any(kind == "B" for _, kind, _ in parsed):
         raise ParseError(f"architecture {text!r} has no B layer")
@@ -118,12 +120,10 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
             raise ParseError("architecture ends in 'Cx' but num_classes was not given")
         final_width = int(num_classes)
         text = text[:-1] + str(final_width)
-    else:
-        final_width = int(final_width)
-        if num_classes is not None and num_classes != final_width:
-            raise ParseError(
-                f"final layer width {final_width} disagrees with num_classes {num_classes}"
-            )
+    elif num_classes is not None and num_classes != final_width:
+        raise ParseError(
+            f"final layer width {final_width} disagrees with num_classes {num_classes}"
+        )
     if final_width < 1:
         raise ParseError("output layer needs at least one class")
 
@@ -131,22 +131,19 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
     layers: list = []
     bcl_outputs: list[int] = []
     level = 0
-    concat_placed = False
     for pos, kind, width in parsed:
         if kind == "B":
-            layers.append(BCLSpec(width=int(width), level=level))
+            layers.append(BCLSpec(width=width, level=level))
             layers.append(BatchNormSpec())
             layers.append(ReLUSpec())
             bcl_outputs.append(len(layers) - 1)
             level += 1
-            continue
-        if pos > last_b and not concat_placed:
-            layers.append(ConcatSpec(sources=tuple(bcl_outputs)))
-            concat_placed = True
-        if pos == len(parsed) - 1:
-            layers.append(Conv1x1Spec(width=final_width, final=True))
+            if pos == last_b:
+                layers.append(ConcatSpec(sources=tuple(bcl_outputs)))
+        elif pos == len(parsed) - 1:
+            layers.append(Conv1x1Spec(width=final_width))
         else:
-            layers.append(Conv1x1Spec(width=int(width)))
+            layers.append(Conv1x1Spec(width=width))
             layers.append(BatchNormSpec())
             layers.append(ReLUSpec())
     layers.append(SoftmaxSpec())

@@ -185,12 +185,6 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _cloud_tensors(cloud, feature_channels, lattice_channels, gravity_axis):
-    features = cloud.channel_matrix(feature_channels, gravity_axis)
-    lattice_feats = cloud.channel_matrix(lattice_channels, gravity_axis)
-    return features, lattice_feats
-
-
 def _correct_total(probs, labels, ignore_label):
     """(correct, total) predictions over the points not labeled ignore_label."""
     keep = np.ones(labels.shape[0], bool) if ignore_label is None else labels != ignore_label
@@ -233,9 +227,8 @@ def _evaluate(spec, params, dataset, descriptors_for, feature_channels,
         raise EmptyInput("nothing to evaluate")
     losses, correct, total = [], 0, 0
     for i, cloud in enumerate(dataset):
-        features, lattice_feats = _cloud_tensors(
-            cloud, feature_channels, lattice_channels, gravity_axis
-        )
+        features = cloud.channel_matrix(feature_channels, gravity_axis)
+        lattice_feats = cloud.channel_matrix(lattice_channels, gravity_axis)
         probs, _ = network.forward(spec, params, features, lattice_feats,
                                    descriptors=descriptors_for(i, lattice_feats))
         loss, _ = cross_entropy_loss(probs, cloud.labels, ignore_label)
@@ -376,9 +369,8 @@ def train_loop(spec, dataset, config, *,
                 cloud = augment(
                     cloud, config, _stream(config.seed, _STREAM_AUGMENT, iteration, slot)
                 )
-                features, lattice_feats = _cloud_tensors(
-                    cloud, feature_channels, lattice_channels, config.gravity_axis
-                )
+                features = cloud.channel_matrix(feature_channels, config.gravity_axis)
+                lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
                 descriptors = None
                 if fixed_lattices and not cropped:
                     descriptors = cache.get(("train", index), lattice_feats)

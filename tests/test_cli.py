@@ -80,6 +80,43 @@ def test_train_config_not_utf8_exit_2(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("arch", ["B0-C2", "C0-B4-C2"])
+def test_train_zero_width_exit_2(arch, blob_dir, tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"arch = {arch}\ndata_dir = {blob_dir}\nmax_iterations = 2\n")
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'" + arch.split("-")[0] + "'" in err and "width must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_train_seed_flag_overrides_config_seed(blob_dir, tmp_path, capsys):
+    def run(name, seed_line="", flag=()):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"arch = B8-C2\nlambda0 = 2\ndata_dir = {blob_dir}\n"
+                          f"learning_rate = 0.02\nmax_iterations = 6\n{seed_line}\n")
+        out = tmp_path / name
+        assert cli.main(["train", "--config", str(config), "--out", str(out), *flag]) == 0
+        return (out / "model.splt").read_bytes()
+
+    by_flag = run("by_flag", "seed = 1", ("--seed", "9"))
+    capsys.readouterr()
+    assert by_flag == run("by_key", "seed = 9")
+    assert by_flag != run("by_default")
+
+
+@pytest.mark.parametrize("argv", [["predict", "c.ply", "--checkpoint", "m.splt", "--out", "p.xyz"],
+                                  ["eval", "p.ply", "g.ply"],
+                                  ["filter", "a.ply", "b.ply", "--out", "o.ply"],
+                                  ["lattice-stats", "c.ply"]])
+def test_seed_is_train_only(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args([*argv, "--seed", "3"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_train_writes_artifacts(trained):
     assert (trained / "model.splt").is_file()
     assert (trained / "state.splt").is_file()
@@ -580,6 +617,35 @@ def test_filter_unknown_out_suffix_exit_2_before_projection(blob_dir, tmp_path,
         assert code == 2
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_filter_extras_to_ply_exit_2_before_projection(blob_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    from latseg import bcl, data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the channels were checked against --out")
+
+    monkeypatch.setattr(bcl, "project", refuse)
+    monkeypatch.setattr(data, "load_cloud", refuse)
+    cloud = blob_dir / "cloud0.ply"
+    out = tmp_path / "o.PLY"
+    code = cli.main(["filter", str(cloud), str(cloud), "--channels", "rgb,myextra",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "PLY cannot store extra channels: myextra;" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_filter_labels_channel_exit_2(blob_dir, tmp_path, capsys):
+    cloud = blob_dir / "cloud0.ply"
+    out = tmp_path / "o.ply"
+    code = cli.main(["filter", str(cloud), str(cloud), "--channels", "labels",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: labels are not a feature channel\n"
+    assert not out.exists()
 
 
 def test_eval_unknown_input_suffix_exit_2(blob_dir, tmp_path, capsys, monkeypatch):

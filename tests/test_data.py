@@ -114,6 +114,12 @@ def test_channel_matrix_missing_channels():
         cloud.channel_matrix(("bogus",))
 
 
+def test_channel_matrix_names_labels_as_no_feature():
+    cloud = data.PointCloud(np.zeros((3, 3)), labels=[0, 1, 0])
+    with pytest.raises(ConfigError, match="^labels are not a feature channel$"):
+        cloud.channel_matrix(("xyz", "labels"))
+
+
 def test_channel_matrix_extras():
     cloud = data.PointCloud(np.zeros((3, 3)), extras={"curv": [1.0, 2.0, 3.0]})
     mat = cloud.channel_matrix(("xyz", "curv"))

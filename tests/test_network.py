@@ -1,5 +1,6 @@
 """Network assembly, gradients, and checkpoint tests."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 from latseg import network as net
 from latseg.checkpoint import (
+    _Reader,
+    _read_header,
+    _read_tensor,
     load_checkpoint,
     load_train_state,
     save_checkpoint,
@@ -48,8 +52,8 @@ def test_parse_arch_structure():
     # concat sits right before the first trailing conv
     ci = spec.layers.index(concats[0])
     assert isinstance(spec.layers[ci + 1], net.Conv1x1Spec)
-    assert spec.layers[ci + 1].width == 64 and not spec.layers[ci + 1].final
-    assert isinstance(spec.layers[-2], net.Conv1x1Spec) and spec.layers[-2].final
+    assert spec.layers[ci + 1].width == 64
+    assert isinstance(spec.layers[-2], net.Conv1x1Spec)
     assert isinstance(spec.layers[-1], net.SoftmaxSpec)
 
 
@@ -90,6 +94,15 @@ def test_parse_arch_errors():
         net.parse_arch("B4-Cx", cfg)  # x without num_classes
     with pytest.raises(ParseError):
         net.parse_arch("B4-C3", cfg, num_classes=5)  # contradiction
+
+
+@pytest.mark.parametrize("arch, token", [("B0-C2", "'B0' at position 0"),
+                                         ("C0-B4-C2", "'C0' at position 0"),
+                                         ("B4-B00-C2", "'B00' at position 1"),
+                                         ("B4-C0", "'C0' at position 1")])
+def test_parse_arch_refuses_zero_width(arch, token):
+    with pytest.raises(ParseError, match=f"token {token}: width must be at least 1"):
+        net.parse_arch(arch, LatticeConfig(3, 1.0))
 
 
 def test_init_concat_width():
@@ -421,6 +434,46 @@ def test_train_state_tensor_name_without_dot_raises_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_train_state(path)
 
+
+
+def test_checkpoint_zero_width_architecture_raises_parse_error(tmp_path):
+    spec, params = small_net(arch="B4-C2")
+    path = tmp_path / "model.splt"
+    save_checkpoint(path, spec, params)
+    raw = path.read_bytes()
+    assert raw.count(b"B4-C2") == 1
+    path.write_bytes(raw.replace(b"B4-C2", b"B0-C2"))
+    with pytest.raises(ParseError, match="model.splt: invalid architecture.*'B0'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("train_state", [False, True])
+def test_checkpoint_refuses_trailing_bytes_and_repeated_tensors(tmp_path, train_state):
+    spec, params = small_net(arch="B4-C2")
+    path = tmp_path / "model.splt"
+    if train_state:
+        zeros = net.trainable_views(np.zeros_like(net.trainable_vector(params)), params)
+        save_train_state(path, spec, params, zeros, zeros, 0, 0)
+        load = load_train_state
+    else:
+        save_checkpoint(path, spec, params)
+        load = load_checkpoint
+    raw = path.read_bytes()
+    r = _Reader(raw, "")
+    _read_header(r)
+    if train_state:
+        r.u64(), r.u64()
+    count_at = r.pos
+    count = r.u32()
+    _read_tensor(r)
+    first = raw[count_at + 4:r.pos]
+    # the first tensor record again at the end, counted
+    repeated = raw[:count_at] + struct.pack("<I", count + 1) + raw[count_at + 4:] + first
+    for bad, message in ((raw + b"\n", "trailing bytes"), (repeated, "appears twice")):
+        path.write_bytes(bad)
+        with pytest.raises(ParseError, match=message) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def _mutations(params):
