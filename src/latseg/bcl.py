@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvalidInput, ShapeError
 from .lattice import MISSING, LatticeConfig, SparseLattice, build_lattice
 
 # Floor for normalization denominators; keeps unsupported outputs at exactly 0.
@@ -319,8 +319,11 @@ def project(
     No convolution is involved, and the ones-pass uses no blur either, so the
     numerator and denominator run through identical geometry: constant
     channels are reproduced exactly wherever the destination has lattice
-    support, and unsupported destinations get 0.
+    support, and unsupported destinations get 0. Non-finite values raise
+    InvalidInput, as they would spread to every destination sharing a vertex.
     """
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput("values to project must be finite")
     desc = make_descriptor(features_src, features_dst, config, normalize=True, blur=None)
     num = slice(splat(values, desc.lattice), desc.out_indices, desc.out_bary)
     return num / desc.denominator

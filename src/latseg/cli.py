@@ -79,8 +79,6 @@ def cmd_train(args):
         raise ConfigError("config is missing required key 'arch'")
     if cfg.data_dir is None:
         raise ConfigError("config is missing required key 'data_dir'")
-    if cfg.patience is not None:
-        raise ConfigError("patience needs a validation set; latseg train takes none")
 
     _, clouds = _load_cloud_dir(cfg.data_dir)
     dim = clouds[0].channel_matrix(cfg.lattice_channels, cfg.gravity_axis).shape[1]

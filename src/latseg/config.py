@@ -108,7 +108,6 @@ class TrainConfig:
     gravity_axis: str = "y"
     log_every: int = 1
     checkpoint_every: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -137,8 +136,6 @@ class TrainConfig:
             raise InvalidInput("log_every must be >= 1")
         if self.checkpoint_every < 0:
             raise InvalidInput("checkpoint_every must be >= 0")
-        if self.patience is not None and self.patience < 1:
-            raise InvalidInput("patience must be >= 1 when given")
 
 
 @dataclass(frozen=True)

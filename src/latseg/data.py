@@ -7,7 +7,8 @@ them; the PLY vocabulary, row subsets, feature matrices and both codecs read
 it, and any other column is an extra.
 Two text formats are supported: ASCII PLY restricted to a fixed property
 vocabulary, and a headered whitespace table ("xyz text"). They share one
-codec: one writer, and one body parser whose errors carry file line numbers.
+codec: one writer, and one body parser whose errors carry the file's path
+and line number.
 The parser reads a plain table through np.loadtxt and falls back to
 splitting every line with str.split, which accepts what float() does and
 finds the faulty line, whenever loadtxt refuses the table.
@@ -17,6 +18,7 @@ lossless for anything the format can represent.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass, field
@@ -214,6 +216,16 @@ def _read_lines(path):
         return fh.read().splitlines()
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Lead the message of any ParseError raised inside with the file's path."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _is_number(tok):
     try:
         float(tok)
@@ -252,7 +264,7 @@ def _load_fast(lines, start, count, width):
     return table if table.shape == (count, width) else None
 
 
-def _parse_table(lines, start, count, width, path_hint):
+def _parse_table(lines, start, count, width):
     """Parse the data rows from lines[start] on into a (count, width) array.
 
     Blank lines before the first row are skipped; count=None takes every
@@ -277,7 +289,7 @@ def _parse_table(lines, start, count, width, path_hint):
             raise ParseError("blank line inside data section", line=i + 1)
         raise ParseError(f"expected {width} columns, found {sizes[i]}", line=i + 1)
     if end > len(rows):
-        raise ParseError(f"{path_hint}: expected {count} data rows, found "
+        raise ParseError(f"expected {count} data rows, found "
                          f"{len(rows) - first}", line=len(rows))
     extra = end + np.flatnonzero(sizes[end:])
     if extra.size:
@@ -293,7 +305,7 @@ def _parse_table(lines, start, count, width, path_hint):
         raise
 
 
-def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=None):
+def _columns_to_cloud(names, lines, start, count, types=None, header_line=None):
     """Parse the rows under a header naming `names` into a PointCloud.
 
     `types` maps each name to its PLY property type. None means xyz text.
@@ -305,7 +317,7 @@ def _columns_to_cloud(names, lines, start, count, path, types=None, header_line=
     if len(set(names)) != len(names):
         noun = "property" if ply else "column"
         raise ParseError(f"duplicate {noun} name in header", line=header_line)
-    table = _parse_table(lines, start, count, len(names), path)
+    table = _parse_table(lines, start, count, len(names))
     have = dict(zip(names, table.T))
     for name in names:
         if not ply or types[name] not in _PLY_INT_TYPES:
@@ -404,9 +416,10 @@ def _parse_ply_header(lines):
 
 def load_ply(path):
     lines = _read_lines(path)
-    props, count, data_start = _parse_ply_header(lines)
-    names = [name for name, _ in props]
-    return _columns_to_cloud(names, lines, data_start, count, str(path), dict(props))
+    with _naming(path):
+        props, count, data_start = _parse_ply_header(lines)
+        names = [name for name, _ in props]
+        return _columns_to_cloud(names, lines, data_start, count, dict(props))
 
 
 # --------------------------------------------------------------- XYZ text
@@ -420,19 +433,20 @@ def save_xyz(cloud, path):
 
 def load_xyz(path):
     lines = _read_lines(path)
-    header_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if header_idx is None:
-        raise ParseError(f"{path}: empty file", line=1)
-    names = lines[header_idx].strip().removeprefix("#").split()
-    if not names:
-        raise ParseError("empty header line", line=header_idx + 1)
-    if all(map(_is_number, names)):
-        raise ParseError(
-            "first line must name the columns, not contain data",
-            line=header_idx + 1,
-        )
-    return _columns_to_cloud(names, lines, header_idx + 1, None, str(path),
-                             header_line=header_idx + 1)
+    with _naming(path):
+        header_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
+        if header_idx is None:
+            raise ParseError("empty file", line=1)
+        names = lines[header_idx].strip().removeprefix("#").split()
+        if not names:
+            raise ParseError("empty header line", line=header_idx + 1)
+        if all(map(_is_number, names)):
+            raise ParseError(
+                "first line must name the columns, not contain data",
+                line=header_idx + 1,
+            )
+        return _columns_to_cloud(names, lines, header_idx + 1, None,
+                                 header_line=header_idx + 1)
 
 
 # (load, save) per lower-case file suffix

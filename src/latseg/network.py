@@ -86,7 +86,7 @@ class NetworkSpec:
         return LatticeConfig(self.lattice.dim, self.lattice.scale * 0.5**level)
 
 
-_TOKEN = re.compile(r"^([CB])(\d+|x)$")
+_TOKEN = re.compile(r"([CB])([0-9]+|x)")
 
 
 def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None) -> NetworkSpec:
@@ -99,7 +99,7 @@ def parse_arch(text: str, lattice: LatticeConfig, num_classes: int | None = None
     tokens = text.split("-")
     parsed = []
     for pos, tok in enumerate(tokens):
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if m is None:
             raise ParseError(f"bad architecture token {tok!r} at position {pos} in {text!r}")
         kind, width = m.group(1), m.group(2)

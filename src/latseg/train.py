@@ -182,7 +182,6 @@ class TrainResult:
     optimizer: OptimizerState
     iterations: int
     history: list[tuple] = field(default_factory=list)
-    stopped_early: bool = False
 
 
 def _correct_total(probs, labels, ignore_label):
@@ -192,7 +191,7 @@ def _correct_total(probs, labels, ignore_label):
 
 
 class _DescriptorCache:
-    """Descriptor lists by key, kept in first-request order while their
+    """Descriptor lists by dataset index, kept in first-request order while their
     arrays fit in _DESCRIPTOR_CACHE_BYTES; nothing is evicted."""
 
     def __init__(self, spec):
@@ -200,14 +199,14 @@ class _DescriptorCache:
         self.lists = {}
         self.nbytes = 0
 
-    def get(self, key, lattice_features):
-        """The key's descriptors: kept from an earlier request, or built now."""
-        descriptors = self.lists.get(key)
+    def get(self, index, lattice_features):
+        """Cloud index's descriptors: kept from an earlier request, or built now."""
+        descriptors = self.lists.get(index)
         if descriptors is None:
             descriptors = network.prepare_descriptors(self.spec, lattice_features)
             size = sum(d.nbytes for d in descriptors)
             if self.nbytes + size <= _DESCRIPTOR_CACHE_BYTES:
-                self.lists[key] = descriptors
+                self.lists[index] = descriptors
                 self.nbytes += size
         return descriptors
 
@@ -215,22 +214,13 @@ class _DescriptorCache:
 def evaluate(spec, params, dataset, feature_channels=("xyz",),
              lattice_channels=("xyz",), ignore_label=None, gravity_axis="y"):
     """(mean loss, pooled accuracy) of inference-mode predictions."""
-    return _evaluate(spec, params, dataset, lambda i, lattice_feats: None,
-                     feature_channels, lattice_channels, ignore_label, gravity_axis)
-
-
-def _evaluate(spec, params, dataset, descriptors_for, feature_channels,
-              lattice_channels, ignore_label, gravity_axis):
-    """evaluate, with descriptors_for(i, lattice_feats) giving cloud i's
-    descriptors, or None to build them in forward."""
     if not dataset:
         raise EmptyInput("nothing to evaluate")
     losses, correct, total = [], 0, 0
-    for i, cloud in enumerate(dataset):
+    for cloud in dataset:
         features = cloud.channel_matrix(feature_channels, gravity_axis)
         lattice_feats = cloud.channel_matrix(lattice_channels, gravity_axis)
-        probs, _ = network.forward(spec, params, features, lattice_feats,
-                                   descriptors=descriptors_for(i, lattice_feats))
+        probs, _ = network.forward(spec, params, features, lattice_feats)
         loss, _ = cross_entropy_loss(probs, cloud.labels, ignore_label)
         losses.append(loss)
         c, t = _correct_total(probs, cloud.labels, ignore_label)
@@ -258,8 +248,7 @@ def train_loop(spec, dataset, config, *,
                resume_from=None,
                metrics_path=None,
                checkpoint_path=None,
-               state_path=None,
-               val_dataset=None):
+               state_path=None):
     """Run (or resume) optimization; returns a TrainResult.
 
     One iteration = one optimizer step over batch_size clouds processed in
@@ -273,18 +262,16 @@ def train_loop(spec, dataset, config, *,
     resume_from continues a saved training state instead (passing params too
     raises ConfigError); the state must match this run's architecture,
     lattice dim and scale, class count, and feature and lattice channels, or
-    ConfigError names the first mismatch. Early stopping needs both
-    val_dataset and config.patience.
+    ConfigError names the first mismatch.
 
     A cloud's BCL descriptors are built once and reused on later visits
     when no visit can change its lattice features: rotate, translate and
     scale are off, color_jitter is off or rgb is not a lattice channel,
-    and the cloud has at most sample_size points. The validation clouds'
-    descriptors are reused across early-stopping evaluations the same way.
-    Kept descriptors are bounded by _DESCRIPTOR_CACHE_BYTES of arrays,
-    filled in first-visit order and never evicted; a cloud that does not
-    fit is rebuilt on every visit. Reuse never changes results, and a
-    resumed run starts with nothing kept.
+    and the cloud has at most sample_size points. Kept descriptors are
+    bounded by _DESCRIPTOR_CACHE_BYTES of arrays, filled in first-visit
+    order and never evicted; a cloud that does not fit is rebuilt on every
+    visit. Reuse never changes results, and a resumed run starts with
+    nothing kept.
     """
     if not dataset:
         raise EmptyInput("training dataset is empty")
@@ -324,9 +311,6 @@ def train_loop(spec, dataset, config, *,
     num_clouds = len(dataset)
     perm_epoch, perm = -1, None
     history = []
-    stopped_early = False
-    best_val = np.inf
-    stale = 0
     start_time = time.perf_counter()
 
     metrics_fh = None
@@ -373,7 +357,7 @@ def train_loop(spec, dataset, config, *,
                 lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
                 descriptors = None
                 if fixed_lattices and not cropped:
-                    descriptors = cache.get(("train", index), lattice_feats)
+                    descriptors = cache.get(index, lattice_feats)
                 probs, tape = network.forward(
                     spec, params, features, lattice_feats, training=True,
                     descriptors=descriptors,
@@ -409,21 +393,8 @@ def train_loop(spec, dataset, config, *,
                         f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r}\n"
                     )
                     metrics_fh.flush()
-                if val_dataset is not None and config.patience is not None:
-                    val_loss, _ = _evaluate(
-                        spec, params, val_dataset,
-                        lambda i, lattice_feats: cache.get(("val", i), lattice_feats),
-                        feature_channels, lattice_channels,
-                        config.ignore_label, config.gravity_axis
-                    )
-                    if val_loss < best_val - 1e-12:
-                        best_val, stale = val_loss, 0
-                    else:
-                        stale += 1
-                        if stale >= config.patience:
-                            stopped_early = True
             iteration = done
-            if stopped_early or iteration == config.max_iterations:
+            if iteration == config.max_iterations:
                 break
             if config.checkpoint_every and iteration % config.checkpoint_every == 0:
                 _save_artifacts(iteration)
@@ -431,4 +402,4 @@ def train_loop(spec, dataset, config, *,
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
-    return TrainResult(params, opt_state, iteration, history, stopped_early)
+    return TrainResult(params, opt_state, iteration, history)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from latseg import bcl
-from latseg.errors import ShapeError
+from latseg.errors import InvalidInput, ShapeError
 from latseg.lattice import MISSING, LatticeConfig, build_lattice
 
 H = 1e-5
@@ -415,6 +415,14 @@ def test_project_constant_preserved_on_same_cloud():
     vals = np.tile([7.5, -2.25], (40, 1))
     out = bcl.project(vals, pts, pts, LatticeConfig(3, 2.0))
     np.testing.assert_allclose(out, vals, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_project_refuses_nonfinite_values(bad):
+    # the first two points share vertices, so the bad value would reach both
+    pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]])
+    with pytest.raises(InvalidInput, match="finite"):
+        bcl.project(np.array([[bad], [1.0], [2.0]]), pts, pts, LatticeConfig(3, 1.0))
 
 
 def test_project_far_destination_is_zero():

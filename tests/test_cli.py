@@ -357,6 +357,41 @@ def test_filter_missing_channel_exit_2(tmp_path, capsys):
     assert "rgb" in capsys.readouterr().err
 
 
+def test_filter_nonfinite_value_exit_1(tmp_path, capsys):
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]]),
+                       height=[np.inf, 1.0, 2.0])
+    path = tmp_path / "inf.ply"
+    save_cloud(cloud, path)
+    out = tmp_path / "o.xyz"
+    code = cli.main(["filter", str(path), str(path), "--out", str(out),
+                     "--channels", "height"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_PLY_XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                   "property float y\nproperty float z\nend_header\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("d.ply", _PLY_XYZ_HEADER + "0 0 0\n1 1\n", "line 9: expected 3 columns, found 2"),
+    ("d.ply", _PLY_XYZ_HEADER + "0 0 0\n", "line 8: expected 2 data rows, found 1"),
+    ("d.xyz", "\n", "line 1: empty file"),
+], ids=["ply-width", "ply-short", "xyz-empty"])
+def test_filter_malformed_destination_exit_2_names_it(tmp_path, capsys, name, text,
+                                                      message):
+    src = tmp_path / "s.ply"
+    save_cloud(PointCloud(np.zeros((2, 3)), height=[1.0, 2.0]), src)
+    dst = tmp_path / name
+    dst.write_text(text)
+    code = cli.main(["filter", str(src), str(dst), "--out", str(tmp_path / "o.xyz"),
+                     "--channels", "height"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {dst}: {message}\n"
+
+
 def test_lattice_stats_single_point(tmp_path, capsys):
     path = tmp_path / "pt.xyz"
     save_cloud(PointCloud([[0.3, 0.4, 0.5]]), path)

@@ -129,14 +129,14 @@ def test_parse_inline_comments_and_empty_optional_values():
         "checkpoint = # resume path\n"
         "output_dir =\n"
         "num_classes = none\n"
-        "patience = 3 #\n"
+        "sample_size = 3 #\n"
     )
     assert values["seed"] == 7
     assert values["data_dir"] == "run#1/"
     assert values["checkpoint"] is None
     assert values["output_dir"] is None
     assert values["num_classes"] is None
-    assert values["patience"] == 3
+    assert values["sample_size"] == 3
     assert parse_config_text("num_classes = 4 # two blobs\n")["num_classes"] == 4
     # keys without a None default still need a value
     with pytest.raises(ParseError) as err:
@@ -165,7 +165,8 @@ def test_readme_config_example_parses():
     assert values["num_classes"] is None
     assert values["checkpoint"] is None
     cfg = RunConfig(**values)
-    assert cfg.sample_size is None and cfg.patience is None
+    assert cfg.sample_size is None
+    assert set(values) == set(_SCHEMA)
 
 
 def test_load_run_config_rejects_invalid_train_value(tmp_path):

@@ -33,7 +33,7 @@ sample_size       = none
 gravity_axis      = y
 rotate            = false
 scale_low         = 0.9
-patience          = none
+ignore_label      = none
 checkpoint        =
 """
 

@@ -88,6 +88,9 @@ def test_parse_arch_errors():
         net.parse_arch("B4-B8", cfg)  # no final conv
     with pytest.raises(ParseError):
         net.parse_arch("B4-Q7-C2", cfg)  # bad token
+    for text in ("B4-C2\n", "B4\n-C2", "B\u0664-C2"):  # newline, Arabic-Indic 4
+        with pytest.raises(ParseError):
+            net.parse_arch(text, cfg)
     with pytest.raises(ParseError):
         net.parse_arch("Bx-C2", cfg)  # x outside final C
     with pytest.raises(ParseError):
