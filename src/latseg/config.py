@@ -110,6 +110,10 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidInput(f"{f.name} must be finite, got {value!r}")
         if self.learning_rate < 0:
             raise InvalidInput("learning_rate must be >= 0")
         for name in ("adam_beta1", "adam_beta2"):

@@ -15,20 +15,20 @@ differentials; the same differentials give the barycentric weights of the
 point with respect to the d+1 simplex vertices.
 
 build_lattice runs this for a whole cloud, deduplicates the touched vertices
-into dense indices 0..V-1 (first-touch order, points scanned in ascending
-index, vertices in remainder order) and stores the per-point embeddings.
-The one-ring adjacency of every vertex is resolved on its first read, so a
-lattice that is only splatted and sliced never pays for it. One sorted
-index over the first d key coordinates (the last is implied by the sum-zero
-constraint) serves the deduplication, every adjacency column, embed and
-lookup. Its rows are shifted into the vertices' bounding box padded by d+1
-on every side and encoded either as int64 mixed-radix codes, when the
-padded box has at most 2^63 - 1 cells, or else as big-endian uint64 rows
-compared as raw bytes. Both encodings sort like the rows themselves
-(lexicographically) and keep that order under a constant shift, so moving
-every vertex by one one-ring offset yields an already sorted query array:
-an adjacency column is one searchsorted. Foreign queries are clipped into the box first; a clipped row
-lies in the padding, where no vertex is.
+and stores the per-point embeddings. The one-ring adjacency of every vertex
+is resolved on its first read, so a lattice that is only splatted and sliced
+never pays for it. One sorted index over the first d key coordinates (the
+last is implied by the sum-zero constraint) serves the deduplication, every
+adjacency column, embed and lookup. Its rows are shifted into the vertices'
+bounding box padded by d+1 on every side and encoded either as int64
+mixed-radix codes, when the padded box has at most 2^63 - 1 cells, or else
+as big-endian uint64 rows compared as raw bytes. Both encodings sort like
+the rows themselves (lexicographically) and keep that order under a
+constant shift, so moving every vertex by one one-ring offset yields an
+already sorted query array: an adjacency column is one searchsorted. A
+vertex's dense index is the rank of its code, so vertices are numbered in
+key order whatever the order of the points. Foreign queries are clipped
+into the box first; a clipped row lies in the padding, where no vertex is.
 
 Everything here is deterministic: identical inputs produce identical dense
 indices, embeddings and adjacency, bit for bit.
@@ -101,13 +101,16 @@ def elevate_many(features: np.ndarray, config: LatticeConfig) -> np.ndarray:
         )
     if not np.all(np.isfinite(feats)):
         raise InvalidInput("features must be finite")
-    cf = feats * _canonical_scale(config)
     n, d = feats.shape
     out = np.empty((n, d + 1), dtype=np.float64)
     running = np.zeros(n, dtype=np.float64)
-    for i in range(d, 0, -1):
-        out[:, i] = running - i * cf[:, i - 1]
-        running = running + cf[:, i - 1]
+    # A huge feature times a fine scale may overflow to inf, and opposite
+    # infinities meet as NaN; _locate_many refuses both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cf = feats * _canonical_scale(config)
+        for i in range(d, 0, -1):
+            out[:, i] = running - i * cf[:, i - 1]
+            running = running + cf[:, i - 1]
     out[:, 0] = running
     return out
 
@@ -131,7 +134,7 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, d1 = elevated.shape
     d = d1 - 1
-    if np.max(np.abs(elevated), initial=0.0) > _MAX_COORD:
+    if not (np.abs(elevated) <= _MAX_COORD).all():
         raise InvalidInput("elevated coordinates too large for integer lattice keys")
 
     # Greedy per-coordinate rounding to the nearest multiple of d+1. Ties go
@@ -209,8 +212,8 @@ def neighbor_offsets(dim: int) -> NeighborOffsets:
 class _VertexIndex:
     """Sorted, deduplicated codes of (N, d) key material rows.
 
-    codes[g] is the g-th smallest distinct row's code and dense[g] its dense
-    index; dense indices follow first touch in material row order.
+    codes[g] is the code of the g-th smallest distinct row, whose dense index
+    is g.
     """
 
     @classmethod
@@ -218,16 +221,13 @@ class _VertexIndex:
         """(index, row_dense, first_row) for the rows of material.
 
         row_dense[i] is row i's dense index and first_row[v] the first row
-        touching dense index v. Only build_lattice reads them, so the index
-        does not keep them.
+        with dense index v. Only build_lattice reads them, so the index does
+        not keep them.
         """
         index = cls(material)
         codes = index._encode(material - index._lo)
         index.codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        index.dense = np.empty_like(order)
-        index.dense[order] = np.arange(order.size)
-        return index, index.dense[inverse], first[order]
+        return index, inverse, first
 
     def __init__(self, material: np.ndarray):
         # The box around material, padded by one ring; of_rows fills the codes.
@@ -262,7 +262,7 @@ class _VertexIndex:
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Dense indices of codes; MISSING where no vertex has that code."""
         pos = np.minimum(np.searchsorted(self.codes, codes), self.codes.size - 1)
-        return np.where(self.codes[pos] == codes, self.dense[pos], MISSING)
+        return np.where(self.codes[pos] == codes, pos, MISSING)
 
 
 class SparseLattice:
@@ -299,7 +299,7 @@ class SparseLattice:
         index, d = self._index, self.config.dim
         adjacency = np.empty((self.num_vertices, self.offsets.offsets.shape[0]), dtype=np.int64)
         for col, off in enumerate(self.offsets.offsets):
-            adjacency[index.dense, col] = index.find(index.shifted(off[:d]))
+            adjacency[:, col] = index.find(index.shifted(off[:d]))
         adjacency.setflags(write=False)
         return adjacency
 
@@ -350,8 +350,7 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
     keys, bary = _locate_many(elev)
     n, d1, _ = keys.shape
 
-    # Dense indices follow first-touch order with points scanned ascending and
-    # simplex corners in remainder order.
+    # Dense indices are key ranks, so they do not depend on the point order.
     flat_keys = keys.reshape(n * d1, d1)
     index, row_dense, first_row = _VertexIndex.of_rows(flat_keys[:, : config.dim])
     return SparseLattice(

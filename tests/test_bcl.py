@@ -498,6 +498,6 @@ def test_prepared_descriptor_bytes_count_the_adjacency():
     rng = np.random.default_rng(23)
     spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
     descs = network.prepare_descriptors(spec, rng.normal(size=(300, 3)))
-    assert [d.nbytes for d in descs] == [207984, 136584, 61824]
+    assert [d.nbytes for d in descs] == [199112, 131112, 59912]
     for d in descs:
         assert "adjacency" in vars(d.lattice)

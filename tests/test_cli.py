@@ -52,6 +52,14 @@ def test_train_negative_lambda_exit_2(tmp_path, capsys):
     assert "lambda0" in capsys.readouterr().err
 
 
+def test_train_nan_learning_rate_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("arch = B4-C2\nlearning_rate = nan\n")
+    code = cli.main(["train", "--config", str(cfg)])
+    assert code == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+
+
 def test_train_refuses_patience_exit_2(blob_dir, tmp_path, capsys):
     # latseg train takes no validation set, so patience could never stop it
     cfg = tmp_path / "patient.cfg"
@@ -416,10 +424,15 @@ def test_lattice_stats_vertex_monotonicity(tmp_path, capsys):
 def test_lattice_stats_failing_scale_prints_nothing(tmp_path, capsys):
     path = tmp_path / "cube.xyz"
     save_cloud(PointCloud(np.random.default_rng(17).uniform(size=(300, 3))), path)
-    assert cli.main(["lattice-stats", str(path), "--lambda", "1,1e20"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "too large" in captured.err
+    # opposite infinities in the elevation make NaN, which must fail the same way
+    big = tmp_path / "big.xyz"
+    big.write_text("# x y z red green blue\n1e300 -1e300 0 0.5 0.5 0.5\n0 0 0 0.1 0.2 0.3\n")
+    for cloud, lam in ((path, "1,1e20"), (big, "1e10")):
+        assert cli.main(["lattice-stats", str(cloud), "--lambda", lam]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
+        assert "Warning" not in captured.err
 
 
 def _lambda_argv(command, lam, blob_dir, tmp_path):

@@ -175,7 +175,7 @@ def test_build_single_point_d3():
     assert lat.num_vertices == 4
     assert lat.adjacency.shape == (4, 15)
     np.testing.assert_array_equal(lat.adjacency[:, 0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(lat.point_vertices[0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(lat.point_vertices[0], [2, 3, 0, 1])
     assert abs(lat.point_bary.sum() - 1.0) < 1e-12
     # the 4 corners of one simplex are mutual one-ring neighbors
     for v in range(4):
@@ -202,23 +202,17 @@ def test_build_deterministic():
     np.testing.assert_array_equal(a.point_bary, b.point_bary)
 
 
-def test_build_vertex_keys_valid_and_first_touch_order():
+def test_build_vertex_keys_valid_and_sorted():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-2, 2, size=(50, 2))
     lat = build_lattice(pts, LatticeConfig(2, 3.0))
     keys = lat.vertex_keys
     assert np.all(keys.sum(axis=1) == 0)
     assert np.all(keys % 3 == (keys[:, :1] % 3))
-    # dense ids must appear in first-touch order when scanning embeddings
-    seen = set()
-    expected = 0
-    for row in lat.point_vertices:
-        for v in row:
-            if v not in seen:
-                assert v == expected
-                seen.add(v)
-                expected += 1
-    assert expected == lat.num_vertices
+    # dense ids are key ranks: key rows strictly increase lexicographically
+    rows = keys.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.array_equal(np.unique(lat.point_vertices), np.arange(lat.num_vertices))
 
 
 def encoding_of(lat):
@@ -242,6 +236,17 @@ def clouds_for_both_encodings(int64_points, int64_config):
         lat = build_lattice(pts, cfg)
         assert encoding_of(lat) == expected
         yield pts, lat
+
+
+def test_vertex_numbering_ignores_point_order():
+    rng = np.random.default_rng(16)
+    pts = rng.normal(size=(80, 3))
+    for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
+        perm = rng.permutation(len(pts))
+        shuffled = build_lattice(pts[perm], lat.config)
+        np.testing.assert_array_equal(shuffled.vertex_keys, lat.vertex_keys)
+        np.testing.assert_array_equal(shuffled.adjacency, lat.adjacency)
+        np.testing.assert_array_equal(shuffled.point_vertices, lat.point_vertices[perm])
 
 
 def test_embed_source_cloud_matches_build():
@@ -330,9 +335,7 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     assert math.prod(int(x) for x in index._hi - index._lo + 1) == math.prod(spans)
     assert index.codes.dtype.kind == kind
 
-    ref = {}
-    for row in material.tolist():
-        ref.setdefault(tuple(row), len(ref))
+    ref = {row: rank for rank, row in enumerate(sorted(set(map(tuple, material.tolist()))))}
     assert [ref[tuple(r)] for r in material.tolist()] == row_dense.tolist()
     np.testing.assert_array_equal(
         material[first_row], np.array(list(ref), dtype=np.int64)
@@ -345,8 +348,8 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     expected = [ref.get(tuple(p), MISSING) for p in probes.tolist()]
     np.testing.assert_array_equal(index.find(index.encode(probes)), expected)
 
-    # index.dense maps sorted position -> dense index; shifted() follows it
-    sorted_rows = np.array(list(ref), dtype=np.int64)[index.dense]
+    # shifted() moves the rows in their sorted (dense index) order
+    sorted_rows = np.array(list(ref), dtype=np.int64)
     for offset in ([0, 0], [d, -d], [-d - 1, d + 1], [1, 0]):
         expected = [ref.get(tuple(r), MISSING) for r in (sorted_rows + offset).tolist()]
         np.testing.assert_array_equal(index.find(index.shifted(np.array(offset))), expected)

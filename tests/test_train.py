@@ -211,6 +211,11 @@ def test_train_config_validation():
         train.TrainConfig(gravity_axis="w")
     with pytest.raises(InvalidInput):
         train.TrainConfig(scale_low=0.0)
+    for name, value in [("learning_rate", math.nan), ("adam_epsilon", math.inf),
+                        ("translate_magnitude", math.inf),
+                        ("color_jitter_magnitude", math.nan), ("scale_high", math.inf)]:
+        with pytest.raises(InvalidInput, match=name):
+            train.TrainConfig(**{name: value})
     train.TrainConfig(learning_rate=0.0)  # zero is allowed
 
 
