@@ -17,9 +17,10 @@ point with respect to the d+1 simplex vertices.
 build_lattice runs this for a whole cloud, deduplicates the touched vertices
 and stores the per-point embeddings. The one-ring adjacency of every vertex
 is resolved on its first read, so a lattice that is only splatted and sliced
-never pays for it. One sorted index over the first d key coordinates (the
-last is implied by the sum-zero constraint) serves the deduplication, every
-adjacency column, embed and lookup. Its rows are shifted into the vertices'
+never pays for it; so is the block plan that bcl.splat runs (SplatPlan).
+One sorted index over the first d key coordinates (the last is implied by
+the sum-zero constraint) serves the deduplication, every adjacency column,
+embed and lookup. Its rows are shifted into the vertices'
 bounding box padded by d+1 on every side and encoded either as int64
 mixed-radix codes, when the padded box has at most 2^63 - 1 cells, or else
 as big-endian uint64 rows compared as raw bytes. Both encodings sort like
@@ -54,6 +55,11 @@ MISSING = -1
 _MAX_COORD = 2.0**52
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Points per splat block. On 8k- and 100k-point facades, blocks of 128, 256
+# and 512 points splatted within 15% of each other and 64 was 1.2-1.5x
+# slower; the smallest of the good sizes keeps the weight buffer smallest.
+_SPLAT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -265,6 +271,49 @@ class _VertexIndex:
         return np.where(self.codes[pos] == codes, pos, MISSING)
 
 
+class SplatPlan:
+    """The points of a lattice cut into blocks for splat, one GEMM per block.
+
+    The points are sorted stably by the dense index of their remainder-0
+    corner, and the sorted order is cut into blocks of _SPLAT_BLOCK points.
+    Dense indices are key ranks, so a block's points lie in nearby simplices
+    that share corners: on facade clouds a block of 128 points touches 8 to
+    31 vertices on average, not 128 (d+1).
+
+      order      (n,) int32 point indices in block order
+      local      (n, d+1) int32; local[i, r] is the row, among its block's
+                 vertices, of point order[i]'s remainder-r corner
+      vertices   each block's distinct dense vertex indices, ascending, one
+                 block after another
+      starts     (blocks + 1,) block b's vertices are vertices[starts[b]:starts[b+1]]
+      weight_size  the largest (vertices x points) weight matrix of a block
+    """
+
+    def __init__(self, point_vertices: np.ndarray, num_vertices: int):
+        n, d1 = point_vertices.shape
+        self.order = np.argsort(point_vertices[:, 0], kind="stable").astype(np.int32)
+        block = np.arange(n) // _SPLAT_BLOCK
+        num_blocks = int(block[-1]) + 1
+        # One sort of (block, vertex) pairs dedups every block at once.
+        pairs = (block[:, None] * num_vertices + point_vertices[self.order]).ravel()
+        uniq, inverse = np.unique(pairs, return_inverse=True)
+        self.vertices = uniq % num_vertices
+        self.starts = np.searchsorted(uniq, np.arange(num_blocks + 1) * num_vertices)
+        local = inverse.reshape(n, d1) - self.starts[block][:, None]
+        self.local = local.astype(np.int32)
+        widths = np.minimum(n - np.arange(num_blocks) * _SPLAT_BLOCK, _SPLAT_BLOCK)
+        self.weight_size = int(np.max(np.diff(self.starts) * widths))
+        for arr in (self.order, self.local, self.vertices, self.starts):
+            arr.setflags(write=False)
+
+    def blocks(self):
+        """(points, local, vertices) of each block, in order."""
+        for b, start in enumerate(range(0, self.order.size, _SPLAT_BLOCK)):
+            rows = np.s_[start:start + _SPLAT_BLOCK]
+            yield (self.order[rows], self.local[rows],
+                   self.vertices[self.starts[b]:self.starts[b + 1]])
+
+
 class SparseLattice:
     """A lattice restricted to the vertices touched by one point cloud.
 
@@ -279,6 +328,8 @@ class SparseLattice:
       adjacency        (V, K) int64 dense index of each one-ring neighbor,
                        MISSING where unoccupied; column 0 is the identity.
                        Resolved on first read and kept from then on
+      splat_plan       the SplatPlan of the points, built on first read and
+                       kept from then on
       offsets          the NeighborOffsets the adjacency columns follow
     """
 
@@ -302,6 +353,10 @@ class SparseLattice:
             adjacency[:, col] = index.find(index.shifted(off[:d]))
         adjacency.setflags(write=False)
         return adjacency
+
+    @functools.cached_property
+    def splat_plan(self) -> SplatPlan:
+        return SplatPlan(self.point_vertices, self.num_vertices)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Dense indices of (q, d+1) full lattice keys; MISSING where absent."""
@@ -330,11 +385,14 @@ class SparseLattice:
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays held by the lattice and its vertex index, the
-        adjacency once it has been read."""
-        arrays = [*vars(self).values(), *vars(self._index).values()]
+        adjacency and the splat plan once they have been read."""
+        holders = [self, self._index]
+        if "splat_plan" in vars(self):
+            holders.append(self.splat_plan)
+        arrays = [a for holder in holders for a in vars(holder).values()]
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
-    # Occupancy diagnostics used by the stats CLI.
+    # Occupancy diagnostics used by the stats CLI; bcl.splat reads the ratio.
     def occupancy_ratio(self) -> float:
         return self.num_vertices / (self.num_points * (self.config.dim + 1))
 

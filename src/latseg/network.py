@@ -255,13 +255,17 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
     """Build the per-BCL lattices and descriptors for one cloud.
 
     One descriptor per BCL layer, in layer order. Reusable across any number
-    of forward/backward passes on the same cloud.
+    of forward/backward passes on the same cloud. Each lattice's splat plan
+    is built here, so a descriptor's nbytes covers it.
     """
-    return [
+    descriptors = [
         bcl.make_descriptor(lattice_features, None, spec.bcl_config(layer.level))
         for layer in spec.layers
         if isinstance(layer, BCLSpec)
     ]
+    for desc in descriptors:
+        _ = desc.lattice.splat_plan  # built here, so that nbytes budgets it
+    return descriptors
 
 
 @dataclass

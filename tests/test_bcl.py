@@ -168,6 +168,96 @@ def test_splat_shape_errors():
         bcl.slice(np.zeros((lat.num_vertices, 2)), lat.point_vertices, lat.point_bary[:, :-1])
 
 
+def test_slice_adjoint_shape_errors():
+    rng = np.random.default_rng(31)
+    pts, lat, _ = random_instance(rng, n=50, d=3, c=1)
+    idx, bary = lat.embed(rng.normal(size=(50, 3)))
+    with pytest.raises(ShapeError):
+        bcl.slice_adjoint(np.zeros((49, 2)), idx, bary, lat.num_vertices)
+    with pytest.raises(ShapeError):
+        bcl.slice_adjoint(np.zeros(50), idx, bary, lat.num_vertices)
+    with pytest.raises(ShapeError):
+        bcl.slice_adjoint(np.zeros((50, 2)), idx, bary[:, :-1], lat.num_vertices)
+
+
+# -------------------------------------------------------------- block splat
+
+# Two full splat blocks and a partial one.
+BLOCKS_N = 2 * 128 + 37
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_block_splat_dense_oracle_and_adjoint(d):
+    rng = np.random.default_rng(40 + d)
+    pts, lat, values = random_instance(rng, n=BLOCKS_N, d=d, c=3, scale=1.5)
+    assert lat.splat_plan.starts.size == 4
+    splatted = bcl._block_splat(values, lat)
+    np.testing.assert_allclose(splatted, dense_splat_matrix(lat) @ values, atol=1e-12)
+    scattered = bcl._scatter(values, lat.point_vertices, lat.point_bary, lat.num_vertices)
+    np.testing.assert_allclose(scattered, splatted, atol=1e-12)
+    v = rng.normal(size=(lat.num_vertices, 3))
+    lhs = np.sum(splatted * v)
+    rhs = np.sum(values * bcl.splat_adjoint(v, lat))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+def test_splat_zero_channels():
+    rng = np.random.default_rng(44)
+    pts, lat, _ = random_instance(rng, n=BLOCKS_N, d=3)
+    empty = np.zeros((BLOCKS_N, 0))
+    assert bcl.splat(empty, lat).shape == (lat.num_vertices, 0)
+    assert bcl._block_splat(empty, lat).shape == (lat.num_vertices, 0)
+
+
+def test_splat_picks_the_block_plan_by_channels_and_occupancy():
+    rng = np.random.default_rng(47)
+    pts = rng.normal(size=(BLOCKS_N, 3))
+    wide = rng.normal(size=(BLOCKS_N, bcl._PLAN_MIN_CHANNELS))
+    dense = build_lattice(pts, LatticeConfig(3, 0.5))
+    assert dense.occupancy_ratio() <= bcl._PLAN_MAX_OCCUPANCY
+    bcl.splat(wide[:, :-1], dense)
+    assert "splat_plan" not in vars(dense)
+    bcl.splat(wide, dense)
+    assert "splat_plan" in vars(dense)
+    sparse = build_lattice(pts, LatticeConfig(3, 4.0))
+    assert sparse.occupancy_ratio() > bcl._PLAN_MAX_OCCUPANCY
+    bcl.splat(wide, sparse)
+    assert "splat_plan" not in vars(sparse)
+
+
+def test_splat_bitwise_repeatable():
+    rng = np.random.default_rng(45)
+    pts, lat, values = random_instance(rng, n=BLOCKS_N, d=3, c=16, scale=0.5)
+    first = bcl.splat(values, lat)
+    assert "splat_plan" in vars(lat)
+    assert bcl.splat(values, lat).tobytes() == first.tobytes()
+    again = build_lattice(pts, lat.config)
+    assert bcl.splat(values, again).tobytes() == first.tobytes()
+
+
+def test_bcl_backward_blocks_match_dense_transpose():
+    # sliced back onto its own points, the backward splats its cotangent
+    rng = np.random.default_rng(46)
+    pts = rng.normal(size=(BLOCKS_N, 3))
+    desc = bcl.make_descriptor(pts, None, LatticeConfig(3, 0.5))
+    lat = desc.lattice
+    assert desc.out_indices is lat.point_vertices
+    c_out = bcl._PLAN_MIN_CHANNELS
+    bank = bcl.FilterBank(rng.normal(size=(lat.adjacency.shape[1], 2, c_out)),
+                          rng.normal(size=c_out))
+    values = rng.normal(size=(BLOCKS_N, 2))
+    _, splatted = bcl.bcl_forward(values, desc, bank)
+    assert "splat_plan" not in vars(lat)
+    g = rng.normal(size=(BLOCKS_N, c_out))
+    grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
+    assert "splat_plan" in vars(lat)
+    s_splat = dense_splat_matrix(lat)
+    g_filtered = s_splat @ (g / desc.denominator)
+    g_splat = sum(dense_tap_matrix(lat, k).T @ g_filtered @ bank.weights[k].T
+                  for k in range(bank.taps))
+    np.testing.assert_allclose(grad_input, s_splat.T @ g_splat, atol=1e-10)
+
+
 # ----------------------------------------------------------------- convolve
 
 
@@ -369,6 +459,18 @@ def test_bcl_backward_zero_grad():
     assert not grad_bias.any()
 
 
+def test_bcl_backward_shape_errors():
+    rng = np.random.default_rng(47)
+    pts, lat, values = random_instance(rng)
+    desc = bcl.make_descriptor(pts, None, lat.config)
+    bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)),
+                          rng.normal(size=2))
+    _, splatted = bcl.bcl_forward(values, desc, bank)
+    for bad in (np.zeros((10, 2, 1)), np.zeros((9, 2)), np.zeros((10, 3)), np.zeros(10)):
+        with pytest.raises(ShapeError):
+            bcl.bcl_backward(desc, bank, splatted, bad)
+
+
 @pytest.mark.parametrize("normalized", [False, True])
 def test_bcl_backward_finite_differences(normalized):
     rng = np.random.default_rng(19)
@@ -476,6 +578,14 @@ def test_project_never_builds_the_adjacency(monkeypatch):
                 rng.normal(size=(30, 3)), LatticeConfig(3, 2.0))
     assert len(made) == 1
     assert "adjacency" not in vars(made[0].lattice)
+    assert "splat_plan" not in vars(made[0].lattice)
+
+
+def test_ones_pass_never_builds_a_splat_plan():
+    rng = np.random.default_rng(28)
+    desc = bcl.make_descriptor(rng.normal(size=(80, 3)), None, LatticeConfig(3, 2.0))
+    assert desc.denominator is not None
+    assert "splat_plan" not in vars(desc.lattice)
 
 
 def test_default_blur_descriptor_holds_a_read_only_adjacency():
@@ -498,6 +608,6 @@ def test_prepared_descriptor_bytes_count_the_adjacency():
     rng = np.random.default_rng(23)
     spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
     descs = network.prepare_descriptors(spec, rng.normal(size=(300, 3)))
-    assert [d.nbytes for d in descs] == [199112, 131112, 59912]
+    assert [d.nbytes for d in descs] == [214072, 143032, 68296]
     for d in descs:
         assert "adjacency" in vars(d.lattice)

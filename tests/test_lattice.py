@@ -413,10 +413,31 @@ def test_nbytes_counts_each_buffer_once():
     # a view (point_vertices reshapes the dense-index array) counts as its base
     rng = np.random.default_rng(21)
     lat = build_lattice(rng.normal(size=(256, 3)) * 2, LatticeConfig(3, 1.0))
-    buffers = {}
-    for arr in [*vars(lat).values(), *vars(lat._index).values()]:
-        if isinstance(arr, np.ndarray):
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            buffers[id(arr)] = arr.nbytes
-    assert lat.nbytes == sum(buffers.values())
+    holders = [lat, lat._index]
+    for planned in (False, True):
+        if planned:
+            holders.append(lat.splat_plan)
+        buffers = {}
+        for arr in [v for holder in holders for v in vars(holder).values()]:
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                buffers[id(arr)] = arr.nbytes
+        assert lat.nbytes == sum(buffers.values())
+
+
+@pytest.mark.parametrize("n", [1, 128, 2 * 128 + 37])
+def test_splat_plan_blocks_cover_every_corner(n):
+    rng = np.random.default_rng(22)
+    lat = build_lattice(rng.normal(size=(n, 3)) * 2, LatticeConfig(3, 1.0))
+    plan = lat.splat_plan
+    np.testing.assert_array_equal(
+        plan.order, np.argsort(lat.point_vertices[:, 0], kind="stable"))
+    seen = []
+    for points, local, vertices in plan.blocks():
+        assert points.size <= 128 and (np.diff(vertices) > 0).all()
+        np.testing.assert_array_equal(vertices[local], lat.point_vertices[points])
+        seen.append(points)
+    np.testing.assert_array_equal(np.concatenate(seen), plan.order)
+    assert plan.local.dtype == np.int32
+    assert lat.splat_plan is plan  # built once
