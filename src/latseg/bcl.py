@@ -32,12 +32,12 @@ never on features or learnable weights, and is floored at 1e-12 (so outputs
 with no lattice support are 0).
 
 All forward ops are linear in the features, and the backward pass is exact:
-splat and slice are mutual adjoints, and the convolution gradient
-scatter-gathers along the same adjacency. Accumulation orders are fixed
-(_block_splat: blocks in remainder-0 rank order, a GEMM inside each block;
-_scatter: ascending point index; reductions: ascending dense vertex index),
-and splat's choice depends only on the lattice and the channel count, so
-results are bit-for-bit reproducible.
+splat and slice are mutual adjoints, and convolve (im2col) and its weight and
+input gradients are one GEMM each. Accumulation orders are fixed (_block_splat:
+blocks in remainder-0 rank order, a GEMM inside each block; _scatter:
+ascending point index; convolve: one GEMM over the K·C_in gathered taps;
+reductions: ascending dense vertex index), and splat's choice depends only on
+the lattice and the channel count, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -209,12 +209,8 @@ def slice_adjoint(
     return _scatter(point_grad, rows, bary, num_vertices + 1)[:num_vertices]
 
 
-def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.ndarray:
-    """Sparse one-ring convolution over the vertex set.
-
-    out[v, co] = bias[co] + sum_k sum_ci weights[k, ci, co] * values[adj[v, k], ci]
-    with absent neighbors contributing zero.
-    """
+def _taps(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.ndarray:
+    """Shape-checked (V, C_in) vertex features gathered over the one-ring, (V, K·C_in)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != lat.num_vertices:
         raise ShapeError(f"expected ({lat.num_vertices}, C) vertex features, got {values.shape}")
@@ -223,30 +219,38 @@ def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.nda
         raise ShapeError(f"filter has {bank.taps} taps, lattice one-ring has {k_taps}")
     if bank.c_in != values.shape[1]:
         raise ShapeError(f"filter expects C_in={bank.c_in}, features have {values.shape[1]}")
-    padded = _zero_padded(values)
-    out = np.tile(bank.bias, (lat.num_vertices, 1))
-    for k in range(k_taps):
-        out += padded[lat.adjacency[:, k]] @ bank.weights[k]
+    return np.take(_zero_padded(values), lat.adjacency, axis=0).reshape(lat.num_vertices, -1)
+
+
+def convolve(values: np.ndarray, lat: SparseLattice, bank: FilterBank) -> np.ndarray:
+    """Sparse one-ring convolution over the vertex set.
+
+    out[v, co] = bias[co] + sum_k sum_ci weights[k, ci, co] * values[adj[v, k], ci]
+    with absent neighbors contributing zero.
+    """
+    out = _taps(values, lat, bank) @ bank.weights.reshape(-1, bank.c_out)
+    out += bank.bias
     return out
 
 
 def convolve_backward(
     saved_values: np.ndarray, lat: SparseLattice, bank: FilterBank, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of convolve w.r.t. (values, weights, bias).
+    """Gradients of convolve w.r.t. (values, weights, bias); one GEMM each for the first two.
 
     The one-ring is closed under negation: when tap k of u reaches v, tap
-    K-k (k >= 1) of v reaches u. So the input gradient gathers grad_out
-    through the reflected taps, summed in forward tap order.
+    -k mod K of v reaches u. So the input gradient gathers grad_out through
+    the reflected taps, the transpose of the forward gather.
     """
-    padded = _zero_padded(saved_values)
-    padded_grad = _zero_padded(grad_out)
-    grad_values = np.zeros_like(saved_values)
-    grad_weights = np.empty_like(bank.weights)
-    for k in range(bank.taps):
-        grad_weights[k] = padded[lat.adjacency[:, k]].T @ grad_out
-        reflected = lat.adjacency[:, -k % bank.taps]
-        grad_values += padded_grad[reflected] @ bank.weights[k].T
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (lat.num_vertices, bank.c_out):
+        raise ShapeError(f"grad_out {grad_out.shape} is not ({lat.num_vertices}, {bank.c_out})")
+    # The taps die before the second gather: with both (V, K·C) gathers alive,
+    # each call faulted in ~300 fresh pages and ran 3x slower (V = 341, C = 16).
+    grad_weights = (_taps(saved_values, lat, bank).T @ grad_out).reshape(bank.weights.shape)
+    reflected = lat.adjacency[:, -np.arange(bank.taps) % bank.taps]
+    grad_taps = np.take(_zero_padded(grad_out), reflected, axis=0).reshape(lat.num_vertices, -1)
+    grad_values = grad_taps @ bank.weights.transpose(0, 2, 1).reshape(-1, bank.c_in)
     return grad_values, grad_weights, grad_out.sum(axis=0)
 
 

@@ -255,17 +255,14 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
     """Build the per-BCL lattices and descriptors for one cloud.
 
     One descriptor per BCL layer, in layer order. Reusable across any number
-    of forward/backward passes on the same cloud. Each lattice's splat plan
-    is built here, so a descriptor's nbytes covers it.
+    of forward/backward passes on the same cloud. Splat plans are not built
+    here: a lattice builds its plan on its first block splat.
     """
-    descriptors = [
+    return [
         bcl.make_descriptor(lattice_features, None, spec.bcl_config(layer.level))
         for layer in spec.layers
         if isinstance(layer, BCLSpec)
     ]
-    for desc in descriptors:
-        _ = desc.lattice.splat_plan  # built here, so that nbytes budgets it
-    return descriptors
 
 
 @dataclass

@@ -192,7 +192,7 @@ def _correct_total(probs, labels, ignore_label):
 
 class _DescriptorCache:
     """Descriptor lists by dataset index, kept in first-request order while their
-    arrays fit in _DESCRIPTOR_CACHE_BYTES; nothing is evicted."""
+    arrays (splat plans built here too) fit in _DESCRIPTOR_CACHE_BYTES; no eviction."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -204,6 +204,8 @@ class _DescriptorCache:
         descriptors = self.lists.get(index)
         if descriptors is None:
             descriptors = network.prepare_descriptors(self.spec, lattice_features)
+            for desc in descriptors:
+                _ = desc.lattice.splat_plan
             size = sum(d.nbytes for d in descriptors)
             if self.nbytes + size <= _DESCRIPTOR_CACHE_BYTES:
                 self.lists[index] = descriptors

@@ -290,6 +290,45 @@ def test_convolve_dense_oracle():
     np.testing.assert_allclose(bcl.convolve(vals, lat, bank), dense, atol=1e-10)
 
 
+def assert_rel_close(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize("c_in, c_out", [(1, 1), (3, 5)])
+def test_convolve_and_gradients_dense_oracle(d, c_in, c_out):
+    # (1, 1) is the shape of the normalization ones-pass
+    rng = np.random.default_rng(60 + 10 * d + c_in)
+    pts, lat, _ = random_instance(rng, n=40, d=d)
+    assert (lat.adjacency == MISSING).any()
+    k = lat.adjacency.shape[1]
+    bank = bcl.FilterBank(rng.normal(size=(k, c_in, c_out)), rng.normal(size=c_out))
+    vals = rng.normal(size=(lat.num_vertices, c_in))
+    grad_out = rng.normal(size=(lat.num_vertices, c_out))
+    tap_matrices = [dense_tap_matrix(lat, tap) for tap in range(k)]
+
+    want = bank.bias + sum(t @ vals @ w for t, w in zip(tap_matrices, bank.weights))
+    assert_rel_close(bcl.convolve(vals, lat, bank), want)
+    g_vals, g_w, g_b = bcl.convolve_backward(vals, lat, bank, grad_out)
+    assert_rel_close(g_vals, sum(t.T @ grad_out @ w.T for t, w in zip(tap_matrices, bank.weights)))
+    assert_rel_close(g_w, np.stack([(t @ vals).T @ grad_out for t in tap_matrices]))
+    assert_rel_close(g_b, grad_out.sum(axis=0))
+
+
+def test_convolve_and_backward_bitwise_repeatable():
+    rng = np.random.default_rng(65)
+    pts, lat, _ = random_instance(rng, n=200, d=3, scale=1.0)
+    k = lat.adjacency.shape[1]
+    bank = bcl.FilterBank(rng.normal(size=(k, 16, 8)), rng.normal(size=8))
+    vals = rng.normal(size=(lat.num_vertices, 16))
+    grad_out = rng.normal(size=(lat.num_vertices, 8))
+    assert bcl.convolve(vals, lat, bank).tobytes() == bcl.convolve(vals, lat, bank).tobytes()
+    first = bcl.convolve_backward(vals, lat, bank, grad_out)
+    second = bcl.convolve_backward(vals, lat, bank, grad_out)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_convolve_backward_dense_and_fd():
     rng = np.random.default_rng(9)
     pts, lat, _ = random_instance(rng, n=8, d=2, c=2)
@@ -314,6 +353,25 @@ def test_convolve_tap_mismatch():
     bank = bcl.FilterBank(np.zeros((3, 2, 2)), np.zeros(2))  # wrong K for d=2
     with pytest.raises(ShapeError):
         bcl.convolve(np.zeros((lat.num_vertices, 2)), lat, bank)
+
+
+@pytest.mark.parametrize("case", ["extra_row", "wide_grad", "narrow_values", "flat_grad"])
+def test_convolve_backward_shape_errors(case):
+    rng = np.random.default_rng(11)
+    pts, lat, _ = random_instance(rng, n=6, d=2, c=2)
+    v = lat.num_vertices
+    bank = bcl.FilterBank(np.zeros((lat.adjacency.shape[1], 2, 3)), np.zeros(3))
+    saved, grad_out = np.zeros((v, 2)), np.zeros((v, 3))
+    if case == "extra_row":
+        grad_out = np.zeros((v + 1, 3))
+    elif case == "wide_grad":
+        grad_out = np.zeros((v, 4))
+    elif case == "narrow_values":
+        saved = np.zeros((v, 1))
+    else:
+        grad_out = np.zeros(v)
+    with pytest.raises(ShapeError):
+        bcl.convolve_backward(saved, lat, bank, grad_out)
 
 
 # -------------------------------------------------------------- normalize
@@ -604,10 +662,11 @@ def test_prepared_descriptor_bytes_count_the_adjacency():
     # the training descriptor cache budgets with nbytes, so the pinned byte
     # counts include each lattice's adjacency
     from latseg import network
+    from latseg.train import _DescriptorCache
 
     rng = np.random.default_rng(23)
     spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
-    descs = network.prepare_descriptors(spec, rng.normal(size=(300, 3)))
+    descs = _DescriptorCache(spec).get(0, rng.normal(size=(300, 3)))
     assert [d.nbytes for d in descs] == [214072, 143032, 68296]
     for d in descs:
         assert "adjacency" in vars(d.lattice)

@@ -283,6 +283,21 @@ def test_adjacency_matches_direct_lookup():
                 assert lat.adjacency[v, c] == ref.get(neighbor, MISSING)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_one_ring_closed_under_negation(d):
+    # convolve_backward gathers its cotangent through the reflected taps
+    rng = np.random.default_rng(80 + d)
+    lat = build_lattice(rng.normal(size=(60, d)), LatticeConfig(d, 2.0))
+    adj = lat.adjacency
+    k_taps = adj.shape[1]
+    assert (adj == MISSING).any()
+    np.testing.assert_array_equal(lat.offsets.offsets[-np.arange(k_taps) % k_taps],
+                                  -lat.offsets.offsets)
+    for k in range(1, k_taps):
+        reached = np.flatnonzero(adj[:, k] != MISSING)
+        np.testing.assert_array_equal(adj[adj[reached, k], -k % k_taps], reached)
+
+
 def random_lattice_vectors(rng, count, d1, spread):
     """Sum-zero integer vectors with all coordinates congruent mod d1."""
     r = rng.integers(0, d1, size=(count, 1))

@@ -181,6 +181,17 @@ def test_forward_inference_memory_is_bounded_by_the_concat():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
 
+def test_inference_builds_no_splat_plan_for_the_input_layer():
+    # 7 input channels are scattered, and inference runs no backward; the
+    # 16-channel splat of the second BCL runs the block plan
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(0, 0.3, size=(600, 3))
+    spec, params = small_net(arch="B16-B16-C2", lam=8.0, input_dim=7)
+    descs = net.prepare_descriptors(spec, pts)
+    net.forward(spec, params, rng.normal(size=(600, 7)), pts, descriptors=descs)
+    assert ["splat_plan" in vars(d.lattice) for d in descs] == [False, True]
+
+
 def test_forward_duplicate_points_identical_rows():
     spec, params = small_net(seed=7)
     rng = np.random.default_rng(3)
