@@ -24,12 +24,12 @@ the first layer of a network (its input channels). slice_adjoint of a
 foreign embedding always scatters, as its MISSING corners have no place
 in a plan. splat builds the plan only when it runs it.
 
-With normalization on, the raw sliced values are divided point-wise by the
-result of pushing an all-ones signal through the same pipeline: splat ->
-convolve with a fixed single-channel, bias-free blur profile over the
-one-ring -> slice. The denominator depends only on the lattice geometry,
-never on features or learnable weights, and is floored at 1e-12 (so outputs
-with no lattice support are 0).
+Every BCL is normalized: its sliced values are divided point-wise by an
+all-ones signal pushed through splat -> convolve with the default blur
+profile (single-channel, bias-free, over the one-ring) -> slice. project
+divides by splat -> slice of all-ones, with no blur. Denominators depend
+only on the lattice geometry, never on features or learnable weights, and
+are floored at 1e-12 (so outputs with no lattice support are 0).
 
 All forward ops are linear in the features, and the backward pass is exact:
 splat and slice are mutual adjoints, and convolve (im2col) and its weight and
@@ -96,13 +96,6 @@ class FilterBank:
     @property
     def c_out(self) -> int:
         return self.weights.shape[2]
-
-
-def identity_bank(taps: int, channels: int) -> FilterBank:
-    """Kernel that copies the zero-offset tap: convolve becomes the identity."""
-    w = np.zeros((taps, channels, channels))
-    w[0] = np.eye(channels)
-    return FilterBank(w, np.zeros(channels))
 
 
 def default_blur_profile(taps: int) -> np.ndarray:
@@ -259,15 +252,15 @@ class BCLDescriptor:
     """Reusable geometry of one BCL application.
 
     Captures the input-cloud lattice, the output-cloud embedding against it,
-    and the cached normalization denominator (None when not normalizing),
-    which depends only on the geometry. Build once per (cloud pair, scale);
-    apply to any number of feature matrices / filter banks.
+    and the cached normalization denominator, which depends only on the
+    geometry. Build once per (cloud pair, scale); apply to any number of
+    feature matrices / filter banks.
     """
 
     lattice: SparseLattice
     out_indices: np.ndarray
     out_bary: np.ndarray
-    denominator: np.ndarray | None  # (m, 1), already floored
+    denominator: np.ndarray  # (m, 1), already floored
 
     @property
     def num_out(self) -> int:
@@ -278,54 +271,35 @@ class BCLDescriptor:
         """Bytes of the arrays the descriptor holds, shared ones counted once."""
         lat = self.lattice
         own = [a for a in (self.out_indices, self.out_bary, self.denominator)
-               if a is not None and a is not lat.point_vertices and a is not lat.point_bary]
+               if a is not lat.point_vertices and a is not lat.point_bary]
         return lat.nbytes + sum(a.nbytes for a in own)
 
 
-_DEFAULT_BLUR = "default"
-
-
 def make_descriptor(
-    features_in: np.ndarray,
-    features_out: np.ndarray | None,
-    config: LatticeConfig,
-    normalize: bool = True,
-    blur=_DEFAULT_BLUR,
+    features_in: np.ndarray, features_out: np.ndarray | None, config: LatticeConfig
 ) -> BCLDescriptor:
-    """Build the lattice for the input cloud and embed the output cloud.
-
-    features_out=None means "slice back onto the input points". blur selects
-    the normalization profile: the default 1/0.5 one-ring profile, an
-    explicit (K,) array, or None for no blur in the ones-pass.
-    """
+    """Build the input cloud's lattice, embed the output cloud (None: the
+    input points) and run the ones-pass through the default blur profile."""
     lat = build_lattice(features_in, config)
     if features_out is None:
         out_idx, out_bary = lat.point_vertices, lat.point_bary
     else:
         out_idx, out_bary = lat.embed(features_out)
-    denom = None
-    if normalize:
-        mass = splat(np.ones((lat.num_points, 1)), lat)
-        if blur is not None:
-            taps = lat.adjacency.shape[1]
-            profile = default_blur_profile(taps) if isinstance(blur, str) else blur
-            profile = np.asarray(profile, dtype=np.float64)
-            if profile.shape != (taps,):
-                raise ShapeError(f"blur profile must have {taps} taps, got {profile.shape}")
-            mass = convolve(mass, lat, FilterBank(profile[:, None, None], np.zeros(1)))
-        denom = np.maximum(slice(mass, out_idx, out_bary), NORM_EPS)
+    profile = default_blur_profile(lat.adjacency.shape[1])
+    mass = convolve(splat(np.ones((lat.num_points, 1)), lat), lat,
+                    FilterBank(profile[:, None, None], np.zeros(1)))
+    denom = np.maximum(slice(mass, out_idx, out_bary), NORM_EPS)
     return BCLDescriptor(lat, out_idx, out_bary, denom)
 
 
 def bcl_forward(
     values: np.ndarray, desc: BCLDescriptor, bank: FilterBank
 ) -> tuple[np.ndarray, np.ndarray]:
-    """splat -> convolve -> slice (-> normalize); returns (out, splatted)."""
+    """splat -> convolve -> slice -> normalize; returns (out, splatted)."""
     splatted = splat(values, desc.lattice)
     filtered = convolve(splatted, desc.lattice, bank)
     out = slice(filtered, desc.out_indices, desc.out_bary)
-    if desc.denominator is not None:
-        out /= desc.denominator
+    out /= desc.denominator
     return out, splatted
 
 
@@ -344,7 +318,7 @@ def bcl_backward(
             f"grad_out has shape {grad_out.shape}, expected ({desc.num_out}, {bank.c_out})"
         )
     lat = desc.lattice
-    g = grad_out if desc.denominator is None else grad_out / desc.denominator
+    g = grad_out / desc.denominator
     if desc.out_indices is lat.point_vertices and desc.out_bary is lat.point_bary:
         # Sliced back onto the input points: slice's adjoint is splat.
         g_filtered = splat(g, lat)
@@ -352,20 +326,6 @@ def bcl_backward(
         g_filtered = slice_adjoint(g, desc.out_indices, desc.out_bary, lat.num_vertices)
     g_splat, g_w, g_b = convolve_backward(splatted, lat, bank, g_filtered)
     return splat_adjoint(g_splat, lat), g_w, g_b
-
-
-def bcl_apply(
-    values: np.ndarray,
-    features_in: np.ndarray,
-    features_out: np.ndarray | None,
-    config: LatticeConfig,
-    bank: FilterBank,
-    normalize: bool = True,
-    blur=_DEFAULT_BLUR,
-) -> np.ndarray:
-    """One-shot BCL: build the descriptor and run forward."""
-    desc = make_descriptor(features_in, features_out, config, normalize, blur)
-    return bcl_forward(values, desc, bank)[0]
 
 
 def project(
@@ -377,13 +337,14 @@ def project(
     """Transport point features between clouds: normalized splat-then-slice.
 
     No convolution is involved, and the ones-pass uses no blur either, so the
-    numerator and denominator run through identical geometry: constant
-    channels are reproduced exactly wherever the destination has lattice
-    support, and unsupported destinations get 0. Non-finite values raise
-    InvalidInput, as they would spread to every destination sharing a vertex.
+    numerator and denominator run through identical geometry: constants are
+    reproduced up to rounding wherever the destination has lattice support,
+    and unsupported destinations get 0. Non-finite values raise InvalidInput,
+    as they would spread to every destination sharing a vertex.
     """
     if not np.all(np.isfinite(values)):
         raise InvalidInput("values to project must be finite")
-    desc = make_descriptor(features_src, features_dst, config, normalize=True, blur=None)
-    num = slice(splat(values, desc.lattice), desc.out_indices, desc.out_bary)
-    return num / desc.denominator
+    lat = build_lattice(features_src, config)
+    idx, bary = lat.embed(features_dst)
+    denom = np.maximum(slice(splat(np.ones((lat.num_points, 1)), lat), idx, bary), NORM_EPS)
+    return slice(splat(values, lat), idx, bary) / denom

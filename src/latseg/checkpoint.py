@@ -179,7 +179,7 @@ def _read_header(r: _Reader):
 
 def _assemble_params(spec: NetworkSpec, tensors: dict[str, np.ndarray], path: str,
                      shapes: list[dict] | None = None) -> list[dict]:
-    """Per-layer float64 tensors, checked key for key and shape for shape
+    """Per-layer finite float64 tensors, checked key for key and shape for shape
     against shapes: by default what parameter_shapes gives for the input
     width read from layer 0's weight (layer 0 is always a C or B layer)."""
     params: list[dict] = [dict() for _ in spec.layers]
@@ -192,6 +192,8 @@ def _assemble_params(spec: NetworkSpec, tensors: dict[str, np.ndarray], path: st
         if not (0 <= idx < len(spec.layers)):
             raise ParseError(f"{path}: tensor {name!r} indexes a nonexistent layer")
         params[idx][key] = arr.astype(np.float64)
+        if not np.isfinite(params[idx][key]).all():
+            raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
     if shapes is None:
         weight = params[0].get("weight")
         if weight is None or weight.ndim < 2 or weight.shape[-2] < 1:

@@ -54,7 +54,8 @@ def fd_grad(objective, arr, h=1e-5):
 
 
 def dense_reference(values, feats, cfg, bank):
-    """Literal slice @ conv @ splat matrix product, one channel at a time."""
+    """Literal slice @ conv @ splat matrix product, one channel at a time,
+    divided by the ones-pass slice @ blur @ splat @ 1 with the default profile."""
     lat = build_lattice(feats, cfg)
     idx, bary = lat.embed(feats)
     n, num_v = feats.shape[0], lat.num_vertices
@@ -73,7 +74,10 @@ def dense_reference(values, feats, cfg, bank):
         for ci in range(bank.c_in):
             conv_mat = sum(bank.weights[k, ci, co] * taps[k] for k in range(bank.taps))
             out[:, co] += splat_mat.T @ conv_mat @ splat_mat @ values[:, ci]
-    return out
+    profile = bcl.default_blur_profile(bank.taps)
+    blur_mat = sum(profile[k] * taps[k] for k in range(bank.taps))
+    ones_pass = splat_mat.T @ blur_mat @ splat_mat @ np.ones(n)
+    return out / np.maximum(ones_pass, 1e-12)[:, None]
 
 
 def test_criterion_01_dense_oracle_equivalence():
@@ -91,7 +95,7 @@ def test_criterion_01_dense_oracle_equivalence():
         taps = 2 ** (d + 1) - 1
         bank = bcl.FilterBank(rng.normal(size=(taps, c_in, c_out)) * 0.5,
                               np.zeros(c_out))
-        got = bcl.bcl_apply(values, feats, None, cfg, bank, normalize=False)
+        got, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
         want = dense_reference(values, feats, cfg, bank)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst <= 1e-9, (trial, worst)
@@ -255,11 +259,8 @@ def test_criterion_06_constant_preservation():
         values = np.tile(const, (n, 1))
         taps = 2 ** (d + 1) - 1
 
-        # identity kernel at the center tap, matched single-tap blur
-        tap0 = np.zeros(taps)
-        tap0[0] = 1.0
-        desc = bcl.make_descriptor(feats, None, cfg, normalize=True, blur=tap0)
-        out, _ = bcl.bcl_forward(values, desc, bcl.identity_bank(taps, c))
+        # normalized splat-then-slice onto the same cloud
+        out = bcl.project(values, feats, feats, cfg)
         worst = max(worst, float(np.max(np.abs(out - values))))
 
         # random mixing kernel shaped like the blur profile: every constant
@@ -267,8 +268,7 @@ def test_criterion_06_constant_preservation():
         mix = rng.normal(size=(c, c))
         profile = bcl.default_blur_profile(taps)
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(c))
-        desc2 = bcl.make_descriptor(feats, None, cfg, normalize=True)
-        out2, _ = bcl.bcl_forward(values, desc2, bank)
+        out2, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
         expected = np.tile(const @ mix, (n, 1))
         worst = max(worst, float(np.max(np.abs(out2 - expected))))
         assert worst <= 1e-6
@@ -292,8 +292,9 @@ def test_criterion_07_permutation_equivariance():
     taps = 2 ** (d + 1) - 1
     bank = bcl.FilterBank(rng.normal(size=(taps, c, c)) * 0.3, rng.normal(size=c))
     perm = rng.permutation(n)
-    base = bcl.bcl_apply(values, feats, None, cfg, bank)
-    shuffled = bcl.bcl_apply(values[perm], feats[perm], None, cfg, bank)
+    base, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+    shuffled, _ = bcl.bcl_forward(values[perm], bcl.make_descriptor(feats[perm], None, cfg),
+                                  bank)
     bcl_err = float(np.max(np.abs(shuffled - base[perm])))
     assert bcl_err <= 1e-6
 

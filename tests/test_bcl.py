@@ -41,8 +41,17 @@ def dense_tap_matrix(lat, k):
     return m
 
 
+def dense_denominator(lat, indices, bary):
+    """Dense ones-pass: slice . blur . splat . 1 with the default profile, floored."""
+    profile = bcl.default_blur_profile(lat.adjacency.shape[1])
+    blur_mat = sum(p * dense_tap_matrix(lat, t) for t, p in enumerate(profile))
+    s_slice = dense_slice_matrix(indices, bary, lat.num_vertices)
+    ones = np.ones((lat.num_points, 1))
+    return np.maximum(s_slice @ blur_mat @ dense_splat_matrix(lat) @ ones, 1e-12)
+
+
 def dense_bcl(values, lat, indices, bary, bank):
-    """Independent dense evaluation of splat -> convolve -> slice."""
+    """Independent dense evaluation of splat -> convolve -> slice, unnormalized."""
     s_splat = dense_splat_matrix(lat)
     s_slice = dense_slice_matrix(indices, bary, lat.num_vertices)
     splatted = s_splat @ values
@@ -50,6 +59,13 @@ def dense_bcl(values, lat, indices, bary, bank):
     for k in range(bank.taps):
         filtered += (dense_tap_matrix(lat, k) @ splatted) @ bank.weights[k]
     return s_slice @ filtered
+
+
+def identity_bank(taps, channels):
+    """Kernel that copies the zero-offset tap: convolve becomes the identity."""
+    w = np.zeros((taps, channels, channels))
+    w[0] = np.eye(channels)
+    return bcl.FilterBank(w, np.zeros(channels))
 
 
 def rel_err(a, b):
@@ -265,7 +281,7 @@ def test_convolve_identity_kernel():
     rng = np.random.default_rng(6)
     pts, lat, _ = random_instance(rng, n=25, d=3, c=4)
     vals = rng.normal(size=(lat.num_vertices, 4))
-    bank = bcl.identity_bank(lat.adjacency.shape[1], 4)
+    bank = identity_bank(lat.adjacency.shape[1], 4)
     np.testing.assert_allclose(bcl.convolve(vals, lat, bank), vals, atol=1e-12)
 
 
@@ -378,84 +394,59 @@ def test_convolve_backward_shape_errors(case):
 
 
 def test_normalize_matched_kernel_preserves_constants():
-    # ones-pass blur proportional to the convolution profile => exact quotient
+    # a kernel whose channel sums follow the default blur profile => exact quotient
     rng = np.random.default_rng(11)
     for trial in range(5):
         n = int(rng.integers(4, 30))
         pts = rng.normal(size=(n, 3))
-        lat = build_lattice(pts, LatticeConfig(3, float(rng.uniform(0.5, 4.0))))
-        k = lat.adjacency.shape[1]
-        profile = rng.uniform(0.1, 1.0, size=k)
+        desc = bcl.make_descriptor(pts, None, LatticeConfig(3, float(rng.uniform(0.5, 4.0))))
+        profile = bcl.default_blur_profile(desc.lattice.adjacency.shape[1])
         mix = rng.normal(size=(2, 2))
-        weights = profile[:, None, None] * mix  # channel sums prop. to profile
-        bank = bcl.FilterBank(weights, np.zeros(2))
+        bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(2))
         const = rng.normal(size=2)
-        values = np.tile(const, (n, 1))
-        raw = bcl.slice(
-            bcl.convolve(bcl.splat(values, lat), lat, bank),
-            lat.point_vertices,
-            lat.point_bary,
-        )
-        desc = bcl.make_descriptor(pts, None, lat.config, blur=profile / profile.sum())
-        out = raw / desc.denominator
-        expected = (const @ mix) * profile.sum()
-        np.testing.assert_allclose(out, np.tile(expected, (n, 1)), atol=1e-6)
+        out, _ = bcl.bcl_forward(np.tile(const, (n, 1)), desc, bank)
+        np.testing.assert_allclose(out, np.tile(const @ mix, (n, 1)), atol=1e-6)
 
 
 def test_normalize_dense_oracle():
     rng = np.random.default_rng(12)
     pts, lat, values = random_instance(rng, n=10, d=2, c=2)
+    desc = bcl.make_descriptor(pts, None, lat.config)
     k = lat.adjacency.shape[1]
     profile = rng.uniform(0.2, 1.0, size=k)
     bank = bcl.FilterBank(profile[:, None, None] * np.eye(2)[None], np.zeros(2))
-    raw = bcl.slice(
-        bcl.convolve(bcl.splat(values, lat), lat, bank), lat.point_vertices, lat.point_bary
-    )
-    out = raw / bcl.make_descriptor(pts, None, lat.config, blur=profile).denominator
+    out, _ = bcl.bcl_forward(values, desc, bank)
 
     s_splat = dense_splat_matrix(lat)
     s_slice = dense_slice_matrix(lat.point_vertices, lat.point_bary, lat.num_vertices)
     blur_mat = sum(profile[t] * dense_tap_matrix(lat, t) for t in range(k))
     num = s_slice @ blur_mat @ s_splat @ values
-    den = s_slice @ blur_mat @ s_splat @ np.ones((lat.num_points, 1))
-    np.testing.assert_allclose(out, num / np.maximum(den, 1e-12), rtol=1e-9, atol=1e-12)
+    den = dense_denominator(lat, lat.point_vertices, lat.point_bary)
+    np.testing.assert_allclose(out, num / den, rtol=1e-9, atol=1e-12)
 
 
 def test_normalize_zero_support_outputs_zero():
+    rng = np.random.default_rng(14)
     pts = np.zeros((4, 3)) + 0.2
-    lat = build_lattice(pts, LatticeConfig(3, 1.0))
-    far = np.full((2, 3), 1e4)
-    idx, bary = lat.embed(far)
-    raw = bcl.slice(bcl.splat(np.ones((4, 1)), lat), idx, bary)
-    out = raw / bcl.make_descriptor(pts, far, lat.config, blur=None).denominator
+    desc = bcl.make_descriptor(pts, np.full((2, 3), 1e4), LatticeConfig(3, 1.0))
+    assert (desc.out_indices == MISSING).all()
+    bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 1, 1)),
+                          rng.normal(size=1))
+    out, _ = bcl.bcl_forward(np.ones((4, 1)), desc, bank)
     np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
 
 # ------------------------------------------------------- bcl forward/backward
 
 
-def test_bcl_forward_identity_unnormalized_is_splat_slice():
+def test_bcl_forward_identity_is_normalized_splat_slice():
     rng = np.random.default_rng(13)
     pts, lat, values = random_instance(rng, n=18, d=3, c=2)
-    desc = bcl.make_descriptor(pts, None, lat.config, normalize=False)
-    bank = bcl.identity_bank(desc.lattice.adjacency.shape[1], 2)
+    desc = bcl.make_descriptor(pts, None, lat.config)
+    bank = identity_bank(desc.lattice.adjacency.shape[1], 2)
     out, _ = bcl.bcl_forward(values, desc, bank)
     ref = bcl.slice(bcl.splat(values, desc.lattice), desc.out_indices, desc.out_bary)
-    np.testing.assert_allclose(out, ref, atol=1e-12)
-
-
-def test_bcl_forward_identity_matched_blur_preserves_constants():
-    rng = np.random.default_rng(14)
-    pts = rng.normal(size=(25, 3))
-    cfg = LatticeConfig(3, 2.0)
-    k = 2 ** 4 - 1
-    blur = np.zeros(k)
-    blur[0] = 1.0  # matches the identity kernel's tap profile
-    desc = bcl.make_descriptor(pts, None, cfg, normalize=True, blur=blur)
-    bank = bcl.identity_bank(k, 3)
-    const = np.array([2.0, -1.0, 0.25])
-    out, _ = bcl.bcl_forward(np.tile(const, (25, 1)), desc, bank)
-    np.testing.assert_allclose(out, np.tile(const, (25, 1)), atol=1e-6)
+    np.testing.assert_allclose(out, ref / desc.denominator, atol=1e-12)
 
 
 def test_bcl_forward_dense_oracle_per_channel():
@@ -467,20 +458,21 @@ def test_bcl_forward_dense_oracle_per_channel():
         cfg = LatticeConfig(d, float(rng.uniform(0.5, 4.0)))
         m = int(rng.integers(1, 15))
         out_pts = rng.normal(size=(m, d))
-        desc = bcl.make_descriptor(pts, out_pts, cfg, normalize=False)
+        desc = bcl.make_descriptor(pts, out_pts, cfg)
         k = desc.lattice.adjacency.shape[1]
         c = int(rng.integers(1, 4))
         bank = bcl.FilterBank(rng.normal(size=(k, c, c)), rng.normal(size=c))
         values = rng.normal(size=(n, c))
         out, _ = bcl.bcl_forward(values, desc, bank)
-        ref = dense_bcl(values, desc.lattice, desc.out_indices, desc.out_bary, bank)
+        embedding = (desc.lattice, desc.out_indices, desc.out_bary)
+        ref = dense_bcl(values, *embedding, bank) / dense_denominator(*embedding)
         assert np.max(np.abs(out - ref)) < 1e-9
 
 
 def test_bcl_linear_in_features():
     rng = np.random.default_rng(16)
     pts, lat, _ = random_instance(rng, n=12, d=2, c=3)
-    desc = bcl.make_descriptor(pts, None, lat.config, normalize=True)
+    desc = bcl.make_descriptor(pts, None, lat.config)
     k = desc.lattice.adjacency.shape[1]
     bank = bcl.FilterBank(rng.normal(size=(k, 3, 2)), np.zeros(2))
     a, b = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
@@ -493,20 +485,21 @@ def test_bcl_linear_in_features():
 def test_bcl_backward_identity_net_matches_dense_transpose():
     rng = np.random.default_rng(17)
     pts, lat, values = random_instance(rng, n=9, d=2, c=1)
-    desc = bcl.make_descriptor(pts, None, lat.config, normalize=False)
-    bank = bcl.identity_bank(desc.lattice.adjacency.shape[1], 1)
+    desc = bcl.make_descriptor(pts, None, lat.config)
+    bank = identity_bank(desc.lattice.adjacency.shape[1], 1)
     _, splatted = bcl.bcl_forward(values, desc, bank)
     g = rng.normal(size=(9, 1))
     grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
     s_splat = dense_splat_matrix(desc.lattice)
     s_slice = dense_slice_matrix(desc.out_indices, desc.out_bary, desc.lattice.num_vertices)
-    np.testing.assert_allclose(grad_input, s_splat.T @ (s_slice.T @ g), atol=1e-10)
+    den = dense_denominator(desc.lattice, desc.out_indices, desc.out_bary)
+    np.testing.assert_allclose(grad_input, s_splat.T @ (s_slice.T @ (g / den)), atol=1e-10)
 
 
 def test_bcl_backward_zero_grad():
     rng = np.random.default_rng(18)
     pts, lat, values = random_instance(rng)
-    desc = bcl.make_descriptor(pts, None, lat.config, normalize=True)
+    desc = bcl.make_descriptor(pts, None, lat.config)
     bank = bcl.FilterBank(
         rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)), rng.normal(size=2)
     )
@@ -529,13 +522,12 @@ def test_bcl_backward_shape_errors():
             bcl.bcl_backward(desc, bank, splatted, bad)
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_bcl_backward_finite_differences(normalized):
+def test_bcl_backward_finite_differences():
     rng = np.random.default_rng(19)
     pts = rng.normal(size=(7, 2))
     out_pts = np.concatenate([pts[:4], rng.normal(size=(3, 2))])
     cfg = LatticeConfig(2, 1.5)
-    desc = bcl.make_descriptor(pts, out_pts, cfg, normalize=normalized)
+    desc = bcl.make_descriptor(pts, out_pts, cfg)
     k = desc.lattice.adjacency.shape[1]
     bank = bcl.FilterBank(rng.normal(size=(k, 2, 3)), rng.normal(size=3))
     values = rng.normal(size=(7, 2))
@@ -560,10 +552,9 @@ def test_bcl_permutation_equivariance():
     k = 2 ** 4 - 1
     bank = bcl.FilterBank(rng.normal(size=(k, 2, 2)), rng.normal(size=2))
     perm = rng.permutation(30)
-    for normalized in (False, True):
-        out = bcl.bcl_apply(values, pts, None, cfg, bank, normalize=normalized)
-        out_p = bcl.bcl_apply(values[perm], pts[perm], None, cfg, bank, normalize=normalized)
-        np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
+    out, _ = bcl.bcl_forward(values, bcl.make_descriptor(pts, None, cfg), bank)
+    out_p, _ = bcl.bcl_forward(values[perm], bcl.make_descriptor(pts[perm], None, cfg), bank)
+    np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
 
 
 # ------------------------------------------------------------------ project
@@ -623,26 +614,26 @@ def test_project_smoothing_residual_decreases_with_scale():
 
 
 def test_project_never_builds_the_adjacency(monkeypatch):
-    made = []
-    make_descriptor = bcl.make_descriptor
+    built = []
+    original = bcl.build_lattice
 
     def recording(*args, **kwargs):
-        made.append(make_descriptor(*args, **kwargs))
-        return made[-1]
+        built.append(original(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(bcl, "make_descriptor", recording)
+    monkeypatch.setattr(bcl, "build_lattice", recording)
     rng = np.random.default_rng(26)
     bcl.project(rng.normal(size=(50, 2)), rng.normal(size=(50, 3)),
                 rng.normal(size=(30, 3)), LatticeConfig(3, 2.0))
-    assert len(made) == 1
-    assert "adjacency" not in vars(made[0].lattice)
-    assert "splat_plan" not in vars(made[0].lattice)
+    assert len(built) == 1
+    assert "adjacency" not in vars(built[0])
+    assert "splat_plan" not in vars(built[0])
 
 
 def test_ones_pass_never_builds_a_splat_plan():
     rng = np.random.default_rng(28)
     desc = bcl.make_descriptor(rng.normal(size=(80, 3)), None, LatticeConfig(3, 2.0))
-    assert desc.denominator is not None
+    assert desc.denominator.shape == (80, 1)
     assert "splat_plan" not in vars(desc.lattice)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latseg import cli
+from latseg.checkpoint import load_checkpoint, save_checkpoint
 from latseg.data import PointCloud, save_cloud, synthetic_two_blob_dataset
 
 
@@ -553,6 +554,18 @@ def test_predict_malformed_checkpoint_exit_2(trained, blob_dir, tmp_path, capsys
         assert code == 2
         assert "bad.splt" in err and "Traceback" not in err
     assert not (tmp_path / "o.ply").exists()
+
+
+def test_predict_nonfinite_checkpoint_exit_2(trained, blob_dir, tmp_path, capsys):
+    spec, params, feats, latts = load_checkpoint(trained / "model.splt")
+    params[0]["weight"][0, 0, 0] = np.nan
+    save_checkpoint(tmp_path / "bad.splt", spec, params, feats, latts)
+    code = cli.main(["predict", str(blob_dir / "cloud0.ply"), "--checkpoint",
+                     str(tmp_path / "bad.splt"), "--out", str(tmp_path / "o.xyz"), "--probs"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.splt" in err and "000.weight" in err and "Traceback" not in err
+    assert not (tmp_path / "o.xyz").exists()
 
 
 @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (0, 2**31, 2**31, 4), (1,) * 65])

@@ -490,6 +490,23 @@ def test_checkpoint_refuses_trailing_bytes_and_repeated_tensors(tmp_path, train_
         assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("train_state", [False, True])
+def test_checkpoint_refuses_nonfinite_tensors(tmp_path, train_state, bad):
+    spec, params = small_net(arch="B4-C2")
+    params[0]["weight"][0, 1, 2] = bad
+    path = tmp_path / "model.splt"
+    if train_state:
+        zeros = net.trainable_views(np.zeros_like(net.trainable_vector(params)), params)
+        save_train_state(path, spec, params, zeros, zeros, 0, 0)
+        load = load_train_state
+    else:
+        save_checkpoint(path, spec, params)
+        load = load_checkpoint
+    with pytest.raises(ParseError, match="'000.weight' holds a non-finite value"):
+        load(path)
+
+
 def _mutations(params):
     """Copies of params with one tensor dropped, one added, one reshaped,
     and layer 0's weight dropped."""

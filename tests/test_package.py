@@ -1,12 +1,14 @@
-"""Package surface: a NumPy-free command-line import, and NumPy as the only
-third-party dependency."""
+"""Package surface: a NumPy-free command-line import, NumPy as the only
+third-party dependency, and the functions the benchmark tracer hooks by name."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_cli_and_config_import_without_numpy():
@@ -33,3 +35,18 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_benchmark_tracer_hooks_exist_and_are_restored():
+    # perfbench/tracing.py patches latseg functions by name: a rename or a
+    # removal makes entering the tracer fail here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        patched = list(tracer._patched)
+        assert all(owner.__dict__[attr] is not original for owner, attr, original in patched)
+    assert patched
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
