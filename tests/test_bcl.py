@@ -522,10 +522,11 @@ def test_bcl_backward_shape_errors():
             bcl.bcl_backward(desc, bank, splatted, bad)
 
 
-def test_bcl_backward_finite_differences():
+@pytest.mark.parametrize("same_cloud", [False, True])
+def test_bcl_backward_finite_differences(same_cloud):
     rng = np.random.default_rng(19)
     pts = rng.normal(size=(7, 2))
-    out_pts = np.concatenate([pts[:4], rng.normal(size=(3, 2))])
+    out_pts = None if same_cloud else np.concatenate([pts[:4], rng.normal(size=(3, 2))])
     cfg = LatticeConfig(2, 1.5)
     desc = bcl.make_descriptor(pts, out_pts, cfg)
     k = desc.lattice.adjacency.shape[1]
