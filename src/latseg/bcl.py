@@ -292,22 +292,24 @@ def make_descriptor(
     return BCLDescriptor(lat, out_idx, out_bary, denom)
 
 
-def bcl_forward(
-    values: np.ndarray, desc: BCLDescriptor, bank: FilterBank
-) -> tuple[np.ndarray, np.ndarray]:
-    """splat -> convolve -> slice -> normalize; returns (out, splatted)."""
-    splatted = splat(values, desc.lattice)
+def bcl_forward(splatted: np.ndarray, desc: BCLDescriptor, bank: FilterBank) -> np.ndarray:
+    """convolve -> slice -> normalize of splat(values, desc.lattice).
+
+    It starts from the splatted vertex features, which bcl_backward reads
+    too, so a caller can free the (n, C_in) point features before slice
+    allocates the (m, C_out) output.
+    """
     filtered = convolve(splatted, desc.lattice, bank)
     out = slice(filtered, desc.out_indices, desc.out_bary)
     out /= desc.denominator
-    return out, splatted
+    return out
 
 
 def bcl_backward(
     desc: BCLDescriptor, bank: FilterBank, splatted: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of bcl_forward w.r.t. (input features, weights, bias),
-    given the splatted vertex features it returned.
+    """Exact gradients of splat then bcl_forward w.r.t. (input features,
+    weights, bias), given the splatted vertex features.
 
     The normalization denominator is geometry-only, so it enters as a
     constant per-point factor.

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .lattice import LatticeConfig
 from .network import NetworkSpec, named_parameters, parameter_shapes, parse_arch
 
@@ -78,7 +78,12 @@ class _Reader:
 
 
 def _pack_tensor(name: str, arr: np.ndarray, dtype_code: int) -> bytes:
-    wire = np.ascontiguousarray(arr.astype(_DTYPES[dtype_code], copy=False))
+    """Raises InvalidInput for a finite value that the cast to the wire dtype
+    makes infinite; NaN and infinities are written as they are."""
+    with np.errstate(over="ignore"):
+        wire = np.ascontiguousarray(arr.astype(_DTYPES[dtype_code], copy=False))
+    if (np.isinf(wire) & np.isfinite(arr)).any():
+        raise InvalidInput(f"tensor {name!r} holds a finite value beyond the {wire.dtype} range")
     head = _pack_str(name) + struct.pack("<BB", dtype_code, wire.ndim)
     head += struct.pack(f"<{wire.ndim}I", *wire.shape) if wire.ndim else b""
     return head + wire.tobytes()
@@ -146,7 +151,8 @@ def save_checkpoint(
     feature_channels=("xyz",),
     lattice_channels=("xyz",),
 ) -> None:
-    """Write an inference checkpoint (version 1, f32 tensors)."""
+    """Write an inference checkpoint (version 1, f32 tensors); a finite value
+    beyond the float32 range raises InvalidInput before any byte is written."""
     items = _tensor_items(params)
     out = _header_bytes(1, spec, tuple(feature_channels), tuple(lattice_channels))
     out += struct.pack("<I", len(items))

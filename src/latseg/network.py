@@ -11,20 +11,25 @@ takes its width from num_classes. Every parameterized layer except the
 final convolution is followed by batch normalization (over the point
 dimension) and ReLU, and class probabilities come from a row-wise softmax.
 
-forward() returns probabilities plus a tape. The concat reads one buffer:
-each BCL block's ReLU writes its own column range of it, so the concat
-copies nothing. In training mode the tape's saved state is all that
-backward() reads for exact parameter and input gradients (a BCL saves its
-descriptor, filter bank and splatted vertex features), and its outputs
-keep every layer's activation for callers. trainable_vector() and
+forward() returns probabilities plus a tape. The concat is never built:
+it is linear, so concat @ W is the sum over BCL blocks of y_t @ W[rows_t].
+As each block's ReLU output y_t appears, the first 1x1 after the concat
+(the head) adds its product with the block's row range of the head weight
+(a view) into one (n, C_head) sum, and the head itself only adds its bias.
+In training mode the tape's saved state is all that backward() reads for
+exact parameter and input gradients (a BCL saves its descriptor, filter
+bank and splatted vertex features, the head saves the blocks), and its
+outputs keep every layer's activation for callers; the concat has none of
+its own, so its entry is None. trainable_vector() and
 trainable_views() turn per-layer tensors, such as backward()'s gradients,
 into one flat vector and back: the layout train_loop optimizes in. Batch
 norm uses batch statistics and stages running-statistic updates on the
 tape, which commit_running_stats() folds into the parameters (so probing
 forwards, e.g. finite differences, leave no trace). Inference mode uses the
 stored running statistics, runs batch norm and ReLU in place, and keeps
-neither backward state nor outputs: apart from the concat buffer, an
-activation lives only until the next layer has read it.
+neither backward state nor outputs: apart from the head's sum, an
+activation lives only until the next layer has read it, and a BCL's input
+only until it is splatted.
 """
 
 from __future__ import annotations
@@ -170,6 +175,17 @@ def _layer_widths(spec: NetworkSpec, input_dim: int) -> list[int]:
     return widths
 
 
+def _head_index(spec: NetworkSpec) -> int:
+    """Index of the head: the 1x1 that parse_arch puts right after the concat."""
+    return next(i for i, layer in enumerate(spec.layers) if isinstance(layer, ConcatSpec)) + 1
+
+
+def _row_blocks(weight: np.ndarray, widths: list[int]) -> list[np.ndarray]:
+    """Consecutive row ranges of weight (views), one per width."""
+    bounds = np.cumsum([0, *widths])
+    return [weight[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 _BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
 
 
@@ -270,7 +286,9 @@ class Tape:
     """Per-forward record: backward reads only saved; outputs are kept for callers.
 
     saved[i] is what layer i's backward step reads, e.g. a BCL's
-    (desc, bank, splatted). Both lists are all None in inference mode.
+    (desc, bank, splatted) or the head's tuple of concat blocks. outputs[i]
+    is layer i's output, None at the concat. Both lists are all None in
+    inference mode.
     """
 
     spec: NetworkSpec
@@ -325,25 +343,36 @@ def forward(
         saved=[None] * len(spec.layers),
         outputs=[None] * len(spec.layers),
     )
-    # each BCL block's ReLU writes its own column range of the concat buffer
     widths = _layer_widths(spec, features.shape[1])
-    concat = next(layer for layer in spec.layers if isinstance(layer, ConcatSpec))
-    bounds = np.cumsum([0] + [widths[s] for s in concat.sources])
-    buffer = np.empty((features.shape[0], bounds[-1]))
-    columns = {s: buffer[:, a:b] for s, a, b in zip(concat.sources, bounds, bounds[1:])}
+    head = _head_index(spec)
+    sources = spec.layers[head - 1].sources
+    block_widths = [widths[s] for s in sources]
+    head_weight = params[head]["weight"]
+    if head_weight.shape[0] != sum(block_widths):
+        raise ConfigError(f"layer {head} expects {head_weight.shape[0]} input channels, "
+                          f"the concat has {sum(block_widths)}")
+    rows = dict(zip(sources, _row_blocks(head_weight, block_widths)))
+    head_sum = None  # sum over the blocks so far of block @ its rows
 
     x = features
     descriptor_iter = iter(descriptors)
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Conv1x1Spec):
-            if training:
-                tape.saved[i] = x
-            x = x @ params[i]["weight"]
+            if i == head:  # every block has been multiplied in
+                x = head_sum
+                if training:
+                    tape.saved[i] = tuple(tape.outputs[s] for s in sources)
+            else:
+                if training:
+                    tape.saved[i] = x
+                x = x @ params[i]["weight"]
             x += params[i]["bias"]
         elif isinstance(layer, BCLSpec):
             desc = next(descriptor_iter)
+            splatted = bcl.splat(x, desc.lattice)
+            x = None  # an inference forward frees the input before slice allocates
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
-            x, splatted = bcl.bcl_forward(x, desc, bank)
+            x = bcl.bcl_forward(splatted, desc, bank)
             if training:
                 tape.saved[i] = (desc, bank, splatted)
             del splatted  # an inference forward frees it here
@@ -366,17 +395,16 @@ def forward(
                 x *= p["gamma"]
                 x += p["beta"]
         elif isinstance(layer, ReLUSpec):
-            if training:
+            if training:  # the tape keeps x as the batch norm's output
                 tape.saved[i] = x > 0
-            if i in columns:
-                out = columns[i]
-            else:  # in training the tape keeps x as the batch norm's output
-                out = None if training else x
-            x = np.maximum(x, 0.0, out=out)
+            x = np.maximum(x, 0.0, out=None if training else x)
+            if i in rows:
+                if head_sum is None:
+                    head_sum = x @ rows[i]
+                else:
+                    head_sum += x @ rows[i]
         elif isinstance(layer, ConcatSpec):
-            x = buffer
-            if training:  # the split points backward cuts the cotangent at
-                tape.saved[i] = bounds[1:-1]
+            x = None  # its blocks are in head_sum already
         elif isinstance(layer, SoftmaxSpec):
             x = softmax(x)
             tape.saved[i] = x if training else None
@@ -391,9 +419,11 @@ def backward(
     """Exact gradients for every trainable tensor plus the input features.
 
     grad_probs is the cotangent at the probabilities. The walk runs from the
-    softmax down to layer 0 with one running cotangent; the concat's slice
-    for each BCL block output joins it when the walk reaches that block.
-    Reads only tape.saved. Raises StateError on an inference tape.
+    softmax down to layer 0 with one running cotangent. At the head, each
+    concat block's cotangent is g @ its rows of the head weight, transposed:
+    the last block's carries on as g, and every other block's joins it when
+    the walk reaches that block. Reads only tape.saved. Raises StateError on
+    an inference tape.
     """
     if not tape.training:
         raise StateError("backward requires a tape recorded in training mode")
@@ -406,14 +436,24 @@ def backward(
 
     grads: list[dict] = [{} for _ in params]
     g = grad_probs
-    into: dict[int, np.ndarray] = {}  # concat source layer -> its slice of g
+    head = _head_index(tape.spec)
+    into: dict[int, np.ndarray] = {}  # concat source layer -> its cotangent from the head
     for i, layer in reversed(list(enumerate(tape.spec.layers))):
         if i in into:
             g = into.pop(i) + g
         if isinstance(layer, Conv1x1Spec):
-            x = tape.saved[i]
-            grads[i] = {"weight": x.T @ g, "bias": g.sum(axis=0)}
-            g = g @ params[i]["weight"].T
+            weight = params[i]["weight"]
+            if i == head:
+                blocks = tape.saved[i]
+                grads[i] = {"weight": np.concatenate([y.T @ g for y in blocks]),
+                            "bias": g.sum(axis=0)}
+                # the last block is layer i - 2, right below the concat
+                *parts, g = [g @ w.T for w in _row_blocks(weight, [y.shape[1] for y in blocks])]
+                into.update(zip(tape.spec.layers[i - 1].sources, parts))
+            else:
+                x = tape.saved[i]
+                grads[i] = {"weight": x.T @ g, "bias": g.sum(axis=0)}
+                g = g @ weight.T
         elif isinstance(layer, BCLSpec):
             g, weight, bias = bcl.bcl_backward(*tape.saved[i], g)
             grads[i] = {"weight": weight, "bias": bias}
@@ -427,10 +467,6 @@ def backward(
             g = inv * (gx - gxm - xhat * gxxm)
         elif isinstance(layer, ReLUSpec):
             g = g * tape.saved[i]
-        elif isinstance(layer, ConcatSpec):
-            # the last source is layer i - 1, so its slice carries on as g
-            *slices, g = np.split(g, tape.saved[i], axis=1)
-            into.update(zip(layer.sources, slices))
         elif isinstance(layer, SoftmaxSpec):
             g = softmax_grad(g, tape.saved[i])
     return grads, g

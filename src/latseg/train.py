@@ -304,6 +304,7 @@ def train_loop(spec, dataset, config, *,
     params = [{key: views[key] if key in views else a.copy() for key, a in tensors.items()}
               for tensors, views in zip(params, network.trainable_views(theta, params))]
 
+    augmenting = config.rotate or config.translate or config.scale or config.color_jitter
     # A visit changes a cloud's lattice features only by cropping it or by
     # augmenting a lattice channel.
     fixed_lattices = not (config.rotate or config.translate or config.scale
@@ -352,9 +353,10 @@ def train_loop(spec, dataset, config, *,
                     cloud = cloud.take(
                         crop_rng.choice(cloud.num_points, config.sample_size, replace=False)
                     )
-                cloud = augment(
-                    cloud, config, _stream(config.seed, _STREAM_AUGMENT, iteration, slot)
-                )
+                if augmenting:  # streams are keyed by (iteration, slot): skipping shifts none
+                    cloud = augment(
+                        cloud, config, _stream(config.seed, _STREAM_AUGMENT, iteration, slot)
+                    )
                 features = cloud.channel_matrix(feature_channels, config.gravity_axis)
                 lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
                 descriptors = None

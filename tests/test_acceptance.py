@@ -31,6 +31,12 @@ def _passed(num, elapsed, detail):
     print(f"criterion {num:2d} PASS ({elapsed:6.2f}s) {detail}")
 
 
+def splat_forward(values, desc, bank):
+    """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
+    splatted = bcl.splat(values, desc.lattice)
+    return bcl.bcl_forward(splatted, desc, bank), splatted
+
+
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float(np.max(np.abs(a - b) / denom))
@@ -95,7 +101,7 @@ def test_criterion_01_dense_oracle_equivalence():
         taps = 2 ** (d + 1) - 1
         bank = bcl.FilterBank(rng.normal(size=(taps, c_in, c_out)) * 0.5,
                               np.zeros(c_out))
-        got, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+        got, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
         want = dense_reference(values, feats, cfg, bank)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst <= 1e-9, (trial, worst)
@@ -204,11 +210,11 @@ def test_criterion_05_gradient_exactness():
     desc = bcl.make_descriptor(feats, None, cfg)
 
     def bcl_objective():
-        out, _ = bcl.bcl_forward(values, desc, bcl.FilterBank(weights, bias))
+        out, _ = splat_forward(values, desc, bcl.FilterBank(weights, bias))
         return float(np.sum(probe * out))
 
     bank = bcl.FilterBank(weights, bias)
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, probe)
     worst = rel_err(fd_grad(bcl_objective, weights), grad_weights)
     worst = max(worst, rel_err(fd_grad(bcl_objective, bias), grad_bias))
@@ -268,7 +274,7 @@ def test_criterion_06_constant_preservation():
         mix = rng.normal(size=(c, c))
         profile = bcl.default_blur_profile(taps)
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(c))
-        out2, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+        out2, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
         expected = np.tile(const @ mix, (n, 1))
         worst = max(worst, float(np.max(np.abs(out2 - expected))))
         assert worst <= 1e-6
@@ -292,9 +298,9 @@ def test_criterion_07_permutation_equivariance():
     taps = 2 ** (d + 1) - 1
     bank = bcl.FilterBank(rng.normal(size=(taps, c, c)) * 0.3, rng.normal(size=c))
     perm = rng.permutation(n)
-    base, _ = bcl.bcl_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
-    shuffled, _ = bcl.bcl_forward(values[perm], bcl.make_descriptor(feats[perm], None, cfg),
-                                  bank)
+    base, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+    shuffled, _ = splat_forward(values[perm], bcl.make_descriptor(feats[perm], None, cfg),
+                                bank)
     bcl_err = float(np.max(np.abs(shuffled - base[perm])))
     assert bcl_err <= 1e-6
 

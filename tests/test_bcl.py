@@ -68,6 +68,12 @@ def identity_bank(taps, channels):
     return bcl.FilterBank(w, np.zeros(channels))
 
 
+def splat_forward(values, desc, bank):
+    """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
+    splatted = bcl.splat(values, desc.lattice)
+    return bcl.bcl_forward(splatted, desc, bank), splatted
+
+
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return np.max(np.abs(a - b) / denom)
@@ -262,7 +268,7 @@ def test_bcl_backward_blocks_match_dense_transpose():
     bank = bcl.FilterBank(rng.normal(size=(lat.adjacency.shape[1], 2, c_out)),
                           rng.normal(size=c_out))
     values = rng.normal(size=(BLOCKS_N, 2))
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     assert "splat_plan" not in vars(lat)
     g = rng.normal(size=(BLOCKS_N, c_out))
     grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
@@ -404,7 +410,7 @@ def test_normalize_matched_kernel_preserves_constants():
         mix = rng.normal(size=(2, 2))
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(2))
         const = rng.normal(size=2)
-        out, _ = bcl.bcl_forward(np.tile(const, (n, 1)), desc, bank)
+        out, _ = splat_forward(np.tile(const, (n, 1)), desc, bank)
         np.testing.assert_allclose(out, np.tile(const @ mix, (n, 1)), atol=1e-6)
 
 
@@ -415,7 +421,7 @@ def test_normalize_dense_oracle():
     k = lat.adjacency.shape[1]
     profile = rng.uniform(0.2, 1.0, size=k)
     bank = bcl.FilterBank(profile[:, None, None] * np.eye(2)[None], np.zeros(2))
-    out, _ = bcl.bcl_forward(values, desc, bank)
+    out, _ = splat_forward(values, desc, bank)
 
     s_splat = dense_splat_matrix(lat)
     s_slice = dense_slice_matrix(lat.point_vertices, lat.point_bary, lat.num_vertices)
@@ -432,7 +438,7 @@ def test_normalize_zero_support_outputs_zero():
     assert (desc.out_indices == MISSING).all()
     bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 1, 1)),
                           rng.normal(size=1))
-    out, _ = bcl.bcl_forward(np.ones((4, 1)), desc, bank)
+    out, _ = splat_forward(np.ones((4, 1)), desc, bank)
     np.testing.assert_array_equal(out, np.zeros((2, 1)))
 
 
@@ -444,7 +450,7 @@ def test_bcl_forward_identity_is_normalized_splat_slice():
     pts, lat, values = random_instance(rng, n=18, d=3, c=2)
     desc = bcl.make_descriptor(pts, None, lat.config)
     bank = identity_bank(desc.lattice.adjacency.shape[1], 2)
-    out, _ = bcl.bcl_forward(values, desc, bank)
+    out, _ = splat_forward(values, desc, bank)
     ref = bcl.slice(bcl.splat(values, desc.lattice), desc.out_indices, desc.out_bary)
     np.testing.assert_allclose(out, ref / desc.denominator, atol=1e-12)
 
@@ -463,7 +469,7 @@ def test_bcl_forward_dense_oracle_per_channel():
         c = int(rng.integers(1, 4))
         bank = bcl.FilterBank(rng.normal(size=(k, c, c)), rng.normal(size=c))
         values = rng.normal(size=(n, c))
-        out, _ = bcl.bcl_forward(values, desc, bank)
+        out, _ = splat_forward(values, desc, bank)
         embedding = (desc.lattice, desc.out_indices, desc.out_bary)
         ref = dense_bcl(values, *embedding, bank) / dense_denominator(*embedding)
         assert np.max(np.abs(out - ref)) < 1e-9
@@ -476,9 +482,9 @@ def test_bcl_linear_in_features():
     k = desc.lattice.adjacency.shape[1]
     bank = bcl.FilterBank(rng.normal(size=(k, 3, 2)), np.zeros(2))
     a, b = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
-    out_a, _ = bcl.bcl_forward(a, desc, bank)
-    out_b, _ = bcl.bcl_forward(b, desc, bank)
-    out_ab, _ = bcl.bcl_forward(3.0 * a - 0.5 * b, desc, bank)
+    out_a, _ = splat_forward(a, desc, bank)
+    out_b, _ = splat_forward(b, desc, bank)
+    out_ab, _ = splat_forward(3.0 * a - 0.5 * b, desc, bank)
     np.testing.assert_allclose(out_ab, 3.0 * out_a - 0.5 * out_b, atol=1e-10)
 
 
@@ -487,7 +493,7 @@ def test_bcl_backward_identity_net_matches_dense_transpose():
     pts, lat, values = random_instance(rng, n=9, d=2, c=1)
     desc = bcl.make_descriptor(pts, None, lat.config)
     bank = identity_bank(desc.lattice.adjacency.shape[1], 1)
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     g = rng.normal(size=(9, 1))
     grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
     s_splat = dense_splat_matrix(desc.lattice)
@@ -503,7 +509,7 @@ def test_bcl_backward_zero_grad():
     bank = bcl.FilterBank(
         rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)), rng.normal(size=2)
     )
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, np.zeros((10, 2)))
     assert not grad_input.any()
     assert not grad_weights.any()
@@ -516,7 +522,7 @@ def test_bcl_backward_shape_errors():
     desc = bcl.make_descriptor(pts, None, lat.config)
     bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)),
                           rng.normal(size=2))
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     for bad in (np.zeros((10, 2, 1)), np.zeros((9, 2)), np.zeros((10, 3)), np.zeros(10)):
         with pytest.raises(ShapeError):
             bcl.bcl_backward(desc, bank, splatted, bad)
@@ -534,11 +540,11 @@ def test_bcl_backward_finite_differences(same_cloud):
     values = rng.normal(size=(7, 2))
     probe = rng.normal(size=(desc.num_out, 3))
 
-    _, splatted = bcl.bcl_forward(values, desc, bank)
+    _, splatted = splat_forward(values, desc, bank)
     grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, probe)
 
     def objective():
-        return np.sum(probe * bcl.bcl_forward(values, desc, bank)[0])
+        return np.sum(probe * splat_forward(values, desc, bank)[0])
 
     assert rel_err(fd_grad(objective, values), grad_input) < 1e-4
     assert rel_err(fd_grad(objective, bank.weights), grad_weights) < 1e-4
@@ -553,8 +559,8 @@ def test_bcl_permutation_equivariance():
     k = 2 ** 4 - 1
     bank = bcl.FilterBank(rng.normal(size=(k, 2, 2)), rng.normal(size=2))
     perm = rng.permutation(30)
-    out, _ = bcl.bcl_forward(values, bcl.make_descriptor(pts, None, cfg), bank)
-    out_p, _ = bcl.bcl_forward(values[perm], bcl.make_descriptor(pts[perm], None, cfg), bank)
+    out, _ = splat_forward(values, bcl.make_descriptor(pts, None, cfg), bank)
+    out_p, _ = splat_forward(values[perm], bcl.make_descriptor(pts[perm], None, cfg), bank)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
 
 

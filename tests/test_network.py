@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latseg import bcl
 from latseg import network as net
 from latseg.checkpoint import (
     _Reader,
@@ -181,6 +182,38 @@ def test_forward_inference_memory_is_bounded_by_the_concat():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
 
+def _facade(n, rng):
+    """(lattice points, 7 features) of a facade-like cloud at the criterion-11
+    point density, drawn as test_forward_inference_memory_is_bounded_by_the_concat
+    draws its cloud."""
+    side = np.sqrt(n / 100_000)
+    y, z = rng.uniform(0, side, n), rng.uniform(0, side, n)
+    pts = np.column_stack([0.5 + rng.normal(0, 0.01, n), y, z])
+    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return pts, np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
+
+
+def test_forward_inference_memory_holds_no_concat():
+    # each block meets the head weight as it appears, so no (n, 512) concat
+    # exists and a BCL's input is gone before slice allocates its output
+    rng = np.random.default_rng(17)
+    n = 2000
+    pts, feats = _facade(n, rng)
+    spec = net.parse_arch("B64-B128-B128-B128-B64-C64-C7", LatticeConfig(3, 32.0))
+    params = net.init_parameters(spec, 7, rng)
+    descs = net.prepare_descriptors(spec, pts)
+
+    tracemalloc.start()
+    try:
+        net.forward(spec, params, feats, pts, descriptors=descs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # with the concat built this cloud peaked at 5741 B/point
+    assert peak <= 2600 * n, peak / n
+
+
 def test_inference_builds_no_splat_plan_for_the_input_layer():
     # 7 input channels are scattered, and inference runs no backward; the
     # 16-channel splat of the second BCL runs the block plan
@@ -218,6 +251,18 @@ def test_forward_channel_mismatch():
         net.forward(spec, params, np.zeros((5, 4)), np.zeros((5, 3)))
     with pytest.raises(ShapeError):
         net.forward(spec, params, np.zeros((5, 3)), np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 1])
+def test_forward_refuses_a_head_weight_that_does_not_fit_the_concat(extra_rows):
+    # the head reads its weight in row blocks, one per BCL block, so a weight
+    # with rows to spare would otherwise go unnoticed
+    spec, params = small_net(arch="B4-B4-C2")
+    head = next(i for i, l in enumerate(spec.layers) if isinstance(l, net.ConcatSpec)) + 1
+    params[head]["weight"] = np.zeros((8 + extra_rows, 2))
+    pts = np.random.default_rng(6).normal(size=(20, 3))
+    with pytest.raises(ConfigError, match="the concat has 8"):
+        net.forward(spec, params, pts, pts)
 
 
 def test_forward_rejects_nonfinite_features():
@@ -319,6 +364,88 @@ def test_backward_finite_differences_full_net():
         flat[j] = orig
         gf[j] = (fp - fm) / (2 * h)
     assert rel_err(gf.reshape(feats.shape), grad_in) < 1e-4
+
+
+def _concat_reference(spec, params, feats, pts, training):
+    """The network with its concat built: every layer as forward runs it, but
+    the first 1x1 after the concat multiplies the stacked BCL blocks."""
+    descs = iter(net.prepare_descriptors(spec, pts))
+    outputs = []
+    x = feats
+    for i, layer in enumerate(spec.layers):
+        p = params[i]
+        if isinstance(layer, net.Conv1x1Spec):
+            x = x @ p["weight"] + p["bias"]
+        elif isinstance(layer, net.BCLSpec):
+            desc = next(descs)
+            bank = bcl.FilterBank(p["weight"], p["bias"])
+            x = bcl.bcl_forward(bcl.splat(x, desc.lattice), desc, bank)
+        elif isinstance(layer, net.BatchNormSpec):
+            mean, var = (x.mean(axis=0), x.var(axis=0)) if training else (
+                p["running_mean"], p["running_var"])
+            x = p["gamma"] * (x - mean) / np.sqrt(var + net.BN_EPS) + p["beta"]
+        elif isinstance(layer, net.ReLUSpec):
+            x = np.maximum(x, 0.0)
+        elif isinstance(layer, net.ConcatSpec):
+            x = np.hstack([outputs[s] for s in layer.sources])
+        elif isinstance(layer, net.SoftmaxSpec):
+            x = net.softmax(x)
+        outputs.append(x)
+    return x
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("arch", ["C3-B4-B4-C4-C2", "B4-B4-C2"])
+def test_forward_head_matches_the_built_concat(arch, training):
+    # B4-B4-C2: the concat feeds the final layer
+    spec, params = small_net(seed=23, arch=arch)
+    rng = np.random.default_rng(24)
+    for tensors in params:
+        for key in ("bias", "gamma", "beta", "running_mean"):
+            if key in tensors:
+                tensors[key] = rng.normal(size=tensors[key].shape)
+        if "running_var" in tensors:
+            tensors["running_var"] = rng.uniform(0.5, 2.0, size=tensors["running_var"].shape)
+    pts = rng.normal(size=(40, 3))
+    feats = rng.normal(size=(40, 3))
+    probs, _ = net.forward(spec, params, feats, pts, training=training)
+    want = _concat_reference(spec, params, feats, pts, training)
+    assert np.max(np.abs(probs - want) / np.abs(want)) < 1e-12
+
+
+def _central_differences(objective, arr, h=1e-5):
+    """d objective / d arr, entry by entry; arr is restored after each probe."""
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        fp = objective()
+        flat[j] = orig - h
+        fm = objective()
+        flat[j] = orig
+        out[j] = (fp - fm) / (2 * h)
+    return out.reshape(arr.shape)
+
+
+def test_backward_finite_differences_concat_feeds_the_final_layer():
+    # the head is the last 1x1: its block cotangents go straight to the BCLs
+    spec, params = small_net(seed=12, arch="B4-B4-C2")
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(12, 3))
+    feats = rng.normal(size=(12, 3))
+    probe = rng.normal(size=(12, 2))
+    descs = net.prepare_descriptors(spec, pts)
+
+    def objective():
+        p, _ = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
+        return np.sum(probe * p)
+
+    _, tape = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
+    grads, grad_in = net.backward(tape, params, probe)
+    for li, key, arr in net.named_parameters(params):
+        assert rel_err(_central_differences(objective, arr), grads[li][key]) < 1e-4, (li, key)
+    assert rel_err(_central_differences(objective, feats), grad_in) < 1e-4
 
 
 def test_batchnorm_train_inference_consistency():
@@ -505,6 +632,23 @@ def test_checkpoint_refuses_nonfinite_tensors(tmp_path, train_state, bad):
         load = load_checkpoint
     with pytest.raises(ParseError, match="'000.weight' holds a non-finite value"):
         load(path)
+
+
+@pytest.mark.parametrize("scale", [1 + 2**-24, 1e10], ids=["just-past", "far-past"])
+def test_save_checkpoint_refuses_finite_values_beyond_float32(tmp_path, scale):
+    spec, params = small_net(arch="B4-C2")
+    path = tmp_path / "model.splt"
+    save_checkpoint(path, spec, params)
+    before = path.read_bytes()
+    f32_max = float(np.finfo(np.float32).max)
+    params[0]["weight"][0, 1, 2] = -f32_max * scale
+    with pytest.raises(InvalidInput, match="'000.weight'"):
+        save_checkpoint(path, spec, params)
+    assert path.read_bytes() == before
+    # a value that rounds to the largest float32 is still finite on the wire
+    params[0]["weight"][0, 1, 2] = -f32_max * (1 + 2**-26)
+    save_checkpoint(path, spec, params)
+    assert load_checkpoint(path)[1][0]["weight"][0, 1, 2] == -f32_max
 
 
 def _mutations(params):
