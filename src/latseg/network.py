@@ -395,8 +395,9 @@ def forward(
                 x *= p["gamma"]
                 x += p["beta"]
         elif isinstance(layer, ReLUSpec):
-            if training:  # the tape keeps x as the batch norm's output
+            if training:
                 tape.saved[i] = x > 0
+            # in training the tape keeps x as the batch norm's output
             x = np.maximum(x, 0.0, out=None if training else x)
             if i in rows:
                 if head_sum is None:
@@ -419,8 +420,8 @@ def backward(
     """Exact gradients for every trainable tensor plus the input features.
 
     grad_probs is the cotangent at the probabilities. The walk runs from the
-    softmax down to layer 0 with one running cotangent. At the head, each
-    concat block's cotangent is g @ its rows of the head weight, transposed:
+    softmax down to layer 0 with one running cotangent. At the head, concat
+    block t gets g @ W_t.T, where W_t is its row range of the head weight:
     the last block's carries on as g, and every other block's joins it when
     the walk reaches that block. Reads only tape.saved. Raises StateError on
     an inference tape.
