@@ -5,8 +5,8 @@
 
 Runs the criterion-11 facade inference (the seed-111 generator of
 tests/test_acceptance.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
-lattice descriptors built inside `network.forward`) at each size, each run
-in a fresh child process with one BLAS thread, --repeats times. For each
+lattice descriptors built inside `network.forward`) at each size in SIZES, each run
+in a fresh child process with one BLAS thread, REPEATS times. For each
 size it records the median `forward` wall time, the median `ru_maxrss` of
 the child (which includes the cloud, the model and the import), the lattice
 vertices per BCL level, and under the label: the git SHA of the checkout
@@ -29,6 +29,8 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 ARCH = "B64-B128-B128-B128-B64-C64-C7"
+SIZES = (100_000, 300_000)
+REPEATS = 3
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -94,8 +96,6 @@ def main():
     parser.add_argument("--out", type=Path, help="JSON file to add the label's results to")
     parser.add_argument("--label", default="change")
     parser.add_argument("--src", type=Path, default=SRC, help="latseg source directory")
-    parser.add_argument("--sizes", default="100000,300000")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     if args.child is not None:
         child(args.child)
@@ -103,8 +103,8 @@ def main():
 
     src = args.src.resolve()
     cases = {}
-    for n in (int(s) for s in args.sizes.split(",")):
-        runs = [run_case(n, src) for _ in range(args.repeats)]
+    for n in SIZES:
+        runs = [run_case(n, src) for _ in range(REPEATS)]
         cases[str(n)] = {
             "forward_s": statistics.median(r["forward_s"] for r in runs),
             "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
@@ -115,7 +115,7 @@ def main():
         print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
               f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
     result = {"git_sha": git_sha(src), "numpy": numpy_version(src), "arch": ARCH,
-              "seed": 111, "blas_threads": 1, "repeats": args.repeats, "sizes": cases}
+              "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases}
     if args.out is None:
         print(json.dumps(result, indent=2))
         return

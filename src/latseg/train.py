@@ -139,6 +139,11 @@ def _random_rotation(rng):
     ])
 
 
+def _augments(config):
+    """Whether `augment` changes a cloud under `config`."""
+    return config.rotate or config.translate or config.scale or config.color_jitter
+
+
 def augment(cloud, config, rng):
     """Random rotation, translation, isotropic scale, and color jitter.
 
@@ -148,7 +153,7 @@ def augment(cloud, config, rng):
     """
     if config.color_jitter and cloud.rgb is None:
         raise ConfigError("color_jitter requested but the cloud has no rgb channel")
-    if not (config.rotate or config.translate or config.scale or config.color_jitter):
+    if not _augments(config):
         return cloud
     positions = cloud.positions
     normals = cloud.normals
@@ -304,7 +309,6 @@ def train_loop(spec, dataset, config, *,
     params = [{key: views[key] if key in views else a.copy() for key, a in tensors.items()}
               for tensors, views in zip(params, network.trainable_views(theta, params))]
 
-    augmenting = config.rotate or config.translate or config.scale or config.color_jitter
     # A visit changes a cloud's lattice features only by cropping it or by
     # augmenting a lattice channel.
     fixed_lattices = not (config.rotate or config.translate or config.scale
@@ -353,7 +357,8 @@ def train_loop(spec, dataset, config, *,
                     cloud = cloud.take(
                         crop_rng.choice(cloud.num_points, config.sample_size, replace=False)
                     )
-                if augmenting:  # streams are keyed by (iteration, slot): skipping shifts none
+                # streams are keyed by (iteration, slot): skipping one shifts none
+                if _augments(config):
                     cloud = augment(
                         cloud, config, _stream(config.seed, _STREAM_AUGMENT, iteration, slot)
                     )
