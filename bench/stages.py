@@ -3,15 +3,19 @@
     python3 bench/stages.py --out BENCH_20.json --label change
     python3 bench/stages.py --out BENCH_20.json --label parent --src ../parent/src
 
-Runs the criterion-11 facade inference (the seed-111 generator of
-tests/test_acceptance.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
+Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
+tests/oracles.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
 lattice descriptors built inside `network.forward`) at each size in SIZES, each run
 in a fresh child process with one BLAS thread, REPEATS times. For each
 size it records the median `forward` wall time, the median `ru_maxrss` of
 the child (which includes the cloud, the model and the import), the lattice
 vertices per BCL level, and under the label: the git SHA of the checkout
-that holds --src and the NumPy version. Other labels already in --out are
-kept, so a parent and a change can share one file.
+that holds --src, the NumPy version and the name and version of NumPy's BLAS.
+Other labels already in --out are kept, so a parent and a change can share
+one file.
+
+The child reads `ru_maxrss` before it rebuilds the lattices to count their
+vertices, so that rebuild cannot set the recorded peak.
 
 Takes minutes and gigabytes at 300k points; it is not part of the tests.
 """
@@ -31,22 +35,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 ARCH = "B64-B128-B128-B128-B64-C64-C7"
 SIZES = (100_000, 300_000)
 REPEATS = 3
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def facade(n, rng):
-    """Lattice points and 7 features of the criterion-11 facade: a noisy
-    vertical plane in the unit cube, with rgb, normals and height."""
-    import numpy as np
-
-    y = rng.uniform(0, 1, n)
-    z = rng.uniform(0, 1, n)
-    x = 0.5 + rng.normal(0, 0.01, n)
-    pts = np.column_stack([x, y, z])
-    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    feats = np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
-    return pts, feats
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 
 def child(n):
@@ -54,6 +44,9 @@ def child(n):
     import numpy as np
     from latseg import network
     from latseg.lattice import LatticeConfig, build_lattice
+
+    sys.path.insert(0, str(REPO / "tests"))
+    from oracles import facade
 
     rng = np.random.default_rng(111)
     pts, feats = facade(n, rng)
@@ -83,11 +76,16 @@ def git_sha(src):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def numpy_version(src):
+def numpy_build(src):
+    """NumPy's version and the name and version of the BLAS it was built with."""
+    code = ("import json, numpy\n"
+            "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']\n"
+            "print(json.dumps([numpy.__version__,"
+            " {'name': blas['name'], 'version': blas['version']}]))")
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                          env=env, capture_output=True, text=True, check=True)
-    return done.stdout.strip()
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def main():
@@ -114,7 +112,8 @@ def main():
         }
         print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
               f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
-    result = {"git_sha": git_sha(src), "numpy": numpy_version(src), "arch": ARCH,
+    numpy_version, blas = numpy_build(src)
+    result = {"git_sha": git_sha(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
               "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases}
     if args.out is None:
         print(json.dumps(result, indent=2))

@@ -181,22 +181,15 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, bary
 
 
-@dataclass(frozen=True)
-class NeighborOffsets:
-    """One-ring key offsets for a lattice of the given dimensionality.
-
-    offsets is (K, d+1) int64 with K = 2^(d+1) - 1. Row 0 is the zero offset;
-    the rest are grouped by remainder class r = 1..d and, within a class,
-    ordered by the bitmask of the positions carrying the value r-(d+1)
-    (coordinate 0 is the most significant bit).
-    """
-
-    offsets: np.ndarray
-
-
 @functools.lru_cache(maxsize=None)
-def neighbor_offsets(dim: int) -> NeighborOffsets:
-    """Enumerate the one-ring offsets for dimension `dim` (memoized)."""
+def neighbor_offsets(dim: int) -> np.ndarray:
+    """One-ring key offsets for dimension `dim`, memoized and read-only.
+
+    (K, d+1) int64 with K = 2^(d+1) - 1. Row 0 is the zero offset; the rest
+    are grouped by remainder class r = 1..d and, within a class, ordered by
+    the bitmask of the positions carrying the value r-(d+1) (coordinate 0 is
+    the most significant bit).
+    """
     if dim < 1:
         raise InvalidInput(f"dim must be >= 1, got {dim}")
     d1 = dim + 1
@@ -212,7 +205,7 @@ def neighbor_offsets(dim: int) -> NeighborOffsets:
             rows.append(row)
     offsets = np.stack(rows)
     offsets.setflags(write=False)
-    return NeighborOffsets(offsets)
+    return offsets
 
 
 class _VertexIndex:
@@ -330,7 +323,7 @@ class SparseLattice:
                        Resolved on first read and kept from then on
       splat_plan       the SplatPlan of the points, built on first read and
                        kept from then on
-      offsets          the NeighborOffsets the adjacency columns follow
+      offsets          (K, d+1) one-ring key offsets the adjacency columns follow
     """
 
     def __init__(self, config, point_vertices, point_bary, vertex_keys, index):
@@ -340,16 +333,21 @@ class SparseLattice:
         self.point_vertices = point_vertices
         self.point_bary = point_bary
         self.vertex_keys = vertex_keys
-        self.offsets = neighbor_offsets(config.dim)
         self._index = index
         for arr in (self.point_vertices, self.point_bary, self.vertex_keys):
             arr.setflags(write=False)
 
+    @property
+    def offsets(self) -> np.ndarray:
+        # a property, not an attribute: the memoized table is shared by every
+        # lattice of this dimension, so nbytes does not count it
+        return neighbor_offsets(self.config.dim)
+
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
         index, d = self._index, self.config.dim
-        adjacency = np.empty((self.num_vertices, self.offsets.offsets.shape[0]), dtype=np.int64)
-        for col, off in enumerate(self.offsets.offsets):
+        adjacency = np.empty((self.num_vertices, self.offsets.shape[0]), dtype=np.int64)
+        for col, off in enumerate(self.offsets):
             adjacency[:, col] = index.find(index.shifted(off[:d]))
         adjacency.setflags(write=False)
         return adjacency

@@ -2,16 +2,12 @@
 
 Must run before numpy is first imported anywhere in the test process:
 the acceptance timings and bitwise-reproducibility checks assume
-single-threaded execution.
+single-threaded execution. Importing latseg.cli loads no numpy.
 """
 
 import os
 
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
+from latseg.cli import THREAD_ENV_VARS
+
+for _var in THREAD_ENV_VARS:
     os.environ.setdefault(_var, "1")

@@ -1,0 +1,67 @@
+"""Oracles shared by the tests and by bench/stages.py.
+
+Not a test module: pytest collects only `test_*.py`, and its default
+`prepend` import mode puts `tests/` on `sys.path`, so every test file can
+`from oracles import ...`.
+"""
+
+import numpy as np
+
+from latseg import bcl
+
+
+def fd_grad(objective, arr, h=1e-5):
+    """d objective / d arr by central differences, entry by entry; arr is
+    perturbed in place and restored after each probe."""
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        fp = objective()
+        flat[j] = orig - h
+        fm = objective()
+        flat[j] = orig
+        out[j] = (fp - fm) / (2 * h)
+    return out.reshape(arr.shape)
+
+
+def rel_err(a, b):
+    """Largest elementwise relative error. The 1e-6 floor keeps structurally
+    zero gradients (a conv bias under batch norm) from amplifying
+    finite-difference noise."""
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
+    return float(np.max(np.abs(a - b) / denom))
+
+
+def facade(n, rng, side=1.0):
+    """(lattice points, 7 features) of the criterion-11 facade: a noisy
+    vertical plane x = 0.5 spanning [0, side]^2 in y and z, with rgb, normals
+    and height. side = sqrt(n / 1e5) keeps the criterion's point density.
+    Draws y, z, the x noise, the normal noise and rgb, in that order."""
+    y = rng.uniform(0, side, n)
+    z = rng.uniform(0, side, n)
+    pts = np.column_stack([0.5 + rng.normal(0, 0.01, n), y, z])
+    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    feats = np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
+    return pts, feats
+
+
+def brute_force_one_ring(d):
+    """All sum-zero vectors whose coordinates are congruent mod d+1 and
+    spread by at most d+1, as a set of tuples."""
+    d1 = d + 1
+    found = set()
+    for r in range(d1):
+        grids = np.meshgrid(*([(r - d1, r, r + d1)] * d1), indexing="ij")
+        rows = np.stack([g.ravel() for g in grids], axis=1)
+        keep = (rows.sum(axis=1) == 0) & (rows.max(axis=1) - rows.min(axis=1) <= d1)
+        found.update(tuple(int(x) for x in row) for row in rows[keep])
+    return found
+
+
+def splat_forward(values, desc, bank):
+    """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
+    splatted = bcl.splat(values, desc.lattice)
+    return bcl.bcl_forward(splatted, desc, bank), splatted

@@ -26,34 +26,11 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
+from oracles import brute_force_one_ring, facade, fd_grad, rel_err, splat_forward
+
 
 def _passed(num, elapsed, detail):
     print(f"criterion {num:2d} PASS ({elapsed:6.2f}s) {detail}")
-
-
-def splat_forward(values, desc, bank):
-    """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
-    splatted = bcl.splat(values, desc.lattice)
-    return bcl.bcl_forward(splatted, desc, bank), splatted
-
-
-def rel_err(a, b):
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-    return float(np.max(np.abs(a - b) / denom))
-
-
-def fd_grad(objective, arr, h=1e-5):
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = objective()
-        flat[j] = orig - h
-        fm = objective()
-        flat[j] = orig
-        out[j] = (fp - fm) / (2 * h)
-    return out.reshape(arr.shape)
 
 
 # --------------------------------------------------------------------- 1
@@ -166,25 +143,12 @@ def test_criterion_03_barycentric_suite():
 # --------------------------------------------------------------------- 4
 
 
-def brute_force_one_ring(d):
-    """All sum-zero vectors congruent mod d+1 with spread <= d+1."""
-    found = []
-    for r in range(d + 1):
-        choices = np.array([r - (d + 1), r, r + (d + 1)])
-        grids = np.meshgrid(*([choices] * (d + 1)), indexing="ij")
-        cand = np.stack([g.ravel() for g in grids], axis=1)
-        keep = (cand.sum(axis=1) == 0) & (cand.max(axis=1) - cand.min(axis=1) <= d + 1)
-        for row in cand[keep]:
-            found.append(tuple(int(x) for x in row))
-    return set(found)
-
-
 def test_criterion_04_one_ring_counts():
     t0 = time.perf_counter()
     for d in range(1, 7):
         ring = neighbor_offsets(d)
-        assert ring.offsets.shape[0] == 2 ** (d + 1) - 1
-        got = {tuple(int(x) for x in row) for row in ring.offsets}
+        assert ring.shape[0] == 2 ** (d + 1) - 1
+        got = {tuple(int(x) for x in row) for row in ring}
         assert got == brute_force_one_ring(d), d
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -410,13 +374,7 @@ def test_criterion_11_throughput_sanity():
 
     # facade-like 100k-point cloud: a noisy vertical plane in the unit cube
     n = 100_000
-    y = rng.uniform(0, 1, n)
-    z = rng.uniform(0, 1, n)
-    x = 0.5 + rng.normal(0, 0.01, n)
-    pts = np.column_stack([x, y, z])
-    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    feats = np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
+    pts, feats = facade(n, rng)
 
     spec = network.parse_arch("B64-B128-B128-B128-B64-C64-C7",
                               LatticeConfig(3, 32.0))

@@ -2,7 +2,7 @@
 
 Oracles used here:
   * brute-force enumeration of one-ring offsets over all sum-zero congruent
-    integer vectors with coordinate spread <= d+1
+    integer vectors with coordinate spread <= d+1 (`oracles.brute_force_one_ring`)
   * a plain dict as the reference associative map for vertex-index lookups,
     on clouds that exercise both index encodings (int64 codes and byte rows)
   * barycentric reconstruction: sum_r bary[r] * vertex_key[r] == elevated
@@ -25,20 +25,7 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
-
-def brute_force_one_ring(d):
-    """All sum-zero vectors, coords congruent mod d+1, spread <= d+1."""
-    d1 = d + 1
-    found = set()
-    for r in range(d1):
-        values = (r - d1, r, r + d1)
-        grid = np.stack(np.meshgrid(*([values] * d1), indexing="ij"), axis=-1)
-        rows = grid.reshape(-1, d1)
-        keep = rows.sum(axis=1) == 0
-        keep &= (rows.max(axis=1) - rows.min(axis=1)) <= d1
-        for row in rows[keep]:
-            found.add(tuple(int(x) for x in row))
-    return found
+from oracles import brute_force_one_ring
 
 
 # ---------------------------------------------------------------- elevation
@@ -146,12 +133,14 @@ def test_locate_rejects_nonfinite():
 
 def test_neighbor_offsets_d1_exact_order():
     off = neighbor_offsets(1)
-    np.testing.assert_array_equal(off.offsets, [[0, 0], [1, -1], [-1, 1]])
+    np.testing.assert_array_equal(off, [[0, 0], [1, -1], [-1, 1]])
+    # memoized and shared by every lattice of this dimension
+    assert not off.flags.writeable
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_neighbor_offsets_match_brute_force(d):
-    off = neighbor_offsets(d).offsets
+    off = neighbor_offsets(d)
     assert off.shape == (2 ** (d + 1) - 1, d + 1)
     assert np.array_equal(off[0], np.zeros(d + 1, dtype=np.int64))
     assert np.all(off.sum(axis=1) == 0)
@@ -275,7 +264,7 @@ def test_adjacency_matches_direct_lookup():
     rng = np.random.default_rng(14)
     pts = rng.normal(size=(40, 3)) * 0.7
     for _, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
-        off = lat.offsets.offsets
+        off = lat.offsets
         ref = {tuple(k): i for i, k in enumerate(lat.vertex_keys.tolist())}
         for v in range(lat.num_vertices):
             for c in range(off.shape[0]):
@@ -291,8 +280,8 @@ def test_one_ring_closed_under_negation(d):
     adj = lat.adjacency
     k_taps = adj.shape[1]
     assert (adj == MISSING).any()
-    np.testing.assert_array_equal(lat.offsets.offsets[-np.arange(k_taps) % k_taps],
-                                  -lat.offsets.offsets)
+    np.testing.assert_array_equal(lat.offsets[-np.arange(k_taps) % k_taps],
+                                  -lat.offsets)
     for k in range(1, k_taps):
         reached = np.flatnonzero(adj[:, k] != MISSING)
         np.testing.assert_array_equal(adj[adj[reached, k], -k % k_taps], reached)
@@ -386,7 +375,7 @@ def test_build_near_max_coord_matches_oracle():
     ref = {tuple(k): i for i, k in enumerate(lat.vertex_keys.tolist())}
     assert len(ref) == lat.num_vertices
     for v in range(lat.num_vertices):
-        for c, off in enumerate(lat.offsets.offsets):
+        for c, off in enumerate(lat.offsets):
             neighbor = tuple((lat.vertex_keys[v] + off).tolist())
             assert lat.adjacency[v, c] == ref.get(neighbor, MISSING)
     with pytest.raises(InvalidInput):

@@ -20,19 +20,14 @@ from latseg.checkpoint import (
 from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
+from oracles import facade, fd_grad, rel_err
+
 
 def small_net(seed=0, arch="C3-B4-B4-C4-C2", lam=2.0, input_dim=3):
     spec = net.parse_arch(arch, LatticeConfig(3, lam))
     rng = np.random.default_rng(seed)
     params = net.init_parameters(spec, input_dim, rng)
     return spec, params
-
-
-def rel_err(a, b):
-    # floor keeps structurally-zero gradients (conv bias under BN) from
-    # amplifying finite-difference noise
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-    return np.max(np.abs(a - b) / denom)
 
 
 # -------------------------------------------------------------- parse_arch
@@ -152,16 +147,13 @@ def test_forward_inference_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_forward_inference_memory_is_bounded_by_the_concat():
-    # facade-like cloud at the criterion-11 point density
+def test_forward_inference_memory_holds_no_concat():
+    # facade-like cloud at the criterion-11 point density. Each block meets
+    # the head weight as it appears, so no (n, 512) concat exists and a BCL's
+    # input is gone before slice allocates its output
     rng = np.random.default_rng(17)
     n = 2000
-    side = np.sqrt(n / 100_000)
-    y, z = rng.uniform(0, side, n), rng.uniform(0, side, n)
-    pts = np.column_stack([0.5 + rng.normal(0, 0.01, n), y, z])
-    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    feats = np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
+    pts, feats = facade(n, rng, side=np.sqrt(n / 100_000))
     spec = net.parse_arch("B64-B128-B128-B128-B64-C64-C7", LatticeConfig(3, 32.0))
     params = net.init_parameters(spec, 7, rng)
     descs = net.prepare_descriptors(spec, pts)
@@ -173,45 +165,12 @@ def test_forward_inference_memory_is_bounded_by_the_concat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 512-wide concat alone is 4096 B/point; keeping every layer's
-    # output as well measured 18.7 KB/point
-    assert peak <= 6000 * n, peak / n
+    # with the concat built this cloud peaked at 5741 B/point
+    assert peak <= 2600 * n, peak / n
     assert all(out is None for out in tape.outputs)
     assert feats.tobytes() == feats_before.tobytes()
     assert pts.tobytes() == pts_before.tobytes()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
-
-def _facade(n, rng):
-    """(lattice points, 7 features) of a facade-like cloud at the criterion-11
-    point density, drawn as test_forward_inference_memory_is_bounded_by_the_concat
-    draws its cloud."""
-    side = np.sqrt(n / 100_000)
-    y, z = rng.uniform(0, side, n), rng.uniform(0, side, n)
-    pts = np.column_stack([0.5 + rng.normal(0, 0.01, n), y, z])
-    normals = np.tile([1.0, 0.0, 0.0], (n, 1)) + rng.normal(0, 0.05, (n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return pts, np.hstack([rng.uniform(0, 1, (n, 3)), normals, (y - y.min())[:, None]])
-
-
-def test_forward_inference_memory_holds_no_concat():
-    # each block meets the head weight as it appears, so no (n, 512) concat
-    # exists and a BCL's input is gone before slice allocates its output
-    rng = np.random.default_rng(17)
-    n = 2000
-    pts, feats = _facade(n, rng)
-    spec = net.parse_arch("B64-B128-B128-B128-B64-C64-C7", LatticeConfig(3, 32.0))
-    params = net.init_parameters(spec, 7, rng)
-    descs = net.prepare_descriptors(spec, pts)
-
-    tracemalloc.start()
-    try:
-        net.forward(spec, params, feats, pts, descriptors=descs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # with the concat built this cloud peaked at 5741 B/point
-    assert peak <= 2600 * n, peak / n
 
 
 def test_inference_builds_no_splat_plan_for_the_input_layer():
@@ -322,10 +281,15 @@ def test_backward_requires_training_tape():
         net.backward(tape, params, np.zeros_like(probs))
 
 
-def test_backward_finite_differences_full_net():
+@pytest.mark.parametrize("arch, net_seed, data_seed", [
+    ("C3-B4-B4-C4-C2", 11, 8),
+    # the head is the last 1x1: its block cotangents go straight to the BCLs
+    ("B4-B4-C2", 12, 10),
+], ids=["C3-B4-B4-C4-C2", "B4-B4-C2"])
+def test_backward_finite_differences_full_net(arch, net_seed, data_seed):
     # every trainable tensor plus the input features, against central FD
-    spec, params = small_net(seed=11, arch="C3-B4-B4-C4-C2")
-    rng = np.random.default_rng(8)
+    spec, params = small_net(seed=net_seed, arch=arch)
+    rng = np.random.default_rng(data_seed)
     pts = rng.normal(size=(12, 3))
     feats = rng.normal(size=(12, 3))
     probe = rng.normal(size=(12, 2))
@@ -335,35 +299,11 @@ def test_backward_finite_differences_full_net():
         p, _ = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
         return np.sum(probe * p)
 
-    probs, tape = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
+    _, tape = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
     grads, grad_in = net.backward(tape, params, probe)
-
-    h = 1e-5
     for li, key, arr in net.named_parameters(params):
-        g = grads[li][key]
-        flat = arr.reshape(-1)
-        gf = np.empty_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            fp = objective()
-            flat[j] = orig - h
-            fm = objective()
-            flat[j] = orig
-            gf[j] = (fp - fm) / (2 * h)
-        assert rel_err(gf.reshape(arr.shape), g) < 1e-4, (li, key)
-
-    flat = feats.reshape(-1)
-    gf = np.empty_like(flat)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = objective()
-        flat[j] = orig - h
-        fm = objective()
-        flat[j] = orig
-        gf[j] = (fp - fm) / (2 * h)
-    assert rel_err(gf.reshape(feats.shape), grad_in) < 1e-4
+        assert rel_err(fd_grad(objective, arr), grads[li][key]) < 1e-4, (li, key)
+    assert rel_err(fd_grad(objective, feats), grad_in) < 1e-4
 
 
 def _concat_reference(spec, params, feats, pts, training):
@@ -413,41 +353,6 @@ def test_forward_head_matches_the_built_concat(arch, training):
     assert np.max(np.abs(probs - want) / np.abs(want)) < 1e-12
 
 
-def _central_differences(objective, arr, h=1e-5):
-    """d objective / d arr, entry by entry; arr is restored after each probe."""
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = objective()
-        flat[j] = orig - h
-        fm = objective()
-        flat[j] = orig
-        out[j] = (fp - fm) / (2 * h)
-    return out.reshape(arr.shape)
-
-
-def test_backward_finite_differences_concat_feeds_the_final_layer():
-    # the head is the last 1x1: its block cotangents go straight to the BCLs
-    spec, params = small_net(seed=12, arch="B4-B4-C2")
-    rng = np.random.default_rng(10)
-    pts = rng.normal(size=(12, 3))
-    feats = rng.normal(size=(12, 3))
-    probe = rng.normal(size=(12, 2))
-    descs = net.prepare_descriptors(spec, pts)
-
-    def objective():
-        p, _ = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
-        return np.sum(probe * p)
-
-    _, tape = net.forward(spec, params, feats, pts, training=True, descriptors=descs)
-    grads, grad_in = net.backward(tape, params, probe)
-    for li, key, arr in net.named_parameters(params):
-        assert rel_err(_central_differences(objective, arr), grads[li][key]) < 1e-4, (li, key)
-    assert rel_err(_central_differences(objective, feats), grad_in) < 1e-4
-
-
 def test_batchnorm_train_inference_consistency():
     # with running stats converged onto a fixed batch the two modes agree
     spec, params = small_net(seed=13)
@@ -495,14 +400,7 @@ def test_softmax_grad_jacobian():
     g = rng.normal(size=(4, 3))
     p = net.softmax(z)
     analytic = net.softmax_grad(g, p)
-    h = 1e-6
-    fd = np.empty_like(z)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            zp, zm = z.copy(), z.copy()
-            zp[i, j] += h
-            zm[i, j] -= h
-            fd[i, j] = np.sum(g * (net.softmax(zp) - net.softmax(zm))) / (2 * h)
+    fd = fd_grad(lambda: np.sum(g * net.softmax(z)), z, h=1e-6)
     np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
 
