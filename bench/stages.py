@@ -10,7 +10,8 @@ in a fresh child process with one BLAS thread, REPEATS times. For each
 size it records the median `forward` wall time, the median `ru_maxrss` of
 the child (which includes the cloud, the model and the import), the lattice
 vertices per BCL level, and under the label: the git SHA of the checkout
-that holds --src, the NumPy version and the name and version of NumPy's BLAS.
+that holds --src, whether its tracked files differ from that SHA ("dirty"),
+the NumPy version and the name and version of NumPy's BLAS.
 Other labels already in --out are kept, so a parent and a change can share
 one file.
 
@@ -76,6 +77,13 @@ def git_sha(src):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def git_dirty(src):
+    """Whether tracked files differ from HEAD, so the SHA alone does not name the code."""
+    done = subprocess.run(["git", "-C", str(src), "status", "--porcelain",
+                           "--untracked-files=no"], capture_output=True, text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
 def numpy_build(src):
     """NumPy's version and the name and version of the BLAS it was built with."""
     code = ("import json, numpy\n"
@@ -113,7 +121,7 @@ def main():
         print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
               f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
     numpy_version, blas = numpy_build(src)
-    result = {"git_sha": git_sha(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
+    result = {"git_sha": git_sha(src), "dirty": git_dirty(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
               "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases}
     if args.out is None:
         print(json.dumps(result, indent=2))

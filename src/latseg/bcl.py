@@ -2,14 +2,15 @@
 
 A BCL transports point features onto the lattice vertices (splat), filters
 them with a learnable kernel over each vertex's one-ring (convolve), and
-reads them back at a set of output points (slice):
+reads them back at the points it splatted (slice):
 
     out = slice(convolve(splat(F)))
 
 Splat scatter-adds each point's features to its d+1 simplex corners weighted
-by barycentric coordinates; slice is the transposed gather. Input and output
-clouds may differ: output points are embedded against the vertex set the
-input cloud touched, and simplex corners nobody touched contribute zero.
+by barycentric coordinates; slice is the transposed gather. Carrying
+features to another cloud is project's job: it embeds the destination
+points against the vertex set the source cloud touched, and simplex corners
+nobody touched contribute zero.
 
 Two kernels scatter, and splat picks between them from what it is given.
 _block_splat runs the lattice's splat plan: the points in blocks of 128,
@@ -17,19 +18,19 @@ sorted by their remainder-0 corner, and one small dense GEMM per block,
 W_b @ values[p_b]. _scatter runs one bincount per channel. The plan wins
 where many channels meet a lattice whose points share their corners, as
 in the network: the splat forward of a wide layer, and the backward, where
-slicing back onto the input points makes slice's adjoint a splat. The
-per-channel scatter wins on few channels or a vertex-heavy lattice: the
-normalization ones-pass (one channel), project of a handful of channels,
-the first layer of a network (its input channels). slice_adjoint of a
-foreign embedding always scatters, as its MISSING corners have no place
-in a plan. splat builds the plan only when it runs it.
+slice's adjoint is a splat. The per-channel scatter wins on few channels or
+a vertex-heavy lattice: the normalization ones-pass (one channel), project
+of a handful of channels, the first layer of a network (its input
+channels). splat builds the plan only when it runs it. slice_adjoint, the
+transpose of slice for any embedding, always scatters; no BCL calls it.
 
 Every BCL is normalized: its sliced values are divided point-wise by an
 all-ones signal pushed through splat -> convolve with the default blur
 profile (single-channel, bias-free, over the one-ring) -> slice. project
 divides by splat -> slice of all-ones, with no blur. Denominators depend
 only on the lattice geometry, never on features or learnable weights, and
-are floored at 1e-12 (so outputs with no lattice support are 0).
+are floored at 1e-12 (so project's destinations with no lattice support
+get 0; a BCL's own points always have support).
 
 All forward ops are linear in the features, and the backward pass is exact:
 splat and slice are mutual adjoints, and convolve (im2col) and its weight and
@@ -249,47 +250,30 @@ def convolve_backward(
 
 @dataclass
 class BCLDescriptor:
-    """Reusable geometry of one BCL application.
+    """Reusable geometry of one BCL: the lattice of a cloud and the (n, 1)
+    normalization denominator of its points, already floored.
 
-    Captures the input-cloud lattice, the output-cloud embedding against it,
-    and the cached normalization denominator, which depends only on the
-    geometry. Build once per (cloud pair, scale); apply to any number of
-    feature matrices / filter banks.
+    Both depend only on the geometry. Build once per (cloud, scale); apply
+    to any number of feature matrices / filter banks.
     """
 
     lattice: SparseLattice
-    out_indices: np.ndarray
-    out_bary: np.ndarray
-    denominator: np.ndarray  # (m, 1), already floored
-
-    @property
-    def num_out(self) -> int:
-        return self.out_indices.shape[0]
+    denominator: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the descriptor holds, shared ones counted once."""
-        lat = self.lattice
-        own = [a for a in (self.out_indices, self.out_bary, self.denominator)
-               if a is not lat.point_vertices and a is not lat.point_bary]
-        return lat.nbytes + sum(a.nbytes for a in own)
+        """Bytes of the lattice's arrays and of the denominator."""
+        return self.lattice.nbytes + self.denominator.nbytes
 
 
-def make_descriptor(
-    features_in: np.ndarray, features_out: np.ndarray | None, config: LatticeConfig
-) -> BCLDescriptor:
-    """Build the input cloud's lattice, embed the output cloud (None: the
-    input points) and run the ones-pass through the default blur profile."""
-    lat = build_lattice(features_in, config)
-    if features_out is None:
-        out_idx, out_bary = lat.point_vertices, lat.point_bary
-    else:
-        out_idx, out_bary = lat.embed(features_out)
+def make_descriptor(features: np.ndarray, config: LatticeConfig) -> BCLDescriptor:
+    """Build the cloud's lattice and run the ones-pass through the default
+    blur profile, sliced back onto the cloud's points."""
+    lat = build_lattice(features, config)
     profile = default_blur_profile(lat.adjacency.shape[1])
     mass = convolve(splat(np.ones((lat.num_points, 1)), lat), lat,
                     FilterBank(profile[:, None, None], np.zeros(1)))
-    denom = np.maximum(slice(mass, out_idx, out_bary), NORM_EPS)
-    return BCLDescriptor(lat, out_idx, out_bary, denom)
+    return BCLDescriptor(lat, np.maximum(splat_adjoint(mass, lat), NORM_EPS))
 
 
 def bcl_forward(splatted: np.ndarray, desc: BCLDescriptor, bank: FilterBank) -> np.ndarray:
@@ -297,10 +281,10 @@ def bcl_forward(splatted: np.ndarray, desc: BCLDescriptor, bank: FilterBank) -> 
 
     It starts from the splatted vertex features, which bcl_backward reads
     too, so a caller can free the (n, C_in) point features before slice
-    allocates the (m, C_out) output.
+    allocates the (n, C_out) output.
     """
     filtered = convolve(splatted, desc.lattice, bank)
-    out = slice(filtered, desc.out_indices, desc.out_bary)
+    out = splat_adjoint(filtered, desc.lattice)
     out /= desc.denominator
     return out
 
@@ -312,20 +296,16 @@ def bcl_backward(
     weights, bias), given the splatted vertex features.
 
     The normalization denominator is geometry-only, so it enters as a
-    constant per-point factor.
+    constant per-point factor, and the forward sliced with splat's adjoint,
+    so the cotangent goes back through a splat.
     """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (desc.num_out, bank.c_out):
-        raise ShapeError(
-            f"grad_out has shape {grad_out.shape}, expected ({desc.num_out}, {bank.c_out})"
-        )
     lat = desc.lattice
-    g = grad_out / desc.denominator
-    if desc.out_indices is lat.point_vertices and desc.out_bary is lat.point_bary:
-        # Sliced back onto the input points: slice's adjoint is splat.
-        g_filtered = splat(g, lat)
-    else:
-        g_filtered = slice_adjoint(g, desc.out_indices, desc.out_bary, lat.num_vertices)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (lat.num_points, bank.c_out):
+        raise ShapeError(
+            f"grad_out has shape {grad_out.shape}, expected ({lat.num_points}, {bank.c_out})"
+        )
+    g_filtered = splat(grad_out / desc.denominator, lat)
     g_splat, g_w, g_b = convolve_backward(splatted, lat, bank, g_filtered)
     return splat_adjoint(g_splat, lat), g_w, g_b
 

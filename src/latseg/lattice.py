@@ -216,17 +216,16 @@ class _VertexIndex:
     """
 
     @classmethod
-    def of_rows(cls, material: np.ndarray) -> tuple[_VertexIndex, np.ndarray, np.ndarray]:
-        """(index, row_dense, first_row) for the rows of material.
+    def of_rows(cls, material: np.ndarray) -> tuple[_VertexIndex, np.ndarray]:
+        """(index, row_dense) for the rows of material.
 
-        row_dense[i] is row i's dense index and first_row[v] the first row
-        with dense index v. Only build_lattice reads them, so the index does
-        not keep them.
+        row_dense[i] is row i's dense index. Only build_lattice reads it, so
+        the index does not keep it.
         """
         index = cls(material)
         codes = index._encode(material - index._lo)
-        index.codes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        return index, inverse, first
+        index.codes, row_dense = np.unique(codes, return_inverse=True)
+        return index, row_dense
 
     def __init__(self, material: np.ndarray):
         # The box around material, padded by one ring; of_rows fills the codes.
@@ -408,11 +407,14 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
 
     # Dense indices are key ranks, so they do not depend on the point order.
     flat_keys = keys.reshape(n * d1, d1)
-    index, row_dense, first_row = _VertexIndex.of_rows(flat_keys[:, : config.dim])
+    index, row_dense = _VertexIndex.of_rows(flat_keys[:, : config.dim])
+    # All rows of one vertex hold its key, so one scatter fills vertex_keys.
+    vertex_keys = np.empty((index.codes.size, d1), dtype=np.int64)
+    vertex_keys[row_dense] = flat_keys
     return SparseLattice(
         config=config,
         point_vertices=row_dense.reshape(n, d1),
         point_bary=bary,
-        vertex_keys=flat_keys[first_row],
+        vertex_keys=vertex_keys,
         index=index,
     )

@@ -275,7 +275,7 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
     here: a lattice builds its plan on its first block splat.
     """
     return [
-        bcl.make_descriptor(lattice_features, None, spec.bcl_config(layer.level))
+        bcl.make_descriptor(lattice_features, spec.bcl_config(layer.level))
         for layer in spec.layers
         if isinstance(layer, BCLSpec)
     ]

@@ -78,7 +78,7 @@ def test_criterion_01_dense_oracle_equivalence():
         taps = 2 ** (d + 1) - 1
         bank = bcl.FilterBank(rng.normal(size=(taps, c_in, c_out)) * 0.5,
                               np.zeros(c_out))
-        got, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+        got, _ = splat_forward(values, bcl.make_descriptor(feats, cfg), bank)
         want = dense_reference(values, feats, cfg, bank)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst <= 1e-9, (trial, worst)
@@ -171,7 +171,7 @@ def test_criterion_05_gradient_exactness():
     weights = rng.normal(size=(taps, c_in, c_out)) * 0.5
     bias = rng.normal(size=c_out) * 0.1
     probe = rng.normal(size=(n, c_out))
-    desc = bcl.make_descriptor(feats, None, cfg)
+    desc = bcl.make_descriptor(feats, cfg)
 
     def bcl_objective():
         out, _ = splat_forward(values, desc, bcl.FilterBank(weights, bias))
@@ -238,7 +238,7 @@ def test_criterion_06_constant_preservation():
         mix = rng.normal(size=(c, c))
         profile = bcl.default_blur_profile(taps)
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(c))
-        out2, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
+        out2, _ = splat_forward(values, bcl.make_descriptor(feats, cfg), bank)
         expected = np.tile(const @ mix, (n, 1))
         worst = max(worst, float(np.max(np.abs(out2 - expected))))
         assert worst <= 1e-6
@@ -262,8 +262,8 @@ def test_criterion_07_permutation_equivariance():
     taps = 2 ** (d + 1) - 1
     bank = bcl.FilterBank(rng.normal(size=(taps, c, c)) * 0.3, rng.normal(size=c))
     perm = rng.permutation(n)
-    base, _ = splat_forward(values, bcl.make_descriptor(feats, None, cfg), bank)
-    shuffled, _ = splat_forward(values[perm], bcl.make_descriptor(feats[perm], None, cfg),
+    base, _ = splat_forward(values, bcl.make_descriptor(feats, cfg), bank)
+    shuffled, _ = splat_forward(values[perm], bcl.make_descriptor(feats[perm], cfg),
                                 bank)
     bcl_err = float(np.max(np.abs(shuffled - base[perm])))
     assert bcl_err <= 1e-6

@@ -241,9 +241,8 @@ def test_bcl_backward_blocks_match_dense_transpose():
     # sliced back onto its own points, the backward splats its cotangent
     rng = np.random.default_rng(46)
     pts = rng.normal(size=(BLOCKS_N, 3))
-    desc = bcl.make_descriptor(pts, None, LatticeConfig(3, 0.5))
+    desc = bcl.make_descriptor(pts, LatticeConfig(3, 0.5))
     lat = desc.lattice
-    assert desc.out_indices is lat.point_vertices
     c_out = bcl._PLAN_MIN_CHANNELS
     bank = bcl.FilterBank(rng.normal(size=(lat.adjacency.shape[1], 2, c_out)),
                           rng.normal(size=c_out))
@@ -385,7 +384,7 @@ def test_normalize_matched_kernel_preserves_constants():
     for trial in range(5):
         n = int(rng.integers(4, 30))
         pts = rng.normal(size=(n, 3))
-        desc = bcl.make_descriptor(pts, None, LatticeConfig(3, float(rng.uniform(0.5, 4.0))))
+        desc = bcl.make_descriptor(pts, LatticeConfig(3, float(rng.uniform(0.5, 4.0))))
         profile = bcl.default_blur_profile(desc.lattice.adjacency.shape[1])
         mix = rng.normal(size=(2, 2))
         bank = bcl.FilterBank(profile[:, None, None] * mix, np.zeros(2))
@@ -397,7 +396,7 @@ def test_normalize_matched_kernel_preserves_constants():
 def test_normalize_dense_oracle():
     rng = np.random.default_rng(12)
     pts, lat, values = random_instance(rng, n=10, d=2, c=2)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     k = lat.adjacency.shape[1]
     profile = rng.uniform(0.2, 1.0, size=k)
     bank = bcl.FilterBank(profile[:, None, None] * np.eye(2)[None], np.zeros(2))
@@ -411,27 +410,17 @@ def test_normalize_dense_oracle():
     np.testing.assert_allclose(out, num / den, rtol=1e-9, atol=1e-12)
 
 
-def test_normalize_zero_support_outputs_zero():
-    rng = np.random.default_rng(14)
-    pts = np.zeros((4, 3)) + 0.2
-    desc = bcl.make_descriptor(pts, np.full((2, 3), 1e4), LatticeConfig(3, 1.0))
-    assert (desc.out_indices == MISSING).all()
-    bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 1, 1)),
-                          rng.normal(size=1))
-    out, _ = splat_forward(np.ones((4, 1)), desc, bank)
-    np.testing.assert_array_equal(out, np.zeros((2, 1)))
-
-
 # ------------------------------------------------------- bcl forward/backward
 
 
 def test_bcl_forward_identity_is_normalized_splat_slice():
     rng = np.random.default_rng(13)
     pts, lat, values = random_instance(rng, n=18, d=3, c=2)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     bank = identity_bank(desc.lattice.adjacency.shape[1], 2)
     out, _ = splat_forward(values, desc, bank)
-    ref = bcl.slice(bcl.splat(values, desc.lattice), desc.out_indices, desc.out_bary)
+    lat = desc.lattice
+    ref = bcl.slice(bcl.splat(values, lat), lat.point_vertices, lat.point_bary)
     np.testing.assert_allclose(out, ref / desc.denominator, atol=1e-12)
 
 
@@ -442,15 +431,14 @@ def test_bcl_forward_dense_oracle_per_channel():
         d = int(rng.integers(1, 4))
         pts = rng.normal(size=(n, d))
         cfg = LatticeConfig(d, float(rng.uniform(0.5, 4.0)))
-        m = int(rng.integers(1, 15))
-        out_pts = rng.normal(size=(m, d))
-        desc = bcl.make_descriptor(pts, out_pts, cfg)
+        desc = bcl.make_descriptor(pts, cfg)
         k = desc.lattice.adjacency.shape[1]
         c = int(rng.integers(1, 4))
         bank = bcl.FilterBank(rng.normal(size=(k, c, c)), rng.normal(size=c))
         values = rng.normal(size=(n, c))
         out, _ = splat_forward(values, desc, bank)
-        embedding = (desc.lattice, desc.out_indices, desc.out_bary)
+        lat = desc.lattice
+        embedding = (lat, lat.point_vertices, lat.point_bary)
         ref = dense_bcl(values, *embedding, bank) / dense_denominator(*embedding)
         assert np.max(np.abs(out - ref)) < 1e-9
 
@@ -458,7 +446,7 @@ def test_bcl_forward_dense_oracle_per_channel():
 def test_bcl_linear_in_features():
     rng = np.random.default_rng(16)
     pts, lat, _ = random_instance(rng, n=12, d=2, c=3)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     k = desc.lattice.adjacency.shape[1]
     bank = bcl.FilterBank(rng.normal(size=(k, 3, 2)), np.zeros(2))
     a, b = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
@@ -471,21 +459,22 @@ def test_bcl_linear_in_features():
 def test_bcl_backward_identity_net_matches_dense_transpose():
     rng = np.random.default_rng(17)
     pts, lat, values = random_instance(rng, n=9, d=2, c=1)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     bank = identity_bank(desc.lattice.adjacency.shape[1], 1)
     _, splatted = splat_forward(values, desc, bank)
     g = rng.normal(size=(9, 1))
     grad_input, _, _ = bcl.bcl_backward(desc, bank, splatted, g)
-    s_splat = dense_splat_matrix(desc.lattice)
-    s_slice = dense_slice_matrix(desc.out_indices, desc.out_bary, desc.lattice.num_vertices)
-    den = dense_denominator(desc.lattice, desc.out_indices, desc.out_bary)
+    lat = desc.lattice
+    s_splat = dense_splat_matrix(lat)
+    s_slice = dense_slice_matrix(lat.point_vertices, lat.point_bary, lat.num_vertices)
+    den = dense_denominator(lat, lat.point_vertices, lat.point_bary)
     np.testing.assert_allclose(grad_input, s_splat.T @ (s_slice.T @ (g / den)), atol=1e-10)
 
 
 def test_bcl_backward_zero_grad():
     rng = np.random.default_rng(18)
     pts, lat, values = random_instance(rng)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     bank = bcl.FilterBank(
         rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)), rng.normal(size=2)
     )
@@ -499,7 +488,7 @@ def test_bcl_backward_zero_grad():
 def test_bcl_backward_shape_errors():
     rng = np.random.default_rng(47)
     pts, lat, values = random_instance(rng)
-    desc = bcl.make_descriptor(pts, None, lat.config)
+    desc = bcl.make_descriptor(pts, lat.config)
     bank = bcl.FilterBank(rng.normal(size=(desc.lattice.adjacency.shape[1], 3, 2)),
                           rng.normal(size=2))
     _, splatted = splat_forward(values, desc, bank)
@@ -508,17 +497,15 @@ def test_bcl_backward_shape_errors():
             bcl.bcl_backward(desc, bank, splatted, bad)
 
 
-@pytest.mark.parametrize("same_cloud", [False, True])
-def test_bcl_backward_finite_differences(same_cloud):
+def test_bcl_backward_finite_differences():
     rng = np.random.default_rng(19)
     pts = rng.normal(size=(7, 2))
-    out_pts = None if same_cloud else np.concatenate([pts[:4], rng.normal(size=(3, 2))])
     cfg = LatticeConfig(2, 1.5)
-    desc = bcl.make_descriptor(pts, out_pts, cfg)
+    desc = bcl.make_descriptor(pts, cfg)
     k = desc.lattice.adjacency.shape[1]
     bank = bcl.FilterBank(rng.normal(size=(k, 2, 3)), rng.normal(size=3))
     values = rng.normal(size=(7, 2))
-    probe = rng.normal(size=(desc.num_out, 3))
+    probe = rng.normal(size=(7, 3))
 
     _, splatted = splat_forward(values, desc, bank)
     grad_input, grad_weights, grad_bias = bcl.bcl_backward(desc, bank, splatted, probe)
@@ -539,8 +526,8 @@ def test_bcl_permutation_equivariance():
     k = 2 ** 4 - 1
     bank = bcl.FilterBank(rng.normal(size=(k, 2, 2)), rng.normal(size=2))
     perm = rng.permutation(30)
-    out, _ = splat_forward(values, bcl.make_descriptor(pts, None, cfg), bank)
-    out_p, _ = splat_forward(values[perm], bcl.make_descriptor(pts[perm], None, cfg), bank)
+    out, _ = splat_forward(values, bcl.make_descriptor(pts, cfg), bank)
+    out_p, _ = splat_forward(values[perm], bcl.make_descriptor(pts[perm], cfg), bank)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-6)
 
 
@@ -619,14 +606,14 @@ def test_project_never_builds_the_adjacency(monkeypatch):
 
 def test_ones_pass_never_builds_a_splat_plan():
     rng = np.random.default_rng(28)
-    desc = bcl.make_descriptor(rng.normal(size=(80, 3)), None, LatticeConfig(3, 2.0))
+    desc = bcl.make_descriptor(rng.normal(size=(80, 3)), LatticeConfig(3, 2.0))
     assert desc.denominator.shape == (80, 1)
     assert "splat_plan" not in vars(desc.lattice)
 
 
 def test_default_blur_descriptor_holds_a_read_only_adjacency():
     rng = np.random.default_rng(27)
-    lat = bcl.make_descriptor(rng.normal(size=(80, 3)), None, LatticeConfig(3, 2.0)).lattice
+    lat = bcl.make_descriptor(rng.normal(size=(80, 3)), LatticeConfig(3, 2.0)).lattice
     assert "adjacency" in vars(lat)  # the ones-pass blur read it
     off = lat.offsets
     keys = lat.vertex_keys[:, None, :] + off[None]

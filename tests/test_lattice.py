@@ -191,19 +191,6 @@ def test_build_deterministic():
     np.testing.assert_array_equal(a.point_bary, b.point_bary)
 
 
-def test_build_vertex_keys_valid_and_sorted():
-    rng = np.random.default_rng(12)
-    pts = rng.uniform(-2, 2, size=(50, 2))
-    lat = build_lattice(pts, LatticeConfig(2, 3.0))
-    keys = lat.vertex_keys
-    assert np.all(keys.sum(axis=1) == 0)
-    assert np.all(keys % 3 == (keys[:, :1] % 3))
-    # dense ids are key ranks: key rows strictly increase lexicographically
-    rows = keys.tolist()
-    assert all(a < b for a, b in zip(rows, rows[1:]))
-    assert np.array_equal(np.unique(lat.point_vertices), np.arange(lat.num_vertices))
-
-
 def encoding_of(lat):
     """'int64' or 'bytes': how the lattice's vertex index encodes its rows."""
     return "bytes" if lat._index.codes.dtype.kind == "V" else "int64"
@@ -225,6 +212,20 @@ def clouds_for_both_encodings(int64_points, int64_config):
         lat = build_lattice(pts, cfg)
         assert encoding_of(lat) == expected
         yield pts, lat
+
+
+def test_build_vertex_keys_valid_and_sorted():
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-2, 2, size=(50, 2))
+    for _, lat in clouds_for_both_encodings(pts, LatticeConfig(2, 3.0)):
+        keys = lat.vertex_keys
+        d1 = lat.config.dim + 1
+        assert np.all(keys.sum(axis=1) == 0)
+        assert np.all(keys % d1 == (keys[:, :1] % d1))
+        # dense ids are key ranks: key rows strictly increase lexicographically
+        rows = keys.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert np.array_equal(np.unique(lat.point_vertices), np.arange(lat.num_vertices))
 
 
 def test_vertex_numbering_ignores_point_order():
@@ -335,15 +336,15 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     near = corners[rng.integers(0, 4, size=300)] + rng.integers(-3, 4, size=(300, d))
     material = np.concatenate([corners, inner, near, inner[:50]]) - 2**40
     material = np.clip(material, material[:4].min(axis=0), material[:4].max(axis=0))
-    index, row_dense, first_row = _VertexIndex.of_rows(material)
+    index, row_dense = _VertexIndex.of_rows(material)
     assert math.prod(int(x) for x in index._hi - index._lo + 1) == math.prod(spans)
     assert index.codes.dtype.kind == kind
 
     ref = {row: rank for rank, row in enumerate(sorted(set(map(tuple, material.tolist()))))}
     assert [ref[tuple(r)] for r in material.tolist()] == row_dense.tolist()
-    np.testing.assert_array_equal(
-        material[first_row], np.array(list(ref), dtype=np.int64)
-    )
+    rows = np.empty((index.codes.size, d), dtype=np.int64)
+    rows[row_dense] = material
+    np.testing.assert_array_equal(rows, np.array(list(ref), dtype=np.int64))
 
     probes = np.concatenate([
         material + rng.integers(-1, 2, size=material.shape),
