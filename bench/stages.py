@@ -1,21 +1,26 @@
-"""Criterion-scale wall time and memory of a facade inference.
+"""Criterion-scale wall time and memory of a facade inference and a filter.
 
-    python3 bench/stages.py --out BENCH_20.json --label change
-    python3 bench/stages.py --out BENCH_20.json --label parent --src ../parent/src
+    python3 bench/stages.py --out BENCH_23.json --label change
+    python3 bench/stages.py --out BENCH_23.json --label parent --src ../parent/src
 
 Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
 tests/oracles.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
 lattice descriptors built inside `network.forward`) at each size in SIZES, each run
 in a fresh child process with one BLAS thread, REPEATS times. For each
 size it records the median `forward` wall time, the median `ru_maxrss` of
-the child (which includes the cloud, the model and the import), the lattice
-vertices per BCL level, and under the label: the git SHA of the checkout
-that holds --src, whether its tracked files differ from that SHA ("dirty"),
-the NumPy version and the name and version of NumPy's BLAS.
+the child (which includes the cloud, the model and the import) and the
+lattice vertices per BCL level. The filter case, run the same way, is the
+criterion-scale `latseg filter`: `bcl.project` of FILTER_CHANNELS channels
+between two FILTER_POINTS-point clouds uniform in a cube of side n^(1/3),
+at lambda 1; it records the median `project` wall time, the median
+`ru_maxrss` and the source lattice's vertex count. Under the label go
+the git SHA of the checkout that holds --src, whether its tracked files
+differ from that SHA ("dirty"), the NumPy version and the name and version
+of NumPy's BLAS.
 Other labels already in --out are kept, so a parent and a change can share
 one file.
 
-The child reads `ru_maxrss` before it rebuilds the lattices to count their
+A child reads `ru_maxrss` before it rebuilds the lattices to count their
 vertices, so that rebuild cannot set the recorded peak.
 
 Takes minutes and gigabytes at 300k points; it is not part of the tests.
@@ -36,6 +41,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 ARCH = "B64-B128-B128-B128-B64-C64-C7"
 SIZES = (100_000, 300_000)
 REPEATS = 3
+FILTER_POINTS = 300_000
+FILTER_CHANNELS = 4
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
@@ -64,9 +71,31 @@ def child(n):
     print(json.dumps({"forward_s": seconds, "maxrss_mb": maxrss_mb, "vertices": vertices}))
 
 
-def run_case(n, src):
+def child_filter():
+    """One filter; prints {"seconds", "maxrss_mb", "vertices"}."""
+    import numpy as np
+    from latseg import bcl
+    from latseg.lattice import LatticeConfig, build_lattice
+
+    n = FILTER_POINTS
+    rng = np.random.default_rng(111)
+    src, dst = rng.uniform(0, n ** (1 / 3), size=(2, n, 3))
+    values = rng.uniform(0, 1, size=(n, FILTER_CHANNELS))
+    config = LatticeConfig(3, 1.0)
+    start = time.perf_counter()
+    out = bcl.project(values, src, dst, config)
+    seconds = time.perf_counter() - start
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if out.shape != (n, FILTER_CHANNELS) or not np.isfinite(out).all():
+        raise SystemExit("bad filter output")
+    vertices = build_lattice(src, config).num_vertices
+    print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb, "vertices": vertices}))
+
+
+def run_case(case, src):
+    """The child's record for case, a facade size or "filter"."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
-    done = subprocess.run([sys.executable, __file__, "--child", str(n)], env=env,
+    done = subprocess.run([sys.executable, __file__, "--child", str(case)], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -98,13 +127,16 @@ def numpy_build(src):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="JSON file to add the label's results to")
     parser.add_argument("--label", default="change")
     parser.add_argument("--src", type=Path, default=SRC, help="latseg source directory")
     args = parser.parse_args()
+    if args.child == "filter":
+        child_filter()
+        return
     if args.child is not None:
-        child(args.child)
+        child(int(args.child))
         return
 
     src = args.src.resolve()
@@ -120,9 +152,21 @@ def main():
         }
         print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
               f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
+    runs = [run_case("filter", src) for _ in range(REPEATS)]
+    filter_case = {
+        "points": FILTER_POINTS, "channels": FILTER_CHANNELS, "lambda": 1.0,
+        "seconds": statistics.median(r["seconds"] for r in runs),
+        "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
+        "vertices": runs[0]["vertices"],
+        "seconds_runs": [r["seconds"] for r in runs],
+        "maxrss_mb_runs": [r["maxrss_mb"] for r in runs],
+    }
+    print(f"{args.label} filter: project {filter_case['seconds']:.2f} s, "
+          f"ru_maxrss {filter_case['maxrss_mb']:.0f} MB", file=sys.stderr)
     numpy_version, blas = numpy_build(src)
     result = {"git_sha": git_sha(src), "dirty": git_dirty(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
-              "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases}
+              "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases,
+              "filter": filter_case}
     if args.out is None:
         print(json.dumps(result, indent=2))
         return

@@ -206,9 +206,10 @@ def _write_table(path, header_lines, columns):
     # tolist gives Python floats and ints; str of a float is its repr, the
     # shortest string that round-trips
     cells = [map(str, values.tolist()) for _, values in columns]
-    lines = header_lines + [" ".join(row) for row in zip(*cells)]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header_lines) + "\n")
+        # row by row, so the text of the whole table is never held at once
+        fh.writelines(" ".join(row) + "\n" for row in zip(*cells))
 
 
 def _read_lines(path):

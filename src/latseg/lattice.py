@@ -12,7 +12,11 @@ linear map (scaled per dimension, then rotated by the standard recurrence).
 to the nearest remainder-0 point, repairing the hyperplane constraint on the
 coordinates with the largest rounding error, and ranking the residual
 differentials; the same differentials give the barycentric weights of the
-point with respect to the d+1 simplex vertices.
+point with respect to the d+1 simplex vertices. A located point is
+(rem0, rank, bary): its remainder-0 corner, the rank of each coordinate's
+differential and its weights. Its remainder-r corner is rem0 moved by r on
+the coordinates ranked below d+1-r and by r-(d+1) on the others, so no
+(n, d+1, d+1) tensor of corner keys is ever formed.
 
 build_lattice runs this for a whole cloud, deduplicates the touched vertices
 and stores the per-point embeddings. The one-ring adjacency of every vertex
@@ -23,7 +27,12 @@ the sum-zero constraint) serves the deduplication, every adjacency column,
 embed and lookup. Its rows are shifted into the vertices'
 bounding box padded by d+1 on every side and encoded either as int64
 mixed-radix codes, when the padded box has at most 2^63 - 1 cells, or else
-as big-endian uint64 rows compared as raw bytes. Both encodings sort like
+as big-endian uint64 rows compared as raw bytes. Over r, coordinate j of a
+point's corners spans rem0_j - rank_j ... rem0_j - rank_j + d, which gives
+the box; an int64 corner code is the remainder-0 code plus r times the sum
+of the strides, minus d+1 times the strides of the coordinates ranked at
+least d+1-r. Byte rows are encoded one remainder class at a time, and
+vertex_keys is filled by one scatter per class. Both encodings sort like
 the rows themselves (lexicographically) and keep that order under a
 constant shift, so moving every vertex by one one-ring offset yields an
 already sorted query array: an adjacency column is one searchsorted. A
@@ -121,22 +130,14 @@ def elevate_many(features: np.ndarray, config: LatticeConfig) -> np.ndarray:
     return out
 
 
-def _canonical_simplex(d: int) -> np.ndarray:
-    # canon[r, j]: coordinate delta from the remainder-0 corner to the
-    # remainder-r corner, indexed by differential rank j.
-    d1 = d + 1
-    canon = np.empty((d1, d1), dtype=np.int64)
-    for r in range(d1):
-        canon[r, : d1 - r] = r
-        canon[r, d1 - r :] = r - d1
-    return canon
+def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enclosing simplices and barycentric weights of (n, d+1) elevated points.
 
-
-def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex vertices and barycentric weights for (n, d+1) elevated points.
-
-    Returns (keys, bary): keys is (n, d+1, d+1) int64 with keys[i, r] the
-    remainder-r vertex of point i's simplex; bary is (n, d+1) row-aligned.
+    Returns (rem0, rank, bary), each (n, d+1) and row-aligned: rem0 (int64)
+    is the point's remainder-0 corner, rank (int64) ranks its coordinates
+    by descending differential (a permutation of 0..d per row), and bary
+    holds the weights of the remainder-0..d corners. The remainder-r corner
+    is _corner(rem0, rank, r).
     """
     n, d1 = elevated.shape
     d = d1 - 1
@@ -145,40 +146,47 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # Greedy per-coordinate rounding to the nearest multiple of d+1. Ties go
     # down, which still yields an enclosing simplex.
-    v = elevated / d1
-    down = np.floor(v) * d1
+    down = np.floor(elevated / d1) * d1
     up = down + d1
     rem0 = np.where((up - elevated) < (elevated - down), up, down).astype(np.int64)
+    del down, up
 
     # Rank coordinates by descending differential; ties broken by lower index.
-    diff = elevated - rem0
-    order = np.argsort(-diff, axis=1, kind="stable")
+    order = np.argsort(rem0 - elevated, axis=1, kind="stable")
     rank = np.empty((n, d1), dtype=np.int64)
     np.put_along_axis(rank, order, np.broadcast_to(np.arange(d1), (n, d1)), axis=1)
+    del order
 
     # Rounding may have left the hyperplane; shift the worst-ranked
     # coordinates by d+1 to repair the sum while keeping ranks a permutation.
-    excess = rem0.sum(axis=1) // d1
-    rank += excess[:, None]
-    low = rank < 0
-    high = rank > d
-    rank += d1 * low - d1 * high
-    rem0 += d1 * (low.astype(np.int64) - high.astype(np.int64))
+    rank += (rem0.sum(axis=1) // d1)[:, None]
+    shift = d1 * ((rank < 0).astype(np.int64) - (rank > d))
+    rank += shift
+    rem0 += shift
+    del shift
 
-    # Barycentric weights from the repaired differentials.
-    frac = (elevated - rem0) / d1
-    b = np.zeros((n, d1 + 1), dtype=np.float64)
-    idx = d - rank  # permutation of 0..d per row
-    np.put_along_axis(b[:, :d1], idx, frac, axis=1)
-    sub = np.zeros_like(b)
-    np.put_along_axis(sub[:, 1:], idx, frac, axis=1)
-    b -= sub
-    b[:, 0] += 1.0 + b[:, d1]
-    bary = np.ascontiguousarray(b[:, :d1])
+    # Barycentric weights from the repaired differentials: with ranked[:, k]
+    # the differential ranked d-k, weight k >= 1 is ranked[k] - ranked[k-1]
+    # and weight 0 is ranked[0] + 1 - ranked[d].
+    frac = elevated - rem0
+    frac /= d1
+    ranked = np.empty((n, d1), dtype=np.float64)
+    np.put_along_axis(ranked, d - rank, frac, axis=1)
+    del frac
+    bary = np.empty((n, d1), dtype=np.float64)
+    np.subtract(ranked[:, 1:], ranked[:, :d], out=bary[:, 1:])
+    np.add(ranked[:, 0], 1.0 - ranked[:, d], out=bary[:, 0])
+    return rem0, rank, bary
 
-    canon = _canonical_simplex(d)
-    keys = rem0[:, None, :] + np.transpose(canon[:, rank], (1, 0, 2))
-    return keys, bary
+
+def _corner(rem0: np.ndarray, rank: np.ndarray, r: int) -> np.ndarray:
+    """(n, d+1) remainder-r corners of located points.
+
+    The remainder-r corner moves the remainder-0 corner by r on the
+    coordinates ranked below d+1-r and by r-(d+1) on the others.
+    """
+    d1 = rank.shape[1]
+    return rem0 + (r - d1 * (rank >= d1 - r))
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,28 +224,52 @@ class _VertexIndex:
     """
 
     @classmethod
-    def of_rows(cls, material: np.ndarray) -> tuple[_VertexIndex, np.ndarray]:
-        """(index, row_dense) for the rows of material.
+    def of_simplices(cls, rem0: np.ndarray,
+                     rank: np.ndarray) -> tuple[_VertexIndex, np.ndarray]:
+        """(index, point_dense) for the corners of located points.
 
-        row_dense[i] is row i's dense index. Only build_lattice reads it, so
-        the index does not keep it.
+        point_dense[i, r] is the dense index of point i's remainder-r corner.
+        Only build_lattice reads it, so the index does not keep it. No corner
+        is formed for int64 codes: over r, coordinate j of a point's corners
+        spans rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box,
+        and the codes follow from the remainder-0 code.
         """
-        index = cls(material)
-        codes = index._encode(material - index._lo)
-        index.codes, row_dense = np.unique(codes, return_inverse=True)
-        return index, row_dense
+        n, d1 = rank.shape
+        d = d1 - 1
+        low = (rem0 - rank)[:, :d]
+        index = cls(low.min(axis=0), low.max(axis=0) + d)
+        del low
+        if index._strides is None:
+            codes = np.stack([index._encode(_corner(rem0, rank, r)[:, :d] - index._lo)
+                              for r in range(d1)], axis=1)
+        else:
+            # _corner adds r - (d+1) [rank_j >= d+1-r] to coordinate j, so the
+            # remainder-r code is the remainder-0 code plus r times the sum
+            # of the strides minus d+1 times the strides where that holds.
+            strides = index._strides
+            r = np.arange(d1)
+            moved = rank[:, None, :d] >= d1 - r[:, None]
+            codes = (rem0[:, :d] - index._lo) @ strides
+            codes = codes[:, None] + r * strides.sum() - d1 * (moved @ strides)
+        return index, index._store(codes).reshape(n, d1)
 
-    def __init__(self, material: np.ndarray):
-        # The box around material, padded by one ring; of_rows fills the codes.
-        d = material.shape[1]
-        self._lo = material.min(axis=0) - (d + 1)
-        self._hi = material.max(axis=0) + (d + 1)
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        # The box lo..hi of the material, padded by one ring; _store keeps
+        # the codes.
+        d = lo.size
+        self._lo = lo - (d + 1)
+        self._hi = hi + (d + 1)
         spans = [int(s) for s in self._hi - self._lo + 1]
         self._strides = None
         if math.prod(spans) <= _INT64_MAX:
             # Big-endian mixed radix: coordinate 0 is the most significant.
             strides = [math.prod(spans[j + 1 :]) for j in range(d)]
             self._strides = np.array(strides, dtype=np.int64)
+
+    def _store(self, codes: np.ndarray) -> np.ndarray:
+        """Keep the distinct codes, sorted; returns each code's dense index."""
+        self.codes, dense = np.unique(codes, return_inverse=True)
+        return dense
 
     def _encode(self, shifted: np.ndarray) -> np.ndarray:
         # shifted: rows minus the box corner, each entry in [0, span).
@@ -372,11 +404,12 @@ class SparseLattice:
         weights. Feeding back the source cloud reproduces point_vertices /
         point_bary exactly.
         """
-        elev = elevate_many(features, self.config)
-        keys, bary = _locate_many(elev)
-        m, d1, _ = keys.shape
-        flat = keys.reshape(m * d1, d1)[:, : self.config.dim]
-        idx = self._index.find(self._index.encode(flat)).reshape(m, d1)
+        rem0, rank, bary = _locate_many(elevate_many(features, self.config))
+        d = self.config.dim
+        idx = np.empty(rank.shape, dtype=np.int64)
+        for r in range(d + 1):
+            corners = _corner(rem0, rank, r)[:, :d]
+            idx[:, r] = self._index.find(self._index.encode(corners))
         return idx, bary
 
     @property
@@ -402,18 +435,19 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
     elev = elevate_many(features, config)
     if elev.shape[0] == 0:
         raise EmptyInput("cannot build a lattice from an empty cloud")
-    keys, bary = _locate_many(elev)
-    n, d1, _ = keys.shape
+    rem0, rank, bary = _locate_many(elev)
+    del elev
 
     # Dense indices are key ranks, so they do not depend on the point order.
-    flat_keys = keys.reshape(n * d1, d1)
-    index, row_dense = _VertexIndex.of_rows(flat_keys[:, : config.dim])
-    # All rows of one vertex hold its key, so one scatter fills vertex_keys.
-    vertex_keys = np.empty((index.codes.size, d1), dtype=np.int64)
-    vertex_keys[row_dense] = flat_keys
+    index, point_vertices = _VertexIndex.of_simplices(rem0, rank)
+    # All corners of one vertex hold its key, so one scatter per remainder
+    # class fills vertex_keys.
+    vertex_keys = np.empty((index.codes.size, config.dim + 1), dtype=np.int64)
+    for r in range(config.dim + 1):
+        vertex_keys[point_vertices[:, r]] = _corner(rem0, rank, r)
     return SparseLattice(
         config=config,
-        point_vertices=row_dense.reshape(n, d1),
+        point_vertices=point_vertices,
         point_bary=bary,
         vertex_keys=vertex_keys,
         index=index,

@@ -5,6 +5,8 @@ Not a test module: pytest collects only `test_*.py`, and its default
 `from oracles import ...`.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from latseg import bcl
@@ -59,6 +61,29 @@ def brute_force_one_ring(d):
         keep = (rows.sum(axis=1) == 0) & (rows.max(axis=1) - rows.min(axis=1) <= d1)
         found.update(tuple(int(x) for x in row) for row in rows[keep])
     return found
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the bytes tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def simplex_corner_keys(rem0, rank):
+    """(n, d+1, d+1) full keys of located points' simplex corners, materialised
+    in one tensor: keys[i, r] = rem0[i] + canon[r, rank[i]], where canon[r, k]
+    is r for ranks k < d+1-r and r-(d+1) for the others."""
+    d1 = rank.shape[1]
+    canon = np.empty((d1, d1), dtype=np.int64)
+    for r in range(d1):
+        canon[r, : d1 - r] = r
+        canon[r, d1 - r :] = r - d1
+    return rem0[:, None, :] + np.transpose(canon[:, rank], (1, 0, 2))
 
 
 def splat_forward(values, desc, bank):

@@ -16,6 +16,8 @@ from latseg.errors import (
     UnsupportedError,
 )
 
+from oracles import traced_peak
+
 
 def random_cloud(n=100, seed=0, with_labels=True):
     rng = np.random.default_rng(seed)
@@ -287,6 +289,53 @@ def test_ply_cannot_store_extras(tmp_path):
     cloud = data.PointCloud(np.zeros((2, 3)), extras={"p0": [0.5, 0.5]})
     with pytest.raises(UnsupportedError):
         data.save_ply(cloud, tmp_path / "x.ply")
+
+
+_FULL = b"0.1 -2.5 1e-300 0.0 0.6 0.8 "
+_SAVED = [
+    ("full.ply",
+     b"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
+     b"property double z\nproperty double nx\nproperty double ny\nproperty double nz\n"
+     b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+     b"property double height\nproperty int label\nend_header\n"
+     + _FULL + b"0 128 255 0.25 3\n0.3333333333333333 2.0 -0.0 1.0 0.0 0.0 1 128 64 7.0 -1\n"),
+    ("full.xyz",
+     b"# x y z nx ny nz red green blue height label\n"
+     + _FULL + b"0.0 0.5019607843137255 1.0 0.25 3\n"
+     b"0.3333333333333333 2.0 -0.0 1.0 0.0 0.0 0.00392156862745098 0.5 0.25 7.0 -1\n"),
+    ("extra.xyz", b"# x y z w\n1.5 0.0 20000000000.0 0.75\n"),
+    ("empty.ply",
+     b"ply\nformat ascii 1.0\nelement vertex 0\nproperty double x\nproperty double y\n"
+     b"property double z\nproperty uchar red\nproperty uchar green\nproperty uchar blue\n"
+     b"end_header\n"),
+    ("empty.xyz", b"# x y z red green blue\n"),
+]
+
+
+@pytest.mark.parametrize("name, expected", _SAVED, ids=[name for name, _ in _SAVED])
+def test_saved_bytes_are_fixed(tmp_path, name, expected):
+    clouds = {
+        "full": data.PointCloud(positions=[[0.1, -2.5, 1e-300], [1 / 3, 2.0, -0.0]],
+                                normals=[[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]],
+                                rgb=[[0.0, 128 / 255, 1.0], [1 / 255, 0.5, 0.25]],
+                                height=[0.25, 7.0], labels=[3, -1]),
+        "extra": data.PointCloud(positions=[[1.5, 0.0, 2e10]], extras={"w": np.array([0.75])}),
+        "empty": data.PointCloud(positions=np.zeros((0, 3)), rgb=np.zeros((0, 3))),
+    }
+    p = tmp_path / name
+    data.save_cloud(clouds[p.stem], p)
+    assert p.read_bytes() == expected
+
+
+def test_save_cloud_memory_per_point(tmp_path):
+    # joining every line into one string held the table's text twice:
+    # 458 B/point on this cloud
+    rng = np.random.default_rng(23)
+    n = 20_000
+    cloud = data.PointCloud(positions=rng.uniform(0, 27, size=(n, 3)),
+                            rgb=rng.uniform(0, 1, size=(n, 3)), height=np.full(n, 0.25))
+    _, peak = traced_peak(lambda: data.save_cloud(cloud, tmp_path / "out.ply"))
+    assert peak <= 250 * n, peak / n
 
 
 # --------------------------------------------------------------------- XYZ

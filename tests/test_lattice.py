@@ -18,6 +18,7 @@ from latseg.lattice import (
     _MAX_COORD,
     MISSING,
     LatticeConfig,
+    _corner,
     _locate_many,
     _VertexIndex,
     build_lattice,
@@ -25,7 +26,7 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
-from oracles import brute_force_one_ring
+from oracles import brute_force_one_ring, simplex_corner_keys, traced_peak
 
 
 # ---------------------------------------------------------------- elevation
@@ -81,14 +82,14 @@ def test_elevate_rejects_bad_input():
 
 
 def test_locate_at_remainder0_vertex():
-    keys, bary = _locate_many(np.zeros((1, 4)))
+    rem0, rank, bary = _locate_many(np.zeros((1, 4)))
     np.testing.assert_allclose(bary[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert np.array_equal(keys[0, 0], np.zeros(4, dtype=np.int64))
+    assert np.array_equal(_corner(rem0, rank, 0)[0], np.zeros(4, dtype=np.int64))
     # a nonzero remainder-0 point
     p = np.array([4.0, -4.0, 0.0, 0.0]) * 3
-    keys, bary = _locate_many(p[None, :])
+    rem0, rank, bary = _locate_many(p[None, :])
     np.testing.assert_allclose(bary[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert np.array_equal(keys[0, 0], p.astype(np.int64))
+    assert np.array_equal(_corner(rem0, rank, 0)[0], p.astype(np.int64))
 
 
 def test_locate_centroid_equal_weights():
@@ -96,9 +97,9 @@ def test_locate_centroid_equal_weights():
     for d in (1, 2, 3, 5):
         cfg = LatticeConfig(d, 1.0)
         seed = elevate_many(rng.normal(size=(1, d)), cfg)
-        keys, _ = _locate_many(seed)
-        centroid = keys[0].mean(axis=0)
-        _, bary = _locate_many(centroid[None, :])
+        rem0, rank, _ = _locate_many(seed)
+        centroid = np.stack([_corner(rem0, rank, r)[0] for r in range(d + 1)]).mean(axis=0)
+        *_, bary = _locate_many(centroid[None, :])
         np.testing.assert_allclose(bary[0], np.full(d + 1, 1 / (d + 1)), atol=1e-9)
 
 
@@ -108,7 +109,8 @@ def test_locate_reconstruction_and_classes(d):
     cfg = LatticeConfig(d, float(rng.uniform(0.5, 8.0)))
     elev = elevate_many(rng.normal(size=(800, d)) * 5, cfg)
     rows = np.arange(0, 800, 37)
-    all_keys, all_bary = _locate_many(elev[rows])
+    rem0, rank, all_bary = _locate_many(elev[rows])
+    all_keys = np.stack([_corner(rem0, rank, r) for r in range(d + 1)], axis=1)
     for row, vertex_keys, bary in zip(rows, all_keys, all_bary):
         scale = max(1.0, np.abs(elev[row]).max())
         # exactly one vertex per remainder class, rows in class order
@@ -228,6 +230,44 @@ def test_build_vertex_keys_valid_and_sorted():
         assert np.array_equal(np.unique(lat.point_vertices), np.arange(lat.num_vertices))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_build_and_embed_match_the_materialised_corner_oracle(d):
+    # The lattice forms no (n, d+1, d+1) key tensor; the oracle does, and
+    # numbers vertices by np.unique over its rows.
+    rng = np.random.default_rng(40 + d)
+    pts = rng.normal(size=(200, d)) * 3
+    for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(d, 2.0)):
+        d1 = lat.config.dim + 1
+        rem0, rank, bary = _locate_many(elevate_many(pts, lat.config))
+        keys = simplex_corner_keys(rem0, rank).reshape(-1, d1)
+        vertex_keys, dense = np.unique(keys, axis=0, return_inverse=True)
+        assert lat.vertex_keys.tobytes() == vertex_keys.tobytes()
+        assert lat.point_vertices.tobytes() == dense.reshape(-1, d1).tobytes()
+        assert lat.point_bary.tobytes() == bary.tobytes()
+
+        other = np.concatenate([pts + rng.normal(size=pts.shape), pts[:5] + 1e6])
+        rem0, rank, bary = _locate_many(elevate_many(other, lat.config))
+        ref = {tuple(k): i for i, k in enumerate(vertex_keys.tolist())}
+        expected = [ref.get(tuple(k), MISSING)
+                    for k in simplex_corner_keys(rem0, rank).reshape(-1, d1).tolist()]
+        idx, embed_bary = lat.embed(other)
+        assert idx.tobytes() == np.array(expected, dtype=np.int64).reshape(-1, d1).tobytes()
+        assert embed_bary.tobytes() == bary.tobytes()
+
+
+def test_build_and_embed_memory_per_point():
+    # forming every corner's key took 704 B/point for each
+    rng = np.random.default_rng(22)
+    n = 20_000
+    side = n ** (1 / 3)
+    pts, other = rng.uniform(0, side, size=(2, n, 3))
+    cfg = LatticeConfig(3, 1.0)
+    lat, peak = traced_peak(lambda: build_lattice(pts, cfg))
+    assert peak <= 400 * n, peak / n
+    _, peak = traced_peak(lambda: lat.embed(other))
+    assert peak <= 350 * n, peak / n
+
+
 def test_vertex_numbering_ignores_point_order():
     rng = np.random.default_rng(16)
     pts = rng.normal(size=(80, 3))
@@ -336,7 +376,8 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     near = corners[rng.integers(0, 4, size=300)] + rng.integers(-3, 4, size=(300, d))
     material = np.concatenate([corners, inner, near, inner[:50]]) - 2**40
     material = np.clip(material, material[:4].min(axis=0), material[:4].max(axis=0))
-    index, row_dense = _VertexIndex.of_rows(material)
+    index = _VertexIndex(material.min(axis=0), material.max(axis=0))
+    row_dense = index._store(index.encode(material))
     assert math.prod(int(x) for x in index._hi - index._lo + 1) == math.prod(spans)
     assert index.codes.dtype.kind == kind
 

@@ -1,7 +1,6 @@
 """Network assembly, gradients, and checkpoint tests."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from latseg.checkpoint import (
 from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
-from oracles import facade, fd_grad, rel_err
+from oracles import facade, fd_grad, rel_err, traced_peak
 
 
 def small_net(seed=0, arch="C3-B4-B4-C4-C2", lam=2.0, input_dim=3):
@@ -159,12 +158,8 @@ def _facade_inference():
     descs = net.prepare_descriptors(spec, pts)
     feats_before, pts_before = feats.copy(), pts.copy()
 
-    tracemalloc.start()
-    try:
-        probs, tape = net.forward(spec, params, feats, pts, descriptors=descs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (probs, tape), peak = traced_peak(
+        lambda: net.forward(spec, params, feats, pts, descriptors=descs))
     return n, peak, probs, tape, (feats, feats_before), (pts, pts_before)
 
 
