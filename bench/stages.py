@@ -100,6 +100,14 @@ def run_case(case, src):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def summarize(runs):
+    """Each figure's median and its runs; the vertices of the first run."""
+    figures = [key for key in runs[0] if key != "vertices"]
+    return {**{key: statistics.median(r[key] for r in runs) for key in figures},
+            "vertices": runs[0]["vertices"],
+            **{f"{key}_runs": [r[key] for r in runs] for key in figures}}
+
+
 def git_sha(src):
     done = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
@@ -142,25 +150,11 @@ def main():
     src = args.src.resolve()
     cases = {}
     for n in SIZES:
-        runs = [run_case(n, src) for _ in range(REPEATS)]
-        cases[str(n)] = {
-            "forward_s": statistics.median(r["forward_s"] for r in runs),
-            "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
-            "vertices": runs[0]["vertices"],
-            "forward_s_runs": [r["forward_s"] for r in runs],
-            "maxrss_mb_runs": [r["maxrss_mb"] for r in runs],
-        }
+        cases[str(n)] = summarize([run_case(n, src) for _ in range(REPEATS)])
         print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
               f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
-    runs = [run_case("filter", src) for _ in range(REPEATS)]
-    filter_case = {
-        "points": FILTER_POINTS, "channels": FILTER_CHANNELS, "lambda": 1.0,
-        "seconds": statistics.median(r["seconds"] for r in runs),
-        "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
-        "vertices": runs[0]["vertices"],
-        "seconds_runs": [r["seconds"] for r in runs],
-        "maxrss_mb_runs": [r["maxrss_mb"] for r in runs],
-    }
+    filter_case = {"points": FILTER_POINTS, "channels": FILTER_CHANNELS, "lambda": 1.0,
+                   **summarize([run_case("filter", src) for _ in range(REPEATS)])}
     print(f"{args.label} filter: project {filter_case['seconds']:.2f} s, "
           f"ru_maxrss {filter_case['maxrss_mb']:.0f} MB", file=sys.stderr)
     numpy_version, blas = numpy_build(src)

@@ -291,17 +291,18 @@ def test_ply_cannot_store_extras(tmp_path):
         data.save_ply(cloud, tmp_path / "x.ply")
 
 
-_FULL = b"0.1 -2.5 1e-300 0.0 0.6 0.8 "
+# Saved bytes, fixed: writing row by row must not change one of them.
 _SAVED = [
     ("full.ply",
      b"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
      b"property double z\nproperty double nx\nproperty double ny\nproperty double nz\n"
      b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
      b"property double height\nproperty int label\nend_header\n"
-     + _FULL + b"0 128 255 0.25 3\n0.3333333333333333 2.0 -0.0 1.0 0.0 0.0 1 128 64 7.0 -1\n"),
+     b"0.1 -2.5 1e-300 0.0 0.6 0.8 0 128 255 0.25 3\n"
+     b"0.3333333333333333 2.0 -0.0 1.0 0.0 0.0 1 128 64 7.0 -1\n"),
     ("full.xyz",
      b"# x y z nx ny nz red green blue height label\n"
-     + _FULL + b"0.0 0.5019607843137255 1.0 0.25 3\n"
+     b"0.1 -2.5 1e-300 0.0 0.6 0.8 0.0 0.5019607843137255 1.0 0.25 3\n"
      b"0.3333333333333333 2.0 -0.0 1.0 0.0 0.0 0.00392156862745098 0.5 0.25 7.0 -1\n"),
     ("extra.xyz", b"# x y z w\n1.5 0.0 20000000000.0 0.75\n"),
     ("empty.ply",
