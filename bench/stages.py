@@ -1,7 +1,7 @@
-"""Criterion-scale wall time and memory of a facade inference and a filter.
+"""Criterion-scale wall time and memory of a facade inference, a filter and a build.
 
-    python3 bench/stages.py --out BENCH_23.json --label change
-    python3 bench/stages.py --out BENCH_23.json --label parent --src ../parent/src
+    python3 bench/stages.py --out BENCH_24.json --label change
+    python3 bench/stages.py --out BENCH_24.json --label parent --src ../parent/src
 
 Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
 tests/oracles.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
@@ -13,7 +13,12 @@ lattice vertices per BCL level. The filter case, run the same way, is the
 criterion-scale `latseg filter`: `bcl.project` of FILTER_CHANNELS channels
 between two FILTER_POINTS-point clouds uniform in a cube of side n^(1/3),
 at lambda 1; it records the median `project` wall time, the median
-`ru_maxrss` and the source lattice's vertex count. Under the label go
+`ru_maxrss` and the source lattice's vertex count. The build case, run the
+same way at each size in BUILD_SIZES, is `build_lattice` of a cloud uniform
+in a cube of side n^(1/3) at lambda 1; it records the median `build_lattice`
+wall time, the median `ru_maxrss` and the vertex count. Every child's
+address space is capped at AS_LIMIT bytes, so a case over budget fails with
+a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether its tracked files
 differ from that SHA ("dirty"), the NumPy version and the name and version
 of NumPy's BLAS.
@@ -43,6 +48,8 @@ SIZES = (100_000, 300_000)
 REPEATS = 3
 FILTER_POINTS = 300_000
 FILTER_CHANNELS = 4
+BUILD_SIZES = (10_000, 100_000, 1_000_000)
+AS_LIMIT = 6 * 2**30
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
@@ -92,8 +99,22 @@ def child_filter():
     print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb, "vertices": vertices}))
 
 
+def child_build(n):
+    """One build_lattice; prints {"seconds", "maxrss_mb", "vertices"}."""
+    import numpy as np
+    from latseg.lattice import LatticeConfig, build_lattice
+
+    pts = np.random.default_rng(111).uniform(0, n ** (1 / 3), size=(n, 3))
+    start = time.perf_counter()
+    lat = build_lattice(pts, LatticeConfig(3, 1.0))
+    seconds = time.perf_counter() - start
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb,
+                      "vertices": lat.num_vertices}))
+
+
 def run_case(case, src):
-    """The child's record for case, a facade size or "filter"."""
+    """The child's record for case: a facade size, "filter" or "build:<size>"."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, __file__, "--child", str(case)], env=env,
                           capture_output=True, text=True, check=True)
@@ -140,11 +161,14 @@ def main():
     parser.add_argument("--label", default="change")
     parser.add_argument("--src", type=Path, default=SRC, help="latseg source directory")
     args = parser.parse_args()
-    if args.child == "filter":
-        child_filter()
-        return
     if args.child is not None:
-        child(int(args.child))
+        resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+        if args.child == "filter":
+            child_filter()
+        elif args.child.startswith("build:"):
+            child_build(int(args.child.removeprefix("build:")))
+        else:
+            child(int(args.child))
         return
 
     src = args.src.resolve()
@@ -157,10 +181,15 @@ def main():
                    **summarize([run_case("filter", src) for _ in range(REPEATS)])}
     print(f"{args.label} filter: project {filter_case['seconds']:.2f} s, "
           f"ru_maxrss {filter_case['maxrss_mb']:.0f} MB", file=sys.stderr)
+    builds = {}
+    for n in BUILD_SIZES:
+        builds[str(n)] = summarize([run_case(f"build:{n}", src) for _ in range(REPEATS)])
+        print(f"{args.label} build n={n}: {builds[str(n)]['seconds']:.3f} s, "
+              f"ru_maxrss {builds[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
     numpy_version, blas = numpy_build(src)
     result = {"git_sha": git_sha(src), "dirty": git_dirty(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
               "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases,
-              "filter": filter_case}
+              "filter": filter_case, "build": {"lambda": 1.0, "sizes": builds}}
     if args.out is None:
         print(json.dumps(result, indent=2))
         return

@@ -180,6 +180,9 @@ class PointCloud:
 
 # ------------------------------------------------------------ text tables
 
+# Rows that _write_table converts to text at a time.
+_WRITE_ROWS = 4096
+
 # Property type that save_ply declares for each column; every other is double.
 _PLY_WRITE_TYPES = {**dict.fromkeys(_COLUMNS["rgb"], "uchar"),
                     **dict.fromkeys(_COLUMNS["labels"], "int")}
@@ -203,13 +206,17 @@ def _cloud_to_columns(cloud, ply):
 
 def _write_table(path, header_lines, columns):
     """Write the header lines, then the (name, values) columns as rows."""
-    # tolist gives Python floats and ints; str of a float is its repr, the
-    # shortest string that round-trips
-    cells = [map(str, values.tolist()) for _, values in columns]
+    num_rows = len(columns[0][1])  # positions come first
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header_lines) + "\n")
-        # row by row, so the text of the whole table is never held at once
-        fh.writelines(" ".join(row) + "\n" for row in zip(*cells))
+        # a block of rows at a time, so neither the text nor the Python
+        # numbers of the whole table are held at once; tolist gives Python
+        # floats and ints, and str of a float is its repr, the shortest
+        # string that round-trips
+        for start in range(0, num_rows, _WRITE_ROWS):
+            cells = [map(str, values[start:start + _WRITE_ROWS].tolist())
+                     for _, values in columns]
+            fh.writelines(" ".join(row) + "\n" for row in zip(*cells))
 
 
 def _read_lines(path):

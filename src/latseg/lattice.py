@@ -23,16 +23,15 @@ and stores the per-point embeddings. The one-ring adjacency of every vertex
 is resolved on its first read, so a lattice that is only splatted and sliced
 never pays for it; so is the block plan that bcl.splat runs (SplatPlan).
 One sorted index over the first d key coordinates (the last is implied by
-the sum-zero constraint) serves the deduplication, every adjacency column,
-embed and lookup. Its rows are shifted into the vertices'
-bounding box padded by d+1 on every side and encoded either as int64
-mixed-radix codes, when the padded box has at most 2^63 - 1 cells, or else
-as big-endian uint64 rows compared as raw bytes. Over r, coordinate j of a
-point's corners spans rem0_j - rank_j ... rem0_j - rank_j + d, which gives
-the box; an int64 corner code is the remainder-0 code plus r times the sum
-of the strides, minus d+1 times the strides of the coordinates ranked at
-least d+1-r. Byte rows are encoded one remainder class at a time, and
-vertex_keys is filled by one scatter per class. Both encodings sort like
+the sum-zero constraint) serves the deduplication, every adjacency column
+and embed. Its rows are shifted into the vertices' bounding box padded by
+d+1 on every side and encoded either as int64 mixed-radix codes, when the
+padded box has at most 2^63 - 1 cells, or else as big-endian uint64 rows
+compared as raw bytes. Over r, coordinate j of a point's corners spans
+rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box; an int64
+corner code is the remainder-0 code plus r times the sum of the strides,
+minus d+1 times the strides of the coordinates ranked at least d+1-r. Byte
+rows are encoded one remainder class at a time. Both encodings sort like
 the rows themselves (lexicographically) and keep that order under a
 constant shift, so moving every vertex by one one-ring offset yields an
 already sorted query array: an adjacency column is one searchsorted. A
@@ -341,6 +340,9 @@ class SplatPlan:
 class SparseLattice:
     """A lattice restricted to the vertices touched by one point cloud.
 
+    Besides the per-point arrays below, it holds its private sorted vertex
+    index, one code per vertex, which adjacency and embed search.
+
     Attributes (all read-only):
       config           the LatticeConfig used to build it
       num_points       n, rows of the source cloud
@@ -348,7 +350,6 @@ class SparseLattice:
       point_vertices   (n, d+1) int64 dense vertex index per point, column r
                        holding the remainder-r corner of the point's simplex
       point_bary       (n, d+1) float64 barycentric weights, column-aligned
-      vertex_keys      (V, d+1) int64 lattice key of each dense index
       adjacency        (V, K) int64 dense index of each one-ring neighbor,
                        MISSING where unoccupied; column 0 is the identity.
                        Resolved on first read and kept from then on
@@ -357,15 +358,14 @@ class SparseLattice:
       offsets          (K, d+1) one-ring key offsets the adjacency columns follow
     """
 
-    def __init__(self, config, point_vertices, point_bary, vertex_keys, index):
+    def __init__(self, config, point_vertices, point_bary, index):
         self.config = config
         self.num_points = point_vertices.shape[0]
-        self.num_vertices = vertex_keys.shape[0]
+        self.num_vertices = index.codes.size
         self.point_vertices = point_vertices
         self.point_bary = point_bary
-        self.vertex_keys = vertex_keys
         self._index = index
-        for arr in (self.point_vertices, self.point_bary, self.vertex_keys):
+        for arr in (self.point_vertices, self.point_bary):
             arr.setflags(write=False)
 
     @property
@@ -386,15 +386,6 @@ class SparseLattice:
     @functools.cached_property
     def splat_plan(self) -> SplatPlan:
         return SplatPlan(self.point_vertices, self.num_vertices)
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Dense indices of (q, d+1) full lattice keys; MISSING where absent."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 2 or keys.shape[1] != self.config.dim + 1:
-            raise InvalidInput(
-                f"expected keys of shape (q, {self.config.dim + 1}), got {keys.shape}"
-            )
-        return self._index.find(self._index.encode(keys[:, : self.config.dim]))
 
     def embed(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Embed another cloud against this lattice's vertex set.
@@ -440,15 +431,9 @@ def build_lattice(features: np.ndarray, config: LatticeConfig) -> SparseLattice:
 
     # Dense indices are key ranks, so they do not depend on the point order.
     index, point_vertices = _VertexIndex.of_simplices(rem0, rank)
-    # All corners of one vertex hold its key, so one scatter per remainder
-    # class fills vertex_keys.
-    vertex_keys = np.empty((index.codes.size, config.dim + 1), dtype=np.int64)
-    for r in range(config.dim + 1):
-        vertex_keys[point_vertices[:, r]] = _corner(rem0, rank, r)
     return SparseLattice(
         config=config,
         point_vertices=point_vertices,
         point_bary=bary,
-        vertex_keys=vertex_keys,
         index=index,
     )

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 
 from latseg import bcl
+from latseg.lattice import _locate_many, elevate_many
 
 
 def fd_grad(objective, arr, h=1e-5):
@@ -84,6 +85,13 @@ def simplex_corner_keys(rem0, rank):
         canon[r, : d1 - r] = r
         canon[r, d1 - r :] = r - d1
     return rem0[:, None, :] + np.transpose(canon[:, rank], (1, 0, 2))
+
+
+def vertex_keys(features, config):
+    """(V, d+1) full keys of the vertices a cloud's simplices touch, sorted
+    by row, so row g is the key of the vertex a lattice numbers g."""
+    rem0, rank, _ = _locate_many(elevate_many(features, config))
+    return np.unique(simplex_corner_keys(rem0, rank).reshape(-1, config.dim + 1), axis=0)
 
 
 def splat_forward(values, desc, bank):

@@ -26,7 +26,7 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
-from oracles import brute_force_one_ring, facade, fd_grad, rel_err, splat_forward
+from oracles import brute_force_one_ring, facade, fd_grad, rel_err, splat_forward, vertex_keys
 
 
 def _passed(num, elapsed, detail):
@@ -128,7 +128,7 @@ def test_criterion_03_barycentric_suite():
         assert (idx != MISSING).all()
         assert bary.min() >= -1e-12
         assert np.max(np.abs(bary.sum(axis=1) - 1.0)) <= 1e-9
-        keys = lat.vertex_keys[idx]  # (n, d+1, d+1)
+        keys = vertex_keys(feats, cfg)[idx]  # (n, d+1, d+1)
         recon = np.einsum("nr,nrk->nk", bary, keys.astype(np.float64))
         assert np.max(np.abs(recon - elevate_many(feats, cfg))) <= 1e-9
         # each simplex has exactly one vertex of each remainder class

@@ -13,7 +13,7 @@ from latseg import bcl
 from latseg.errors import InvalidInput, ShapeError
 from latseg.lattice import MISSING, LatticeConfig, build_lattice
 
-from oracles import fd_grad, splat_forward
+from oracles import fd_grad, splat_forward, vertex_keys
 
 
 def dense_splat_matrix(lat):
@@ -613,11 +613,13 @@ def test_ones_pass_never_builds_a_splat_plan():
 
 def test_default_blur_descriptor_holds_a_read_only_adjacency():
     rng = np.random.default_rng(27)
-    lat = bcl.make_descriptor(rng.normal(size=(80, 3)), LatticeConfig(3, 2.0)).lattice
+    feats, cfg = rng.normal(size=(80, 3)), LatticeConfig(3, 2.0)
+    lat = bcl.make_descriptor(feats, cfg).lattice
     assert "adjacency" in vars(lat)  # the ones-pass blur read it
-    off = lat.offsets
-    keys = lat.vertex_keys[:, None, :] + off[None]
-    want = lat.lookup(keys.reshape(-1, off.shape[1])).reshape(lat.num_vertices, -1)
+    keys = vertex_keys(feats, cfg)
+    ref = {tuple(k): i for i, k in enumerate(keys.tolist())}
+    want = [[ref.get(tuple(k), MISSING) for k in (key + lat.offsets).tolist()]
+            for key in keys]
     np.testing.assert_array_equal(lat.adjacency, want)
     assert not lat.adjacency.flags.writeable
     assert lat.adjacency is lat.adjacency  # resolved once
@@ -632,6 +634,6 @@ def test_prepared_descriptor_bytes_count_the_adjacency():
     rng = np.random.default_rng(23)
     spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
     descs = _DescriptorCache(spec).get(0, rng.normal(size=(300, 3)))
-    assert [d.nbytes for d in descs] == [214072, 143032, 68296]
+    assert [d.nbytes for d in descs] == [178584, 121144, 60648]
     for d in descs:
         assert "adjacency" in vars(d.lattice)

@@ -26,7 +26,7 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
-from oracles import brute_force_one_ring, simplex_corner_keys, traced_peak
+from oracles import brute_force_one_ring, simplex_corner_keys, traced_peak, vertex_keys
 
 
 # ---------------------------------------------------------------- elevation
@@ -188,7 +188,6 @@ def test_build_deterministic():
     cfg = LatticeConfig(3, 4.0)
     a, b = build_lattice(pts, cfg), build_lattice(pts, cfg)
     np.testing.assert_array_equal(a.point_vertices, b.point_vertices)
-    np.testing.assert_array_equal(a.vertex_keys, b.vertex_keys)
     np.testing.assert_array_equal(a.adjacency, b.adjacency)
     np.testing.assert_array_equal(a.point_bary, b.point_bary)
 
@@ -219,14 +218,15 @@ def clouds_for_both_encodings(int64_points, int64_config):
 def test_build_vertex_keys_valid_and_sorted():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-2, 2, size=(50, 2))
-    for _, lat in clouds_for_both_encodings(pts, LatticeConfig(2, 3.0)):
-        keys = lat.vertex_keys
+    for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(2, 3.0)):
+        keys = vertex_keys(pts, lat.config)
         d1 = lat.config.dim + 1
+        assert keys.shape == (lat.num_vertices, d1)
         assert np.all(keys.sum(axis=1) == 0)
         assert np.all(keys % d1 == (keys[:, :1] % d1))
-        # dense ids are key ranks: key rows strictly increase lexicographically
-        rows = keys.tolist()
-        assert all(a < b for a, b in zip(rows, rows[1:]))
+        # dense ids are key ranks: the index codes strictly increase
+        codes = lat._index.codes.tolist()
+        assert all(a < b for a, b in zip(codes, codes[1:]))
         assert np.array_equal(np.unique(lat.point_vertices), np.arange(lat.num_vertices))
 
 
@@ -240,14 +240,13 @@ def test_build_and_embed_match_the_materialised_corner_oracle(d):
         d1 = lat.config.dim + 1
         rem0, rank, bary = _locate_many(elevate_many(pts, lat.config))
         keys = simplex_corner_keys(rem0, rank).reshape(-1, d1)
-        vertex_keys, dense = np.unique(keys, axis=0, return_inverse=True)
-        assert lat.vertex_keys.tobytes() == vertex_keys.tobytes()
+        ref = {tuple(k): i for i, k in enumerate(vertex_keys(pts, lat.config).tolist())}
+        dense = np.array([ref[tuple(k)] for k in keys.tolist()], dtype=np.int64)
         assert lat.point_vertices.tobytes() == dense.reshape(-1, d1).tobytes()
         assert lat.point_bary.tobytes() == bary.tobytes()
 
         other = np.concatenate([pts + rng.normal(size=pts.shape), pts[:5] + 1e6])
         rem0, rank, bary = _locate_many(elevate_many(other, lat.config))
-        ref = {tuple(k): i for i, k in enumerate(vertex_keys.tolist())}
         expected = [ref.get(tuple(k), MISSING)
                     for k in simplex_corner_keys(rem0, rank).reshape(-1, d1).tolist()]
         idx, embed_bary = lat.embed(other)
@@ -268,13 +267,20 @@ def test_build_and_embed_memory_per_point():
     assert peak <= 350 * n, peak / n
 
 
+def test_lattice_retains_no_key_table():
+    # a (V, d+1) int64 table of vertex keys held 136 B/point on this cloud
+    rng = np.random.default_rng(24)
+    n = 20_000
+    lat = build_lattice(rng.uniform(0, n ** (1 / 3), size=(n, 3)), LatticeConfig(3, 1.0))
+    assert lat.nbytes <= 96 * n, lat.nbytes / n
+
+
 def test_vertex_numbering_ignores_point_order():
     rng = np.random.default_rng(16)
     pts = rng.normal(size=(80, 3))
     for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
         perm = rng.permutation(len(pts))
         shuffled = build_lattice(pts[perm], lat.config)
-        np.testing.assert_array_equal(shuffled.vertex_keys, lat.vertex_keys)
         np.testing.assert_array_equal(shuffled.adjacency, lat.adjacency)
         np.testing.assert_array_equal(shuffled.point_vertices, lat.point_vertices[perm])
 
@@ -304,12 +310,13 @@ def test_embed_faraway_points_all_missing():
 def test_adjacency_matches_direct_lookup():
     rng = np.random.default_rng(14)
     pts = rng.normal(size=(40, 3)) * 0.7
-    for _, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
+    for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
         off = lat.offsets
-        ref = {tuple(k): i for i, k in enumerate(lat.vertex_keys.tolist())}
+        keys = vertex_keys(pts, lat.config)
+        ref = {tuple(k): i for i, k in enumerate(keys.tolist())}
         for v in range(lat.num_vertices):
             for c in range(off.shape[0]):
-                neighbor = tuple((lat.vertex_keys[v] + off[c]).tolist())
+                neighbor = tuple((keys[v] + off[c]).tolist())
                 assert lat.adjacency[v, c] == ref.get(neighbor, MISSING)
 
 
@@ -326,38 +333,6 @@ def test_one_ring_closed_under_negation(d):
     for k in range(1, k_taps):
         reached = np.flatnonzero(adj[:, k] != MISSING)
         np.testing.assert_array_equal(adj[adj[reached, k], -k % k_taps], reached)
-
-
-def random_lattice_vectors(rng, count, d1, spread):
-    """Sum-zero integer vectors with all coordinates congruent mod d1."""
-    r = rng.integers(0, d1, size=(count, 1))
-    vec = rng.integers(-spread, spread, size=(count, d1)) * d1 + r
-    vec[:, -1] -= vec.sum(axis=1)
-    return vec
-
-
-def test_lookup_against_dict_oracle():
-    rng = np.random.default_rng(15)
-    pts = rng.normal(size=(200, 3)) * 2
-    for _, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 3.0)):
-        ref = {tuple(k): i for i, k in enumerate(lat.vertex_keys.tolist())}
-        # every occupied key resolves to its dense index
-        got = lat.lookup(lat.vertex_keys)
-        np.testing.assert_array_equal(got, np.arange(lat.num_vertices))
-        # random well-formed keys that are not occupied must come back MISSING
-        d1 = lat.config.dim + 1
-        probes = random_lattice_vectors(rng, 4000, d1, 40)
-        assert np.all(probes.sum(axis=1) == 0)
-        absent = np.array([p for p in probes if tuple(p.tolist()) not in ref])
-        assert len(absent) >= 2000
-        np.testing.assert_array_equal(lat.lookup(absent), np.full(len(absent), MISSING))
-        # keys near occupied ones, and keys far outside the occupied box
-        near = lat.vertex_keys[rng.integers(0, lat.num_vertices, size=2000)]
-        near = near + random_lattice_vectors(rng, 2000, d1, 2)
-        huge = random_lattice_vectors(rng, 50, d1, 2**40) * 2**20
-        for keys in (near, huge):
-            expected = [ref.get(tuple(k), MISSING) for k in keys.tolist()]
-            np.testing.assert_array_equal(lat.lookup(keys), expected)
 
 
 @pytest.mark.parametrize(
@@ -410,15 +385,16 @@ def test_build_near_max_coord_matches_oracle():
     pts = pts + rng.integers(-64, 64, size=pts.shape)
     lat = build_lattice(pts, cfg)
     assert encoding_of(lat) == "bytes"
-    assert np.abs(lat.vertex_keys).max() > _MAX_COORD / 2
+    keys = vertex_keys(pts, cfg)
+    assert np.abs(keys).max() > _MAX_COORD / 2
     idx, bary = lat.embed(pts)
     np.testing.assert_array_equal(idx, lat.point_vertices)
     np.testing.assert_array_equal(bary, lat.point_bary)
-    ref = {tuple(k): i for i, k in enumerate(lat.vertex_keys.tolist())}
+    ref = {tuple(k): i for i, k in enumerate(keys.tolist())}
     assert len(ref) == lat.num_vertices
     for v in range(lat.num_vertices):
         for c, off in enumerate(lat.offsets):
-            neighbor = tuple((lat.vertex_keys[v] + off).tolist())
+            neighbor = tuple((keys[v] + off).tolist())
             assert lat.adjacency[v, c] == ref.get(neighbor, MISSING)
     with pytest.raises(InvalidInput):
         build_lattice(pts * 2, cfg)
