@@ -1,7 +1,8 @@
 """Criterion-scale wall time and memory of a facade inference, a filter and a build.
 
-    python3 bench/stages.py --out BENCH_24.json --label change
-    python3 bench/stages.py --out BENCH_24.json --label parent --src ../parent/src
+    python3 bench/stages.py --out BENCH_26.json --label change
+    python3 bench/stages.py --out BENCH_26.json --label parent --src ../parent/src \
+        --label change --src src
 
 Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
 tests/oracles.py, `B64-B128-B128-B128-B64-C64-C7` at lambda0 = 32,
@@ -22,13 +23,18 @@ a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether its tracked files
 differ from that SHA ("dirty"), the NumPy version and the name and version
 of NumPy's BLAS.
-Other labels already in --out are kept, so a parent and a change can share
-one file.
+
+--label and --src may be given more than once, the n-th --src holding the
+n-th label's source. The labels' children then run alternately: within each
+case, every repeat runs one child per label, the order of the labels
+flipping from one repeat to the next, so load drift on a shared machine
+falls on all labels alike. Other labels already in --out are kept.
 
 A child reads `ru_maxrss` before it rebuilds the lattices to count their
 vertices, so that rebuild cannot set the recorded peak.
 
-Takes minutes and gigabytes at 300k points; it is not part of the tests.
+Takes tens of minutes and up to about 3 GB per child at 1M points; it is not part of
+the tests.
 """
 
 import argparse
@@ -44,7 +50,7 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 ARCH = "B64-B128-B128-B128-B64-C64-C7"
-SIZES = (100_000, 300_000)
+SIZES = (100_000, 300_000, 1_000_000)
 REPEATS = 3
 FILTER_POINTS = 300_000
 FILTER_CHANNELS = 4
@@ -154,12 +160,25 @@ def numpy_build(src):
     return json.loads(done.stdout)
 
 
+def run_alternately(case, sources):
+    """{label: REPEATS child records of case}, the labels taking turns."""
+    runs = {label: [] for label in sources}
+    order = list(sources)
+    for _ in range(REPEATS):
+        for label in order:
+            runs[label].append(run_case(case, sources[label]))
+        order.reverse()
+    return runs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--child", help=argparse.SUPPRESS)
-    parser.add_argument("--out", type=Path, help="JSON file to add the label's results to")
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--src", type=Path, default=SRC, help="latseg source directory")
+    parser.add_argument("--out", type=Path, help="JSON file to add the labels' results to")
+    parser.add_argument("--label", action="append",
+                        help="name of the results (default: change); repeat to compare sources")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="latseg source directory of the matching --label (default: src/)")
     args = parser.parse_args()
     if args.child is not None:
         resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
@@ -171,30 +190,38 @@ def main():
             child(int(args.child))
         return
 
-    src = args.src.resolve()
-    cases = {}
+    labels, srcs = args.label or ["change"], args.src or [SRC]
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        parser.error("give one --src per --label, and distinct labels")
+    sources = {label: src.resolve() for label, src in zip(labels, srcs)}
+    results = {label: {"sizes": {}, "filter": None, "build": {"lambda": 1.0, "sizes": {}}}
+               for label in sources}
     for n in SIZES:
-        cases[str(n)] = summarize([run_case(n, src) for _ in range(REPEATS)])
-        print(f"{args.label} n={n}: forward {cases[str(n)]['forward_s']:.2f} s, "
-              f"ru_maxrss {cases[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
-    filter_case = {"points": FILTER_POINTS, "channels": FILTER_CHANNELS, "lambda": 1.0,
-                   **summarize([run_case("filter", src) for _ in range(REPEATS)])}
-    print(f"{args.label} filter: project {filter_case['seconds']:.2f} s, "
-          f"ru_maxrss {filter_case['maxrss_mb']:.0f} MB", file=sys.stderr)
-    builds = {}
+        for label, runs in run_alternately(n, sources).items():
+            case = results[label]["sizes"][str(n)] = summarize(runs)
+            print(f"{label} n={n}: forward {case['forward_s']:.2f} s, "
+                  f"ru_maxrss {case['maxrss_mb']:.0f} MB", file=sys.stderr)
+    for label, runs in run_alternately("filter", sources).items():
+        case = results[label]["filter"] = {"points": FILTER_POINTS, "channels": FILTER_CHANNELS,
+                                           "lambda": 1.0, **summarize(runs)}
+        print(f"{label} filter: project {case['seconds']:.2f} s, "
+              f"ru_maxrss {case['maxrss_mb']:.0f} MB", file=sys.stderr)
     for n in BUILD_SIZES:
-        builds[str(n)] = summarize([run_case(f"build:{n}", src) for _ in range(REPEATS)])
-        print(f"{args.label} build n={n}: {builds[str(n)]['seconds']:.3f} s, "
-              f"ru_maxrss {builds[str(n)]['maxrss_mb']:.0f} MB", file=sys.stderr)
-    numpy_version, blas = numpy_build(src)
-    result = {"git_sha": git_sha(src), "dirty": git_dirty(src), "numpy": numpy_version, "blas": blas, "arch": ARCH,
-              "seed": 111, "blas_threads": 1, "repeats": REPEATS, "sizes": cases,
-              "filter": filter_case, "build": {"lambda": 1.0, "sizes": builds}}
+        for label, runs in run_alternately(f"build:{n}", sources).items():
+            case = results[label]["build"]["sizes"][str(n)] = summarize(runs)
+            print(f"{label} build n={n}: {case['seconds']:.3f} s, "
+                  f"ru_maxrss {case['maxrss_mb']:.0f} MB", file=sys.stderr)
+
+    record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
+    for label, src in sources.items():
+        numpy_version, blas = numpy_build(src)
+        record[label] = {"git_sha": git_sha(src), "dirty": git_dirty(src), "numpy": numpy_version,
+                         "blas": blas, "arch": ARCH, "seed": 111, "blas_threads": 1,
+                         "repeats": REPEATS, "alternated_with": [l for l in sources if l != label],
+                         **results[label]}
     if args.out is None:
-        print(json.dumps(result, indent=2))
+        print(json.dumps(record, indent=2))
         return
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record[args.label] = result
     args.out.write_text(json.dumps(record, indent=2) + "\n")
 
 

@@ -15,7 +15,11 @@ nobody touched contribute zero.
 Two kernels scatter, and splat picks between them from what it is given.
 _block_splat runs the lattice's splat plan: the points in blocks of 128,
 sorted by their remainder-0 corner, and one small dense GEMM per block,
-W_b @ values[p_b]. _scatter runs one bincount per channel. The plan wins
+W_b @ values[p_b]. It takes the rows values[p_b] from whatever splat was
+given: an array, or a row source that computes the rows of the points it
+is asked for (network's inference streams a BCL's input this way, so that
+input never exists whole; _scatter pulls all of its rows at once).
+_scatter runs one bincount per channel. The plan wins
 where many channels meet a lattice whose points share their corners, as
 in the network: the splat forward of a wide layer, and the backward, where
 slice's adjoint is a splat. The per-channel scatter wins on few channels or
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ShapeError
-from .lattice import MISSING, LatticeConfig, SparseLattice, build_lattice
+from .lattice import _SPLAT_BLOCK, MISSING, LatticeConfig, SparseLattice, build_lattice
 
 # Floor for normalization denominators; keeps unsupported outputs at exactly 0.
 NORM_EPS = 1e-12
@@ -131,52 +135,75 @@ def _scatter(
     return out
 
 
-def _block_splat(values: np.ndarray, lat: SparseLattice) -> np.ndarray:
+def _pulls(n: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of size rows covering n rows. A lone
+    last row joins the range before it: NumPy hands a one-row product to
+    GEMV, whose rounding differs from GEMM's, so a row of a larger cloud
+    multiplied on its own would not reproduce the whole-cloud product."""
+    stops = [*range(size, n - 1, size), n]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _block_splat(values, lat: SparseLattice) -> np.ndarray:
     """Scatter-add (n, C) point values to (V, C) vertex rows through the
     lattice's splat plan: per block, fill its dense (u_b, B) weight matrix
-    W_b and add W_b @ values[p_b] to the block's vertex rows."""
+    W_b and add W_b @ values[p_b] to the block's vertex rows. The rows are
+    asked for one block at a time, a one-point last block with the block
+    before it (see _pulls)."""
     plan = lat.splat_plan
     out = np.zeros((lat.num_vertices, values.shape[1]))
     buffer = np.empty(plan.weight_size)
-    for points, local, vertices in plan.blocks():
-        weights = buffer[: vertices.size * points.size].reshape(vertices.size, points.size)
-        weights.fill(0.0)
-        # A point's d+1 corners are distinct vertices: no slot is written twice.
-        weights[local, np.arange(points.size)[:, None]] = lat.point_bary[points]
-        out[vertices] += weights @ values[points]
+    blocks = plan.blocks()
+    for start, stop in _pulls(lat.num_points, _SPLAT_BLOCK):
+        rows = values[plan.order[start:stop]]
+        at = 0
+        while at < stop - start:
+            points, local, vertices = next(blocks)
+            weights = buffer[: vertices.size * points.size].reshape(vertices.size, points.size)
+            weights.fill(0.0)
+            # A point's d+1 corners are distinct vertices: no slot is written twice.
+            weights[local, np.arange(points.size)[:, None]] = lat.point_bary[points]
+            out[vertices] += weights @ rows[at:at + points.size]
+            at += points.size
     return out
 
 
-def splat(values: np.ndarray, lat: SparseLattice) -> np.ndarray:
+def splat(values, lat: SparseLattice) -> np.ndarray:
     """Scatter-add (n, C) point features to (V, C) vertex features, through
-    the block plan or channel by channel (see _PLAN_MIN_CHANNELS)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != lat.num_points:
+    the block plan or channel by channel (see _PLAN_MIN_CHANNELS).
+
+    values is an array or a row source: an object with an (n, C) shape
+    whose values[points] is a fresh float64 array of those points' rows.
+    """
+    if not hasattr(values, "shape"):
+        values = np.asarray(values, dtype=np.float64)
+    if len(values.shape) != 2 or values.shape[0] != lat.num_points:
         raise ShapeError(
             f"expected ({lat.num_points}, C) features, got {values.shape}"
         )
     if (values.shape[1] >= _PLAN_MIN_CHANNELS
             and lat.occupancy_ratio() <= _PLAN_MAX_OCCUPANCY):
         return _block_splat(values, lat)
-    return _scatter(values, lat.point_vertices, lat.point_bary, lat.num_vertices)
+    return _scatter(values[:], lat.point_vertices, lat.point_bary, lat.num_vertices)
 
 
 def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """Barycentric gather of (V, C) vertex features to (m, C) point features.
 
     indices/bary are an embedding as produced by SparseLattice.embed; MISSING
-    corners contribute zero.
+    corners contribute zero. Only an embedding with MISSING corners pays for
+    a zero-padded copy of values.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeError(f"expected (V, C) vertex features, got {values.shape}")
     if indices.shape != bary.shape:
         raise ShapeError("embedding indices and weights must have the same shape")
-    padded = _zero_padded(values)
+    table = _zero_padded(values) if (indices == MISSING).any() else values
     out = np.empty((indices.shape[0], values.shape[1]))
     for start in range(0, indices.shape[0], _SLICE_ROWS):
         rows = np.s_[start:start + _SLICE_ROWS]
-        np.einsum("mk,mkc->mc", bary[rows], padded[indices[rows]], out=out[rows])
+        np.einsum("mk,mkc->mc", bary[rows], table[indices[rows]], out=out[rows])
     return out
 
 
@@ -279,9 +306,7 @@ def make_descriptor(features: np.ndarray, config: LatticeConfig) -> BCLDescripto
 def bcl_forward(splatted: np.ndarray, desc: BCLDescriptor, bank: FilterBank) -> np.ndarray:
     """convolve -> slice -> normalize of splat(values, desc.lattice).
 
-    It starts from the splatted vertex features, which bcl_backward reads
-    too, so a caller can free the (n, C_in) point features before slice
-    allocates the (n, C_out) output.
+    It starts from the splatted vertex features, which bcl_backward reads too.
     """
     filtered = convolve(splatted, desc.lattice, bank)
     out = splat_adjoint(filtered, desc.lattice)

@@ -25,11 +25,22 @@ trainable_views() turn per-layer tensors, such as backward()'s gradients,
 into one flat vector and back: the layout train_loop optimizes in. Batch
 norm uses batch statistics and stages running-statistic updates on the
 tape, which commit_running_stats() folds into the parameters (so probing
-forwards, e.g. finite differences, leave no trace). Inference mode uses the
-stored running statistics, runs batch norm and ReLU in place, and keeps
-neither backward state nor outputs: apart from the head's sum, an
-activation lives only until the next layer has read it, and a BCL's input
-only until it is splatted.
+forwards, e.g. finite differences, leave no trace).
+
+Inference mode uses the stored running statistics, keeps neither backward
+state nor outputs, and streams the layers up to the head. Each BCL's splat
+pulls its input rows one splat-plan block at a time, and they are computed
+from the previous BCL's filtered (V, C) vertex features: sliced at the
+block's points, divided by their denominators, then batch norm, ReLU and
+any 1x1 between the two BCLs, in place. A concat block adds its rows times
+its rows of the head weight into the head's sum as they pass. After the
+last BCL, its rows are pulled in chunks of bcl._SLICE_ROWS to finish that
+sum, and the layers after the head run on the whole (n, C_head) array. So
+the head's sum is the only point-sized array before the head: for
+B64-B128-B128-B128-B64-C64-C7 that is 64 floats, 512 B, per point, plus
+one block's rows in flight (whole-cloud layers took 128 + 2 x 64 floats,
+about 2 KB). Training keeps whole-cloud layers, as batch norm needs its
+statistics over every row.
 """
 
 from __future__ import annotations
@@ -352,53 +363,45 @@ def forward(
         raise ConfigError(f"layer {head} expects {head_weight.shape[0]} input channels, "
                           f"the concat has {sum(block_widths)}")
     rows = dict(zip(sources, _row_blocks(head_weight, block_widths)))
-    head_sum = None  # sum over the blocks so far of block @ its rows
+    if training:
+        return _train_forward(spec, params, features, iter(descriptors), rows, tape), tape
+    return _stream_forward(spec, params, features, iter(descriptors), rows), tape
 
-    x = features
-    descriptor_iter = iter(descriptors)
+
+def _train_forward(spec, params, x, descriptor_iter, rows, tape) -> np.ndarray:
+    """Whole-cloud layers, each saving what backward reads and its output."""
+    head = _head_index(spec)
+    head_sum = None  # sum over the blocks so far of block @ its rows
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, Conv1x1Spec):
             if i == head:  # every block has been multiplied in
+                tape.saved[i] = tuple(tape.outputs[s] for s in rows)
                 x = head_sum
-                if training:
-                    tape.saved[i] = tuple(tape.outputs[s] for s in sources)
             else:
-                if training:
-                    tape.saved[i] = x
+                tape.saved[i] = x
                 x = x @ params[i]["weight"]
             x += params[i]["bias"]
         elif isinstance(layer, BCLSpec):
             desc = next(descriptor_iter)
             splatted = bcl.splat(x, desc.lattice)
-            x = None  # an inference forward frees the input before slice allocates
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
             x = bcl.bcl_forward(splatted, desc, bank)
-            if training:
-                tape.saved[i] = (desc, bank, splatted)
-            del splatted  # an inference forward frees it here
+            tape.saved[i] = (desc, bank, splatted)
         elif isinstance(layer, BatchNormSpec):
             p = params[i]
-            if training:
-                mean = x.mean(axis=0)
-                var = x.var(axis=0)
-                inv = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = (x - mean) * inv
-                tape.saved[i] = (xhat, inv)
-                tape.pending_running[i] = (
-                    BN_MOMENTUM * p["running_mean"] + (1.0 - BN_MOMENTUM) * mean,
-                    BN_MOMENTUM * p["running_var"] + (1.0 - BN_MOMENTUM) * var,
-                )
-                x = p["gamma"] * xhat + p["beta"]
-            else:  # x is this forward's own fresh array and no tape keeps it
-                x -= p["running_mean"]
-                x *= 1.0 / np.sqrt(p["running_var"] + BN_EPS)
-                x *= p["gamma"]
-                x += p["beta"]
+            mean = x.mean(axis=0)
+            var = x.var(axis=0)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (x - mean) * inv
+            tape.saved[i] = (xhat, inv)
+            tape.pending_running[i] = (
+                BN_MOMENTUM * p["running_mean"] + (1.0 - BN_MOMENTUM) * mean,
+                BN_MOMENTUM * p["running_var"] + (1.0 - BN_MOMENTUM) * var,
+            )
+            x = p["gamma"] * xhat + p["beta"]
         elif isinstance(layer, ReLUSpec):
-            if training:
-                tape.saved[i] = x > 0
-            # in training the tape keeps x as the batch norm's output
-            x = np.maximum(x, 0.0, out=None if training else x)
+            tape.saved[i] = x > 0
+            x = np.maximum(x, 0.0)  # the tape keeps x as the batch norm's output
             if i in rows:
                 if head_sum is None:
                     head_sum = x @ rows[i]
@@ -408,10 +411,119 @@ def forward(
             x = None  # its blocks are in head_sum already
         elif isinstance(layer, SoftmaxSpec):
             x = softmax(x)
-            tape.saved[i] = x if training else None
-        if training:
-            tape.outputs[i] = x
-    return x, tape
+            tape.saved[i] = x
+        tape.outputs[i] = x
+    return x
+
+
+def _pointwise(layer, p: dict):
+    """Inference of a 1x1, batch norm (running statistics) or ReLU layer as
+    step(x, points): it overwrites x, a fresh array of the points' rows, where
+    it can, and returns the layer's output rows."""
+    if isinstance(layer, Conv1x1Spec):
+        def step(x, points):
+            x = x @ p["weight"]
+            x += p["bias"]
+            return x
+    elif isinstance(layer, BatchNormSpec):
+        mean, gamma, beta = p["running_mean"], p["gamma"], p["beta"]
+        inv = 1.0 / np.sqrt(p["running_var"] + BN_EPS)
+
+        def step(x, points):
+            x -= mean
+            x *= inv
+            x *= gamma
+            x += beta
+            return x
+    else:
+        def step(x, points):
+            return np.maximum(x, 0.0, out=x)
+    return step
+
+
+class _Rows:
+    """One activation of an inference forward as a row source: the rows of
+    any points (an index array or a slice), computed when asked for. They are
+    the base's rows of those points (the input features, or a BCL's filtered
+    vertex features sliced at them and normalized) passed through the queued
+    steps. A step may add the rows into the head's sum, so each point's rows
+    must be asked for exactly once."""
+
+    def __init__(self, base, width: int, num_points: int):
+        self.base = base
+        self.shape = (num_points, width)
+        self.steps: list = []
+
+    def then(self, step, width: int) -> None:
+        self.steps.append(step)
+        self.shape = (self.shape[0], width)
+
+    def __getitem__(self, points) -> np.ndarray:
+        x = self.base(points)
+        for step in self.steps:
+            x = step(x, points)
+        return x
+
+
+def _sliced(filtered: np.ndarray, desc: bcl.BCLDescriptor):
+    """A BCL's normalized output rows at given points, from its filtered
+    (V, C) vertex features."""
+    lat = desc.lattice
+
+    def base(points):
+        out = bcl.slice(filtered, lat.point_vertices[points], lat.point_bary[points])
+        out /= desc.denominator[points]
+        return out
+    return base
+
+
+def _add_to_head(head_sum: np.ndarray, weight: np.ndarray, assign: bool):
+    """The step of a concat block: head_sum[points] gets rows @ its rows of
+    the head weight (the first block assigns), and the rows pass on."""
+    def step(x, points):
+        if assign:
+            head_sum[points] = x @ weight
+        else:
+            head_sum[points] += x @ weight
+        return x
+    return step
+
+
+def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray:
+    """Inference, streamed: no (n, C) activation exists before the head's sum.
+
+    Each BCL's splat pulls its input rows from the previous activation's row
+    source one splat-plan block at a time, so the rows of one block are
+    sliced from the previous BCL's filtered vertex features, normalized, run
+    through the pointwise layers between the two BCLs and added into the
+    head's sum before the splat reads them. After the last BCL, its rows are
+    pulled in _SLICE_ROWS chunks to finish the head's sum; the layers after
+    the head run on the whole (n, C_head) array.
+    """
+    n = features.shape[0]
+    head = _head_index(spec)
+    widths = _layer_widths(spec, features.shape[1])
+    head_sum = np.empty((n, widths[head]))
+    first = next(iter(rows))
+    x = _Rows(features.__getitem__, features.shape[1], n)
+    for i, layer in enumerate(spec.layers[:head]):
+        if isinstance(layer, BCLSpec):
+            desc = next(descriptor_iter)
+            bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
+            filtered = bcl.convolve(bcl.splat(x, desc.lattice), desc.lattice, bank)
+            x = _Rows(_sliced(filtered, desc), layer.width, n)
+        elif not isinstance(layer, ConcatSpec):
+            x.then(_pointwise(layer, params[i]), widths[i])
+        if i in rows:
+            x.then(_add_to_head(head_sum, rows[i], assign=i == first), widths[i])
+    for start, stop in bcl._pulls(n, bcl._SLICE_ROWS):
+        x[start:stop]  # pulled for what it adds to the head's sum
+
+    x = head_sum
+    x += params[head]["bias"]
+    for i, layer in enumerate(spec.layers[head + 1:-1], start=head + 1):
+        x = _pointwise(layer, params[i])(x, None)
+    return softmax(x)
 
 
 def backward(

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 
 from latseg import bcl
+from latseg import network as net
 from latseg.lattice import _locate_many, elevate_many
 
 
@@ -98,3 +99,43 @@ def splat_forward(values, desc, bank):
     """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
     splatted = bcl.splat(values, desc.lattice)
     return bcl.bcl_forward(splatted, desc, bank), splatted
+
+
+def whole_cloud_inference(spec, params, features, lattice_features):
+    """Inference probabilities computed layer by layer on whole (n, C)
+    arrays: splat then bcl_forward per BCL, batch norm with the running
+    statistics and ReLU in place, and the head's sum built as each concat
+    block appears, in block order."""
+    descs = iter(net.prepare_descriptors(spec, lattice_features))
+    head = next(i for i, layer in enumerate(spec.layers)
+                if isinstance(layer, net.ConcatSpec)) + 1
+    sources = spec.layers[head - 1].sources
+    widths = [params[s - 2]["weight"].shape[-1] for s in sources]
+    bounds = np.cumsum([0, *widths])
+    rows = {s: params[head]["weight"][a:b] for s, a, b in zip(sources, bounds, bounds[1:])}
+    head_sum = None
+    x = features
+    for i, layer in enumerate(spec.layers):
+        p = params[i]
+        if isinstance(layer, net.Conv1x1Spec):
+            x = head_sum if i == head else x @ p["weight"]
+            x += p["bias"]
+        elif isinstance(layer, net.BCLSpec):
+            desc = next(descs)
+            bank = bcl.FilterBank(p["weight"], p["bias"])
+            x = bcl.bcl_forward(bcl.splat(x, desc.lattice), desc, bank)
+        elif isinstance(layer, net.BatchNormSpec):
+            x -= p["running_mean"]
+            x *= 1.0 / np.sqrt(p["running_var"] + net.BN_EPS)
+            x *= p["gamma"]
+            x += p["beta"]
+        elif isinstance(layer, net.ReLUSpec):
+            np.maximum(x, 0.0, out=x)
+            if i in rows:
+                if head_sum is None:
+                    head_sum = x @ rows[i]
+                else:
+                    head_sum += x @ rows[i]
+        elif isinstance(layer, net.SoftmaxSpec):
+            x = net.softmax(x)
+    return x

@@ -13,7 +13,7 @@ from latseg import bcl
 from latseg.errors import InvalidInput, ShapeError
 from latseg.lattice import MISSING, LatticeConfig, build_lattice
 
-from oracles import fd_grad, splat_forward, vertex_keys
+from oracles import fd_grad, splat_forward, traced_peak, vertex_keys
 
 
 def dense_splat_matrix(lat):
@@ -225,6 +225,46 @@ def test_splat_picks_the_block_plan_by_channels_and_occupancy():
     assert sparse.occupancy_ratio() > bcl._PLAN_MAX_OCCUPANCY
     bcl.splat(wide, sparse)
     assert "splat_plan" not in vars(sparse)
+
+
+class _PulledRows:
+    """A row source over an array that records the points of every pull."""
+
+    def __init__(self, values):
+        self.values = values
+        self.shape = values.shape
+        self.pulls = []
+
+    def __getitem__(self, points):
+        self.pulls.append(np.arange(self.shape[0])[points])
+        return self.values[points].copy()
+
+
+@pytest.mark.parametrize("channels, n, pulls", [
+    (3, BLOCKS_N, [BLOCKS_N]),  # scattered: every row at once
+    (bcl._PLAN_MIN_CHANNELS, BLOCKS_N, [128, 128, 37]),  # one pull per plan block
+    (bcl._PLAN_MIN_CHANNELS, 257, [128, 129]),  # a one-point last block joins the one before
+])
+def test_splat_of_a_row_source_pulls_each_point_once(channels, n, pulls):
+    rng = np.random.default_rng(48)
+    pts, lat, values = random_instance(rng, n=n, d=3, c=channels, scale=0.5)
+    source = _PulledRows(values)
+    assert bcl.splat(source, lat).tobytes() == bcl.splat(values, lat).tobytes()
+    assert [pull.size for pull in source.pulls] == pulls
+    assert np.array_equal(np.sort(np.concatenate(source.pulls)), np.arange(n))
+
+
+def test_slice_of_own_points_copies_no_vertex_table():
+    # only an embedding with MISSING corners needs the zero-padded table
+    rng = np.random.default_rng(49)
+    pts, lat, _ = random_instance(rng, n=BLOCKS_N, d=3, c=1, scale=0.5)
+    values = rng.normal(size=(lat.num_vertices, 4096))
+    rows = np.s_[:2]
+    out, peak = traced_peak(
+        lambda: bcl.slice(values, lat.point_vertices[rows], lat.point_bary[rows]))
+    assert peak < values.nbytes // 4
+    assert out.tobytes() == bcl.slice(np.vstack([values, np.zeros((1, 4096))]),
+                                      lat.point_vertices[rows], lat.point_bary[rows]).tobytes()
 
 
 def test_splat_bitwise_repeatable():

@@ -19,7 +19,7 @@ from latseg.checkpoint import (
 from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
-from oracles import facade, fd_grad, rel_err, traced_peak
+from oracles import facade, fd_grad, rel_err, traced_peak, whole_cloud_inference
 
 
 def small_net(seed=0, arch="C3-B4-B4-C4-C2", lam=2.0, input_dim=3):
@@ -180,6 +180,79 @@ def test_forward_inference_memory_holds_no_concat():
     n, peak, *_ = _facade_inference()
     # with the concat built this cloud peaked at 5741 B/point
     assert peak <= 2600 * n, peak / n
+
+
+def test_forward_inference_memory_holds_no_point_sized_activation():
+    # each BCL pulls its input rows a few splat-plan blocks at a time, so
+    # only the (n, 64) head sum is point-sized; the whole-cloud layers
+    # peaked at 2135 B/point on this cloud
+    n, peak, *_ = _facade_inference()
+    assert peak <= 1024 * n, peak / n
+
+
+def _with_random_statistics(params, rng):
+    for tensors in params:
+        for key in ("bias", "gamma", "beta", "running_mean"):
+            if key in tensors:
+                tensors[key] = rng.normal(size=tensors[key].shape)
+        if "running_var" in tensors:
+            tensors["running_var"] = rng.uniform(0.5, 2.0, size=tensors["running_var"].shape)
+    return params
+
+
+@pytest.mark.parametrize("arch, n", [
+    ("B64-B128-B128-B128-B64-C64-C7", 2000),  # the facade arch
+    ("C8-B16-C8-B16-C4-C2", 2000),  # 1x1s before and between the BCLs
+    ("B8-B8-C2", 2000),  # every BCL input scattered
+    ("C16-B32-B16-C8-C3", 1),
+    ("C16-B32-B16-C8-C3", 130),  # one full splat block and a partial one
+    ("B64-B128-B128-B128-B64-C64-C7", 130),
+    ("B64-B128-B128-B128-B64-C64-C7", 129),  # a one-point last splat block
+    ("B64-B128-B128-B128-B64-C64-C7", 257),  # a one-row last head chunk
+])
+def test_streamed_inference_is_bytewise_the_whole_cloud_oracle(arch, n):
+    rng = np.random.default_rng(n + len(arch))
+    pts, feats = facade(n, rng, side=np.sqrt(max(n, 100) / 100_000))
+    spec = net.parse_arch(arch, LatticeConfig(3, 32.0))
+    params = _with_random_statistics(net.init_parameters(spec, 7, rng), rng)
+    probs, _ = net.forward(spec, params, feats, pts)
+    want = whole_cloud_inference(spec, params, feats, pts)
+    assert probs.tobytes() == want.tobytes()
+
+
+def test_streamed_inference_is_bytewise_the_oracle_on_a_crowded_lattice():
+    # 16 channels meet a lattice of occupancy above 0.25: the second BCL's
+    # input is scattered, pulled all at once
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(0, 20.0, size=(1500, 3))
+    spec = net.parse_arch("B16-B16-C4-C3", LatticeConfig(3, 1.0))
+    params = _with_random_statistics(net.init_parameters(spec, 16, rng), rng)
+    descs = net.prepare_descriptors(spec, pts)
+    assert descs[1].lattice.occupancy_ratio() > bcl._PLAN_MAX_OCCUPANCY
+    feats = rng.normal(size=(1500, 16))
+    probs, _ = net.forward(spec, params, feats, pts, descriptors=descs)
+    assert ["splat_plan" in vars(d.lattice) for d in descs] == [False, False]
+    assert probs.tobytes() == whole_cloud_inference(spec, params, feats, pts).tobytes()
+
+
+@pytest.mark.parametrize("c_in", [7, 16, 64, 128])
+@pytest.mark.parametrize("c_out", [7, 16, 64])
+def test_row_subset_gemm_is_bitwise_the_full_gemm(c_in, c_out):
+    # the streamed forward multiplies a block's rows where the whole-cloud
+    # layers multiplied every row: x[p] @ W must be (x @ W)[p] bit for bit,
+    # a property of the BLAS. One row is left out: NumPy hands it to GEMV,
+    # which rounds differently, so the forward never pulls one row of a
+    # larger cloud on its own (bcl._pulls)
+    rng = np.random.default_rng(c_in * 100 + c_out)
+    x = rng.normal(size=(600, c_in))
+    w = rng.normal(size=(c_in, c_out))
+    full = x @ w
+    for m in (2, 3, 7, 8, 31, 64, 100, 127, 128, 129, 200, 255, 256):
+        start = int(rng.integers(0, x.shape[0] - m + 1))
+        rows = np.s_[start:start + m]
+        assert (x[rows] @ w).tobytes() == full[rows].tobytes(), m
+        points = rng.choice(x.shape[0], size=m, replace=False)
+        assert (x[points] @ w).tobytes() == full[points].tobytes(), m
 
 
 def test_inference_builds_no_splat_plan_for_the_input_layer():
