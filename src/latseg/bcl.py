@@ -156,15 +156,14 @@ def _block_splat(values, lat: SparseLattice) -> np.ndarray:
     blocks = plan.blocks()
     for start, stop in _pulls(lat.num_points, _SPLAT_BLOCK):
         rows = values[plan.order[start:stop]]
-        at = 0
-        while at < stop - start:
+        for at in range(0, stop - start, _SPLAT_BLOCK):
             points, local, vertices = next(blocks)
             weights = buffer[: vertices.size * points.size].reshape(vertices.size, points.size)
             weights.fill(0.0)
             # A point's d+1 corners are distinct vertices: no slot is written twice.
             weights[local, np.arange(points.size)[:, None]] = lat.point_bary[points]
-            out[vertices] += weights @ rows[at:at + points.size]
-            at += points.size
+            out[vertices] += weights @ rows[at:at + _SPLAT_BLOCK]
+        del rows  # a row source's pull is freed before it makes the next
     return out
 
 
@@ -199,7 +198,8 @@ def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (V, C) vertex features, got {values.shape}")
     if indices.shape != bary.shape:
         raise ShapeError("embedding indices and weights must have the same shape")
-    table = _zero_padded(values) if (indices == MISSING).any() else values
+    # MISSING is the only negative index
+    table = _zero_padded(values) if indices.min(initial=0) < 0 else values
     out = np.empty((indices.shape[0], values.shape[1]))
     for start in range(0, indices.shape[0], _SLICE_ROWS):
         rows = np.s_[start:start + _SLICE_ROWS]
