@@ -183,9 +183,9 @@ def test_forward_inference_memory_holds_no_concat():
 
 
 def test_forward_inference_memory_holds_no_point_sized_activation():
-    # each BCL pulls its input rows a few splat-plan blocks at a time, so
+    # each BCL pulls its input rows one splat-plan block at a time, so
     # only the (n, 64) head sum is point-sized; the whole-cloud layers
-    # peaked at 2135 B/point on this cloud
+    # peaked at 2157 B/point on this cloud
     n, peak, *_ = _facade_inference()
     assert peak <= 1024 * n, peak / n
 
