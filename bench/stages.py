@@ -1,7 +1,7 @@
 """Criterion-scale wall time and memory of a facade inference, a filter and a build.
 
-    python3 bench/stages.py --out BENCH_26.json --label change
-    python3 bench/stages.py --out BENCH_26.json --label parent --src ../parent/src \
+    python3 bench/stages.py --out BENCH_27.json --label change
+    python3 bench/stages.py --out BENCH_27.json --label parent --src ../parent/src \
         --label change --src src
 
 Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
@@ -20,8 +20,8 @@ in a cube of side n^(1/3) at lambda 1; it records the median `build_lattice`
 wall time, the median `ru_maxrss` and the vertex count. Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
-the git SHA of the checkout that holds --src, whether its tracked files
-differ from that SHA ("dirty"), the NumPy version and the name and version
+the git SHA of the checkout that holds --src, whether the tracked files
+under --src differ from that SHA ("dirty"), the NumPy version and the name and version
 of NumPy's BLAS.
 
 --label and --src may be given more than once, the n-th --src holding the
@@ -142,9 +142,10 @@ def git_sha(src):
 
 
 def git_dirty(src):
-    """Whether tracked files differ from HEAD, so the SHA alone does not name the code."""
+    """Whether tracked files under src differ from HEAD, so the SHA alone does
+    not name the code."""
     done = subprocess.run(["git", "-C", str(src), "status", "--porcelain",
-                           "--untracked-files=no"], capture_output=True, text=True)
+                           "--untracked-files=no", "--", "."], capture_output=True, text=True)
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 

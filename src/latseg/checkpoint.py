@@ -49,12 +49,15 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
+    """Reads the file's bytes front to back; every read is a view of them, so
+    tensor payloads are not copied until they are converted."""
+
     def __init__(self, data: bytes, path: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ParseError(f"{self.path}: truncated checkpoint")
         out = self.data[self.pos : self.pos + n]
@@ -72,7 +75,7 @@ class _Reader:
 
     def string(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError:
             raise ParseError(f"{self.path}: string is not valid utf-8") from None
 

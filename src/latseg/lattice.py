@@ -317,13 +317,28 @@ class SplatPlan:
         self.order = np.argsort(point_vertices[:, 0], kind="stable").astype(np.int32)
         block = np.arange(n) // _SPLAT_BLOCK
         num_blocks = int(block[-1]) + 1
-        # One sort of (block, vertex) pairs dedups every block at once.
-        pairs = (block[:, None] * num_vertices + point_vertices[self.order]).ravel()
-        uniq, inverse = np.unique(pairs, return_inverse=True)
+        # One sort of (block, vertex) pair codes dedups every block at once.
+        pairs = point_vertices[self.order]
+        pairs += (block * num_vertices)[:, None]
+        pairs = pairs.ravel()
+        perm = np.argsort(pairs)
+        pairs = pairs[perm]
+        first = np.empty(pairs.size, dtype=bool)
+        first[0] = True
+        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+        uniq = pairs[first]
+        del pairs
         self.vertices = uniq % num_vertices
         self.starts = np.searchsorted(uniq, np.arange(num_blocks + 1) * num_vertices)
-        local = inverse.reshape(n, d1) - self.starts[block][:, None]
-        self.local = local.astype(np.int32)
+        del uniq
+        # each pair's rank among the distinct pairs, put back in pair order
+        rank = np.cumsum(first, dtype=np.int32)
+        rank -= 1
+        del first
+        self.local = np.empty((n, d1), dtype=np.int32)
+        self.local.reshape(-1)[perm] = rank
+        del perm, rank
+        self.local -= self.starts[block][:, None]
         widths = np.minimum(n - np.arange(num_blocks) * _SPLAT_BLOCK, _SPLAT_BLOCK)
         self.weight_size = int(np.max(np.diff(self.starts) * widths))
         for arr in (self.order, self.local, self.vertices, self.starts):

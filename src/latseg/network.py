@@ -35,12 +35,17 @@ block's points, divided by their denominators, then batch norm, ReLU and
 any 1x1 between the two BCLs, in place. A concat block adds its rows times
 its rows of the head weight into the head's sum as they pass. After the
 last BCL, its rows are pulled in chunks of bcl._SLICE_ROWS to finish that
-sum, and the layers after the head run on the whole (n, C_head) array. So
-the head's sum is the only point-sized array before the head: for
+sum, and the layers after the head run on the whole (n, C_head) array,
+which replaces the sum at the first 1x1 after the head. Unless descriptors
+are passed in, each BCL's lattice is built when the stream reaches that
+BCL, and it is freed once the next BCL's splat has pulled its rows (the
+last one after the head's sum is done), so at most two lattices are alive.
+So the head's sum is the only point-sized activation before the head: for
 B64-B128-B128-B128-B64-C64-C7 that is 64 floats, 512 B, per point, plus
-one block's rows in flight (whole-cloud layers took 128 + 2 x 64 floats,
-about 2 KB). Training keeps whole-cloud layers, as batch norm needs its
-statistics over every row.
+at most two levels' lattices and one block's rows in flight (whole-cloud
+layers took 128 + 2 x 64 floats, about 2 KB, and every level's lattice).
+Training keeps whole-cloud layers, as batch norm needs its statistics over
+every row.
 """
 
 from __future__ import annotations
@@ -278,18 +283,25 @@ def softmax_grad(grad_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return probs * (grad_probs - inner)
 
 
+def _descriptors(spec: NetworkSpec, lattice_features: np.ndarray):
+    """Yield the cloud's descriptor of each BCL, in layer order, each built
+    when it is asked for."""
+    for layer in spec.layers:
+        if isinstance(layer, BCLSpec):
+            yield bcl.make_descriptor(lattice_features, spec.bcl_config(layer.level))
+
+
 def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list[bcl.BCLDescriptor]:
     """Build the per-BCL lattices and descriptors for one cloud.
 
     One descriptor per BCL layer, in layer order. Reusable across any number
-    of forward/backward passes on the same cloud. Splat plans are not built
-    here: a lattice builds its plan on its first block splat.
+    of forward/backward passes on the same cloud, at the price of holding
+    every level's lattice at once: a forward given none builds each lattice
+    when its BCL is reached instead, and an inference forward then holds at
+    most two. Splat plans are not built here: a lattice builds its plan on
+    its first block splat.
     """
-    return [
-        bcl.make_descriptor(lattice_features, spec.bcl_config(layer.level))
-        for layer in spec.layers
-        if isinstance(layer, BCLSpec)
-    ]
+    return list(_descriptors(spec, lattice_features))
 
 
 @dataclass
@@ -321,7 +333,8 @@ def forward(
 
     features: (n, d_f) input channels. lattice_features: (n, d_l) channels the
     lattices are built from. Pass descriptors from prepare_descriptors to
-    reuse lattices across calls on the same cloud.
+    reuse lattices across calls on the same cloud; without them each BCL's
+    lattice is built when the forward reaches it.
     """
     features = np.asarray(features, dtype=np.float64)
     lattice_features = np.asarray(lattice_features, dtype=np.float64)
@@ -344,8 +357,8 @@ def forward(
         )
 
     if descriptors is None:
-        descriptors = prepare_descriptors(spec, lattice_features)
-    if len(descriptors) != spec.num_bcl:
+        descriptors = _descriptors(spec, lattice_features)
+    elif len(descriptors) != spec.num_bcl:
         raise ConfigError(f"expected {spec.num_bcl} descriptors, got {len(descriptors)}")
 
     tape = Tape(
@@ -498,7 +511,9 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
     through the pointwise layers between the two BCLs and added into the
     head's sum before the splat reads them. After the last BCL, its rows are
     pulled in _SLICE_ROWS chunks to finish the head's sum; the layers after
-    the head run on the whole (n, C_head) array.
+    the head run on the whole (n, C_head) array. A BCL's descriptor is taken
+    from descriptor_iter when the BCL is reached, and dropped once the next
+    BCL's splat has pulled the rows it feeds.
     """
     n = features.shape[0]
     head = _head_index(spec)
@@ -509,8 +524,10 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
     for i, layer in enumerate(spec.layers[:head]):
         if isinstance(layer, BCLSpec):
             desc = next(descriptor_iter)
+            splatted = bcl.splat(x, desc.lattice)
+            del x  # the previous BCL's rows, and with them its descriptor
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
-            filtered = bcl.convolve(bcl.splat(x, desc.lattice), desc.lattice, bank)
+            filtered = bcl.convolve(splatted, desc.lattice, bank)
             x = _Rows(_sliced(filtered, desc), layer.width, n)
         elif not isinstance(layer, ConcatSpec):
             x.then(_pointwise(layer, params[i]), widths[i])
@@ -518,8 +535,9 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
             x.then(_add_to_head(head_sum, rows[i], assign=i == first), widths[i])
     for start, stop in bcl._pulls(n, bcl._SLICE_ROWS):
         x[start:stop]  # pulled for what it adds to the head's sum
+    del desc, filtered, x
 
-    x = head_sum
+    x, head_sum = head_sum, None  # the sum dies at the first 1x1 after the head
     x += params[head]["bias"]
     for i, layer in enumerate(spec.layers[head + 1:-1], start=head + 1):
         x = _pointwise(layer, params[i])(x, None)

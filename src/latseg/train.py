@@ -364,9 +364,10 @@ def train_loop(spec, dataset, config, *,
                     )
                 features = cloud.channel_matrix(feature_channels, config.gravity_axis)
                 lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
-                descriptors = None
                 if fixed_lattices and not cropped:
                     descriptors = cache.get(index, lattice_feats)
+                else:
+                    descriptors = network.prepare_descriptors(spec, lattice_feats)
                 probs, tape = network.forward(
                     spec, params, features, lattice_feats, training=True,
                     descriptors=descriptors,

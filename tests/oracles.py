@@ -95,6 +95,21 @@ def vertex_keys(features, config):
     return np.unique(simplex_corner_keys(rem0, rank).reshape(-1, config.dim + 1), axis=0)
 
 
+def splat_plan_arrays(point_vertices, num_vertices, block=128):
+    """(order, local, vertices, starts) of a lattice's splat plan, formed
+    with np.unique over (block, vertex) pair codes: order sorts the points
+    stably by their remainder-0 corner, and each block of that order gets
+    its ascending distinct vertices and every corner's row among them."""
+    n = point_vertices.shape[0]
+    order = np.argsort(point_vertices[:, 0], kind="stable").astype(np.int32)
+    blocks = np.arange(n) // block
+    pairs = (blocks[:, None] * num_vertices + point_vertices[order]).ravel()
+    uniq, inverse = np.unique(pairs, return_inverse=True)
+    starts = np.searchsorted(uniq, np.arange(blocks[-1] + 2) * num_vertices)
+    local = (inverse.reshape(point_vertices.shape) - starts[blocks][:, None]).astype(np.int32)
+    return order, local, uniq % num_vertices, starts
+
+
 def splat_forward(values, desc, bank):
     """splat, then bcl_forward, as network.forward runs a BCL: (out, splatted)."""
     splatted = bcl.splat(values, desc.lattice)

@@ -16,8 +16,10 @@ import pytest
 from latseg.errors import EmptyInput, InvalidInput
 from latseg.lattice import (
     _MAX_COORD,
+    _SPLAT_BLOCK,
     MISSING,
     LatticeConfig,
+    SplatPlan,
     _corner,
     _locate_many,
     _VertexIndex,
@@ -26,7 +28,14 @@ from latseg.lattice import (
     neighbor_offsets,
 )
 
-from oracles import brute_force_one_ring, simplex_corner_keys, traced_peak, vertex_keys
+from oracles import (
+    brute_force_one_ring,
+    facade,
+    simplex_corner_keys,
+    splat_plan_arrays,
+    traced_peak,
+    vertex_keys,
+)
 
 
 # ---------------------------------------------------------------- elevation
@@ -463,3 +472,33 @@ def test_splat_plan_blocks_cover_every_corner(n):
     np.testing.assert_array_equal(np.concatenate(seen), plan.order)
     assert plan.local.dtype == np.int32
     assert lat.splat_plan is plan  # built once
+
+
+@pytest.mark.parametrize("cloud", ["facade", "uniform"])
+@pytest.mark.parametrize("n", [1, 128, 129, 2000, 20_000])
+def test_splat_plan_arrays_are_the_unique_formulation(cloud, n):
+    rng = np.random.default_rng(n)
+    if cloud == "facade":
+        pts, _ = facade(n, rng, side=np.sqrt(max(n, 100) / 100_000))
+        cfg = LatticeConfig(3, 32.0)
+    else:
+        pts = rng.uniform(0, n ** (1 / 3), size=(n, 3))
+        cfg = LatticeConfig(3, 1.0)
+    lat = build_lattice(pts, cfg)
+    plan = lat.splat_plan
+    got = (plan.order, plan.local, plan.vertices, plan.starts)
+    want = splat_plan_arrays(lat.point_vertices, lat.num_vertices, _SPLAT_BLOCK)
+    for name, a, b in zip(("order", "local", "vertices", "starts"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_splat_plan_build_memory_per_point():
+    # np.unique over int64 (block, vertex) pair codes, with its sorted copy,
+    # permutation and inverse, peaked at 210 B/point over the inputs
+    rng = np.random.default_rng(26)
+    n = 20_000
+    pts, _ = facade(n, rng, side=np.sqrt(n / 100_000))
+    lat = build_lattice(pts, LatticeConfig(3, 32.0))
+    _, peak = traced_peak(lambda: SplatPlan(lat.point_vertices, lat.num_vertices))
+    assert peak <= 160 * n, peak / n
