@@ -320,24 +320,16 @@ class SplatPlan:
         # One sort of (block, vertex) pair codes dedups every block at once.
         pairs = point_vertices[self.order]
         pairs += (block * num_vertices)[:, None]
-        pairs = pairs.ravel()
-        perm = np.argsort(pairs)
-        pairs = pairs[perm]
-        first = np.empty(pairs.size, dtype=bool)
-        first[0] = True
-        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+        perm = np.argsort(pairs.ravel())
+        pairs = pairs.ravel()[perm]
+        first = np.concatenate(([True], pairs[1:] != pairs[:-1]))
         uniq = pairs[first]
-        del pairs
+        del pairs  # the sorted codes go before local is formed
         self.vertices = uniq % num_vertices
         self.starts = np.searchsorted(uniq, np.arange(num_blocks + 1) * num_vertices)
-        del uniq
-        # each pair's rank among the distinct pairs, put back in pair order
-        rank = np.cumsum(first, dtype=np.int32)
-        rank -= 1
-        del first
+        # each pair's rank among the distinct pairs, back in pair order
         self.local = np.empty((n, d1), dtype=np.int32)
-        self.local.reshape(-1)[perm] = rank
-        del perm, rank
+        self.local.reshape(-1)[perm] = np.cumsum(first, dtype=np.int32) - 1
         self.local -= self.starts[block][:, None]
         widths = np.minimum(n - np.arange(num_blocks) * _SPLAT_BLOCK, _SPLAT_BLOCK)
         self.weight_size = int(np.max(np.diff(self.starts) * widths))

@@ -511,9 +511,7 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
     through the pointwise layers between the two BCLs and added into the
     head's sum before the splat reads them. After the last BCL, its rows are
     pulled in _SLICE_ROWS chunks to finish the head's sum; the layers after
-    the head run on the whole (n, C_head) array. A BCL's descriptor is taken
-    from descriptor_iter when the BCL is reached, and dropped once the next
-    BCL's splat has pulled the rows it feeds.
+    the head run on the whole (n, C_head) array.
     """
     n = features.shape[0]
     head = _head_index(spec)
@@ -535,7 +533,7 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
             x.then(_add_to_head(head_sum, rows[i], assign=i == first), widths[i])
     for start, stop in bcl._pulls(n, bcl._SLICE_ROWS):
         x[start:stop]  # pulled for what it adds to the head's sum
-    del desc, filtered, x
+    del desc, x  # the last BCL's descriptor, and the rows that hold it
 
     x, head_sum = head_sum, None  # the sum dies at the first 1x1 after the head
     x += params[head]["bias"]
