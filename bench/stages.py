@@ -1,7 +1,7 @@
 """Criterion-scale wall time and memory of a facade inference, a filter and a build.
 
-    python3 bench/stages.py --out BENCH_27.json --label change
-    python3 bench/stages.py --out BENCH_27.json --label parent --src ../parent/src \
+    python3 bench/stages.py --out BENCH_28.json --label change
+    python3 bench/stages.py --out BENCH_28.json --label parent --src ../parent/src \
         --label change --src src
 
 Runs the criterion-11 facade inference (the seed-111 `facade` cloud of
@@ -17,7 +17,11 @@ at lambda 1; it records the median `project` wall time, the median
 `ru_maxrss` and the source lattice's vertex count. The build case, run the
 same way at each size in BUILD_SIZES, is `build_lattice` of a cloud uniform
 in a cube of side n^(1/3) at lambda 1; it records the median `build_lattice`
-wall time, the median `ru_maxrss` and the vertex count. Every child's
+wall time, the median `ru_maxrss` and the vertex count, and the median
+tracemalloc peak of a second `build_lattice` of the same cloud, in bytes
+per point: `ru_maxrss` cannot resolve a few MB on a shared machine, where
+the same filter child has read 150 MB in some runs and 159 MB in others,
+and the traced peak does not depend on the machine. Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether the tracked files
@@ -31,7 +35,7 @@ flipping from one repeat to the next, so load drift on a shared machine
 falls on all labels alike. Other labels already in --out are kept.
 
 A child reads `ru_maxrss` before it rebuilds the lattices to count their
-vertices, so that rebuild cannot set the recorded peak.
+vertices or to trace the build, so that rebuild cannot set the recorded peak.
 
 Takes tens of minutes and up to about 3 GB per child at 1M points; it is not part of
 the tests.
@@ -106,7 +110,10 @@ def child_filter():
 
 
 def child_build(n):
-    """One build_lattice; prints {"seconds", "maxrss_mb", "vertices"}."""
+    """One build_lattice, then one traced; prints {"seconds", "maxrss_mb",
+    "traced_peak_b_per_point", "vertices"}."""
+    import tracemalloc
+
     import numpy as np
     from latseg.lattice import LatticeConfig, build_lattice
 
@@ -115,8 +122,14 @@ def child_build(n):
     lat = build_lattice(pts, LatticeConfig(3, 1.0))
     seconds = time.perf_counter() - start
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    vertices = lat.num_vertices
+    del lat
+    tracemalloc.start()
+    build_lattice(pts, LatticeConfig(3, 1.0))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb,
-                      "vertices": lat.num_vertices}))
+                      "traced_peak_b_per_point": peak / n, "vertices": vertices}))
 
 
 def run_case(case, src):
@@ -211,7 +224,8 @@ def main():
         for label, runs in run_alternately(f"build:{n}", sources).items():
             case = results[label]["build"]["sizes"][str(n)] = summarize(runs)
             print(f"{label} build n={n}: {case['seconds']:.3f} s, "
-                  f"ru_maxrss {case['maxrss_mb']:.0f} MB", file=sys.stderr)
+                  f"ru_maxrss {case['maxrss_mb']:.0f} MB, "
+                  f"traced peak {case['traced_peak_b_per_point']:.1f} B/point", file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
     for label, src in sources.items():

@@ -80,16 +80,18 @@ class _Reader:
             raise ParseError(f"{self.path}: string is not valid utf-8") from None
 
 
-def _pack_tensor(name: str, arr: np.ndarray, dtype_code: int) -> bytes:
-    """Raises InvalidInput for a finite value that the cast to the wire dtype
-    makes infinite; NaN and infinities are written as they are."""
+def _pack_tensor(name: str, arr: np.ndarray, dtype_code: int) -> tuple[bytes, np.ndarray]:
+    """(head, payload) of one tensor; the payload is arr itself when arr
+    already has the wire dtype and layout. Raises InvalidInput for a finite
+    value that the cast to the wire dtype makes infinite; NaN and infinities
+    are written as they are."""
     with np.errstate(over="ignore"):
         wire = np.ascontiguousarray(arr.astype(_DTYPES[dtype_code], copy=False))
     if (np.isinf(wire) & np.isfinite(arr)).any():
         raise InvalidInput(f"tensor {name!r} holds a finite value beyond the {wire.dtype} range")
     head = _pack_str(name) + struct.pack("<BB", dtype_code, wire.ndim)
     head += struct.pack(f"<{wire.ndim}I", *wire.shape) if wire.ndim else b""
-    return head + wire.tobytes()
+    return head, wire
 
 
 def _read_tensor(r: _Reader) -> tuple[str, np.ndarray]:
@@ -157,11 +159,12 @@ def save_checkpoint(
     """Write an inference checkpoint (version 1, f32 tensors); a finite value
     beyond the float32 range raises InvalidInput before any byte is written."""
     items = _tensor_items(params)
-    out = _header_bytes(1, spec, tuple(feature_channels), tuple(lattice_channels))
-    out += struct.pack("<I", len(items))
+    parts = [_header_bytes(1, spec, tuple(feature_channels), tuple(lattice_channels)),
+             struct.pack("<I", len(items))]
     for name, arr in items:
-        out += _pack_tensor(name, arr, 0)
-    Path(path).write_bytes(out)
+        parts += _pack_tensor(name, arr, 0)
+    with Path(path).open("wb") as f:
+        f.writelines(parts)
 
 
 def _read_header(r: _Reader):
@@ -244,14 +247,14 @@ def save_train_state(
     lattice_channels=("xyz",),
 ) -> None:
     """Write a version-2 training state: f64 tensors + optimizer moments."""
-    out = _header_bytes(2, spec, tuple(feature_channels), tuple(lattice_channels))
-    out += struct.pack("<QQ", adam_step, iteration)
     groups = [("param", params), ("adam_m", moments_m), ("adam_v", moments_v)]
     items = [(f"{tag}.{n}", a) for tag, group in groups for n, a in _tensor_items(group)]
-    out += struct.pack("<I", len(items))
+    parts = [_header_bytes(2, spec, tuple(feature_channels), tuple(lattice_channels)),
+             struct.pack("<QQI", adam_step, iteration, len(items))]
     for name, arr in items:
-        out += _pack_tensor(name, arr, 1)
-    Path(path).write_bytes(out)
+        parts += _pack_tensor(name, arr, 1)
+    with Path(path).open("wb") as f:
+        f.writelines(parts)
 
 
 def load_train_state(path):

@@ -28,16 +28,16 @@ and embed. Its rows are shifted into the vertices' bounding box padded by
 d+1 on every side and encoded either as int64 mixed-radix codes, when the
 padded box has at most 2^63 - 1 cells, or else as big-endian uint64 rows
 compared as raw bytes. Over r, coordinate j of a point's corners spans
-rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box; an int64
-corner code is the remainder-0 code plus r times the sum of the strides,
-minus d+1 times the strides of the coordinates ranked at least d+1-r. Byte
-rows are encoded one remainder class at a time. Both encodings sort like
-the rows themselves (lexicographically) and keep that order under a
-constant shift, so moving every vertex by one one-ring offset yields an
-already sorted query array: an adjacency column is one searchsorted. A
-vertex's dense index is the rank of its code, so vertices are numbered in
-key order whatever the order of the points. Foreign queries are clipped
-into the box first; a clipped row lies in the padding, where no vertex is.
+rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box. Either
+encoding forms the corner codes one remainder class at a time, and one
+helper, _ranks, sorts codes and ranks them: it numbers the vertices and
+dedups SplatPlan's (block, vertex) pairs. Both encodings sort like the rows
+themselves (lexicographically) and keep that order under a constant shift,
+so moving every vertex by one one-ring offset yields an already sorted
+query array: an adjacency column is one searchsorted. A vertex's dense
+index is the rank of its code, so vertices are numbered in key order
+whatever the order of the points. Foreign queries are clipped into the box
+first; a clipped row lies in the padding, where no vertex is.
 
 Everything here is deterministic: identical inputs produce identical dense
 indices, embeddings and adjacency, bit for bit.
@@ -215,6 +215,21 @@ def neighbor_offsets(dim: int) -> np.ndarray:
     return offsets
 
 
+def _ranks(codes: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, ranks): the sorted distinct codes, and the rank of each code
+    among them as dtype, in codes' shape. The unsorted codes are dropped once
+    sorted, so a caller that passes them as a temporary does not hold them."""
+    shape = codes.shape
+    perm = np.argsort(codes, axis=None)
+    codes = codes.reshape(-1)[perm]
+    first = np.concatenate(([True], codes[1:] != codes[:-1]))
+    distinct = codes[first]
+    del codes
+    ranks = np.empty(shape, dtype=dtype)
+    ranks.reshape(-1)[perm] = np.cumsum(first, dtype=dtype) - 1
+    return distinct, ranks
+
+
 class _VertexIndex:
     """Sorted, deduplicated codes of (N, d) key material rows.
 
@@ -228,33 +243,23 @@ class _VertexIndex:
         """(index, point_dense) for the corners of located points.
 
         point_dense[i, r] is the dense index of point i's remainder-r corner.
-        Only build_lattice reads it, so the index does not keep it. No corner
-        is formed for int64 codes: over r, coordinate j of a point's corners
-        spans rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box,
-        and the codes follow from the remainder-0 code.
+        Only build_lattice reads it, so the index does not keep it. Over r,
+        coordinate j of a point's corners spans rem0_j - rank_j ...
+        rem0_j - rank_j + d, which gives the box; the codes are formed one
+        remainder class at a time.
         """
-        n, d1 = rank.shape
-        d = d1 - 1
+        d = rank.shape[1] - 1
         low = (rem0 - rank)[:, :d]
         index = cls(low.min(axis=0), low.max(axis=0) + d)
         del low
-        if index._strides is None:
-            codes = np.stack([index._encode(_corner(rem0, rank, r)[:, :d] - index._lo)
-                              for r in range(d1)], axis=1)
-        else:
-            # _corner adds r - (d+1) [rank_j >= d+1-r] to coordinate j, so the
-            # remainder-r code is the remainder-0 code plus r times the sum
-            # of the strides minus d+1 times the strides where that holds.
-            strides = index._strides
-            r = np.arange(d1)
-            moved = rank[:, None, :d] >= d1 - r[:, None]
-            codes = (rem0[:, :d] - index._lo) @ strides
-            codes = codes[:, None] + r * strides.sum() - d1 * (moved @ strides)
-        return index, index._store(codes).reshape(n, d1)
+        index.codes, point_dense = _ranks(
+            np.stack([index._encode(_corner(rem0, rank, r)[:, :d] - index._lo)
+                      for r in range(d + 1)], axis=1), np.int64)
+        return index, point_dense
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        # The box lo..hi of the material, padded by one ring; _store keeps
-        # the codes.
+        # The box lo..hi of the material, padded by one ring; codes are the
+        # distinct codes that _ranks returns.
         d = lo.size
         self._lo = lo - (d + 1)
         self._hi = hi + (d + 1)
@@ -264,11 +269,6 @@ class _VertexIndex:
             # Big-endian mixed radix: coordinate 0 is the most significant.
             strides = [math.prod(spans[j + 1 :]) for j in range(d)]
             self._strides = np.array(strides, dtype=np.int64)
-
-    def _store(self, codes: np.ndarray) -> np.ndarray:
-        """Keep the distinct codes, sorted; returns each code's dense index."""
-        self.codes, dense = np.unique(codes, return_inverse=True)
-        return dense
 
     def _encode(self, shifted: np.ndarray) -> np.ndarray:
         # shifted: rows minus the box corner, each entry in [0, span).
@@ -313,23 +313,15 @@ class SplatPlan:
     """
 
     def __init__(self, point_vertices: np.ndarray, num_vertices: int):
-        n, d1 = point_vertices.shape
+        n = point_vertices.shape[0]
         self.order = np.argsort(point_vertices[:, 0], kind="stable").astype(np.int32)
         block = np.arange(n) // _SPLAT_BLOCK
         num_blocks = int(block[-1]) + 1
-        # One sort of (block, vertex) pair codes dedups every block at once.
-        pairs = point_vertices[self.order]
-        pairs += (block * num_vertices)[:, None]
-        perm = np.argsort(pairs.ravel())
-        pairs = pairs.ravel()[perm]
-        first = np.concatenate(([True], pairs[1:] != pairs[:-1]))
-        uniq = pairs[first]
-        del pairs  # the sorted codes go before local is formed
+        # One ranking of (block, vertex) pair codes dedups every block at once.
+        uniq, self.local = _ranks(point_vertices[self.order] + (block * num_vertices)[:, None],
+                                  np.int32)
         self.vertices = uniq % num_vertices
         self.starts = np.searchsorted(uniq, np.arange(num_blocks + 1) * num_vertices)
-        # each pair's rank among the distinct pairs, back in pair order
-        self.local = np.empty((n, d1), dtype=np.int32)
-        self.local.reshape(-1)[perm] = np.cumsum(first, dtype=np.int32) - 1
         self.local -= self.starts[block][:, None]
         widths = np.minimum(n - np.arange(num_blocks) * _SPLAT_BLOCK, _SPLAT_BLOCK)
         self.weight_size = int(np.max(np.diff(self.starts) * widths))

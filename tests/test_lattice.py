@@ -22,6 +22,7 @@ from latseg.lattice import (
     SplatPlan,
     _corner,
     _locate_many,
+    _ranks,
     _VertexIndex,
     build_lattice,
     elevate_many,
@@ -271,7 +272,7 @@ def test_build_and_embed_memory_per_point():
     pts, other = rng.uniform(0, side, size=(2, n, 3))
     cfg = LatticeConfig(3, 1.0)
     lat, peak = traced_peak(lambda: build_lattice(pts, cfg))
-    assert peak <= 400 * n, peak / n
+    assert peak <= 300 * n, peak / n
     _, peak = traced_peak(lambda: lat.embed(other))
     assert peak <= 350 * n, peak / n
 
@@ -361,7 +362,7 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     material = np.concatenate([corners, inner, near, inner[:50]]) - 2**40
     material = np.clip(material, material[:4].min(axis=0), material[:4].max(axis=0))
     index = _VertexIndex(material.min(axis=0), material.max(axis=0))
-    row_dense = index._store(index.encode(material))
+    index.codes, row_dense = _ranks(index.encode(material), np.int64)
     assert math.prod(int(x) for x in index._hi - index._lo + 1) == math.prod(spans)
     assert index.codes.dtype.kind == kind
 
@@ -383,6 +384,21 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     for offset in ([0, 0], [d, -d], [-d - 1, d + 1], [1, 0]):
         expected = [ref.get(tuple(r), MISSING) for r in (sorted_rows + offset).tolist()]
         np.testing.assert_array_equal(index.find(index.shifted(np.array(offset))), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("kind", ["int64", "bytes"])
+def test_ranks_are_the_unique_inverse(kind, dtype):
+    # the vertex index ranks into int64 dense indices, SplatPlan into int32 rows
+    rng = np.random.default_rng(27)
+    codes = rng.integers(-50, 50, size=(300, 4))
+    if kind == "bytes":
+        codes = np.ascontiguousarray(codes, dtype=">u8").view(np.dtype((np.void, 8)))[:, :3]
+    want_distinct, want_inverse = np.unique(codes, return_inverse=True)
+    distinct, ranks = _ranks(codes.copy(), dtype)
+    assert ranks.dtype == dtype and ranks.shape == codes.shape
+    assert distinct.tobytes() == want_distinct.tobytes()
+    np.testing.assert_array_equal(ranks, want_inverse.reshape(codes.shape))
 
 
 def test_build_near_max_coord_matches_oracle():

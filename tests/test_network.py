@@ -291,10 +291,13 @@ def test_streamed_inference_is_close_to_the_oracle_on_a_narrow_head():
 @pytest.mark.parametrize("c_out", [7, 16, 64])
 def test_row_subset_gemm_is_bitwise_the_full_gemm(c_in, c_out):
     # the streamed forward multiplies a block's rows where the whole-cloud
-    # layers multiplied every row: x[p] @ W must be (x @ W)[p] bit for bit,
-    # a property of the BLAS. One row is left out: NumPy hands it to GEMV,
-    # which rounds differently, so the forward never pulls one row of a
-    # larger cloud on its own (bcl._pulls)
+    # layers multiplied every row: x[p] @ W must be (x @ W)[p] bit for bit.
+    # The BLAS gives this for the shapes tested here (600 rows, 7 or more
+    # output columns), not in general: with 2 to 4 output columns over
+    # thousands of rows a full product can round differently from its row
+    # blocks. One row is left out: NumPy hands it to GEMV, which rounds
+    # differently, so the forward never pulls one row of a larger cloud on
+    # its own (bcl._pulls)
     rng = np.random.default_rng(c_in * 100 + c_out)
     x = rng.normal(size=(600, c_in))
     w = rng.normal(size=(c_in, c_out))
@@ -579,6 +582,22 @@ def test_checkpoint_load_holds_the_file_once(tmp_path):
         assert b.flags.writeable and b.tobytes() == a.astype(np.float32).astype(b.dtype).tobytes()
     kept = sum(a.nbytes for tensors in loaded for a in tensors.values())
     assert peak - kept <= 1.25 * path.stat().st_size, (peak - kept) / path.stat().st_size
+
+
+def test_train_state_save_holds_the_file_once(tmp_path):
+    # growing one bytes object per tensor copied the file so far each time,
+    # and took 2.00 times the file's size on this model
+    spec = net.parse_arch("B64-B128-B128-B128-B64-C64-C7", LatticeConfig(3, 32.0))
+    params = net.init_parameters(spec, 7, np.random.default_rng(3))
+    moments = net.trainable_views(np.full_like(net.trainable_vector(params), 0.5), params)
+    path = tmp_path / "state.splt"
+    _, peak = traced_peak(lambda: save_train_state(path, spec, params, moments, moments, 3, 4))
+    assert peak <= 1.25 * path.stat().st_size, peak / path.stat().st_size
+    _, loaded, m, _, step, iteration, _, _ = load_train_state(path)
+    assert (step, iteration) == (3, 4)
+    for (_, _, a), (_, _, b) in zip(net.named_parameters(params), net.named_parameters(loaded)):
+        assert a.tobytes() == b.tobytes()
+    assert all(np.all(a == 0.5) for _, _, a in net.named_parameters(m))
 
 
 def test_checkpoint_bad_magic(tmp_path):
