@@ -19,9 +19,10 @@ same way at each size in BUILD_SIZES, is `build_lattice` of a cloud uniform
 in a cube of side n^(1/3) at lambda 1; it records the median `build_lattice`
 wall time, the median `ru_maxrss` and the vertex count, and the median
 tracemalloc peak of a second `build_lattice` of the same cloud, in bytes
-per point: `ru_maxrss` cannot resolve a few MB on a shared machine, where
-the same filter child has read 150 MB in some runs and 159 MB in others,
-and the traced peak does not depend on the machine. Every child's
+per point: `ru_maxrss` also counts pages the allocator keeps after they
+are freed, so it can move by a few MB when only the order of allocations
+changes, while the traced peak counts live allocations and repeats
+exactly. Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether the tracked files
@@ -122,14 +123,12 @@ def child_build(n):
     lat = build_lattice(pts, LatticeConfig(3, 1.0))
     seconds = time.perf_counter() - start
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    vertices = lat.num_vertices
-    del lat
     tracemalloc.start()
     build_lattice(pts, LatticeConfig(3, 1.0))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb,
-                      "traced_peak_b_per_point": peak / n, "vertices": vertices}))
+                      "traced_peak_b_per_point": peak / n, "vertices": lat.num_vertices}))
 
 
 def run_case(case, src):
