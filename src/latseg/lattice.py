@@ -133,10 +133,10 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Enclosing simplices and barycentric weights of (n, d+1) elevated points.
 
     Returns (rem0, rank, bary), each (n, d+1) and row-aligned: rem0 (int64)
-    is the point's remainder-0 corner, rank (int64) ranks its coordinates
-    by descending differential (a permutation of 0..d per row), and bary
-    holds the weights of the remainder-0..d corners. The remainder-r corner
-    is _corner(rem0, rank, r).
+    is the point's remainder-0 corner, rank (int16 for d below 16383) ranks
+    its coordinates by descending differential (a permutation of 0..d per
+    row), and bary holds the weights of the remainder-0..d corners. The
+    remainder-r corner is _corner(rem0, rank, r).
     """
     n, d1 = elevated.shape
     d = d1 - 1
@@ -152,7 +152,9 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     # Rank coordinates by descending differential; ties broken by lower index.
     order = np.argsort(rem0 - elevated, axis=1, kind="stable")
-    rank = np.empty((n, d1), dtype=np.int64)
+    # Ranks and their repair below stay within -d1 .. 2d: int16 holds them
+    # for any d a cloud's corner codes could fit in memory for.
+    rank = np.empty((n, d1), dtype=np.int16 if d1 < 2**14 else np.int64)
     np.put_along_axis(rank, order, np.broadcast_to(np.arange(d1), (n, d1)), axis=1)
     del order
 

@@ -28,18 +28,24 @@ tape, which commit_running_stats() folds into the parameters (so probing
 forwards, e.g. finite differences, leave no trace).
 
 Inference mode uses the stored running statistics, keeps neither backward
-state nor outputs, and streams the layers up to the head. Each BCL's splat
-pulls its input rows one splat-plan block at a time, and they are computed
-from the previous BCL's filtered (V, C) vertex features: sliced at the
-block's points, divided by their denominators, then batch norm, ReLU and
-any 1x1 between the two BCLs, in place. A concat block adds its rows times
-its rows of the head weight into the head's sum as they pass. After the
-last BCL, its rows are pulled in chunks of bcl._SLICE_ROWS to finish that
-sum, and the layers after the head run on the whole (n, C_head) array,
-which replaces the sum at the first 1x1 after the head. Unless descriptors
-are passed in, each BCL's lattice is built when the stream reaches that
-BCL, and it is freed once the next BCL's splat has pulled its rows (the
-last one after the head's sum is done), so at most two lattices are alive.
+state nor outputs, and streams the layers up to the head. Once per
+forward, each batch norm is folded into its per-channel affine map
+x * scale + shift (fresh arrays; the parameters are only read). Each
+BCL's splat pulls its input rows one splat-plan block at a time, and they
+are computed from the previous BCL's filtered (V, C) vertex features,
+which were multiplied by the next batch norm's scale: sliced at the
+block's points with their barycentric weights divided by their
+denominators (slice is linear in both, so this is the normalized, scaled
+output), then the shift, ReLU and any 1x1 between the two BCLs, in
+place; a batch norm after a 1x1 multiplies and adds. A concat block adds
+its rows times its rows of the head weight into the head's sum as they
+pass. After the last BCL, its rows are pulled in chunks of
+bcl._SLICE_ROWS to finish that sum, and the layers after the head run on
+the whole (n, C_head) array, which replaces the sum at the first 1x1
+after the head. Unless descriptors are passed in, each BCL's lattice is
+built when the stream reaches that BCL, and it is freed once the next
+BCL's splat has pulled its rows (the last one after the head's sum is
+done), so at most two lattices are alive.
 So the head's sum is the only point-sized activation before the head: for
 B64-B128-B128-B128-B64-C64-C7 that is 64 floats, 512 B, per point, plus
 at most two levels' lattices and one block's rows in flight (whole-cloud
@@ -429,24 +435,35 @@ def _train_forward(spec, params, x, descriptor_iter, rows, tape) -> np.ndarray:
     return x
 
 
-def _pointwise(layer, p: dict):
-    """Inference of a 1x1, batch norm (running statistics) or ReLU layer as
-    step(x, points): it overwrites x, a fresh array of the points' rows, where
-    it can, and returns the layer's output rows."""
+def _folded(layer, p: dict):
+    """A layer's inference parameters: a batch norm's running statistics
+    folded into (scale, shift), the per-channel affine map x * scale + shift
+    it applies; any other layer's as they are."""
+    if not isinstance(layer, BatchNormSpec):
+        return p
+    scale = p["gamma"] / np.sqrt(p["running_var"] + BN_EPS)
+    return scale, p["beta"] - p["running_mean"] * scale
+
+
+def _pointwise(layer, p, scaled: bool = False):
+    """Inference of a 1x1, batch norm or ReLU layer as step(x, points): it
+    overwrites x, a fresh array of the points' rows, where it can, and
+    returns the layer's output rows. p is the layer's _folded parameters.
+    A batch norm multiplies by its scale and adds its shift, or only adds
+    the shift where its input is already scaled (a BCL's filtered vertex
+    features were multiplied by the scale before they were sliced)."""
     if isinstance(layer, Conv1x1Spec):
         def step(x, points):
             x = x @ p["weight"]
             x += p["bias"]
             return x
     elif isinstance(layer, BatchNormSpec):
-        mean, gamma, beta = p["running_mean"], p["gamma"], p["beta"]
-        inv = 1.0 / np.sqrt(p["running_var"] + BN_EPS)
+        scale, shift = p
 
         def step(x, points):
-            x -= mean
-            x *= inv
-            x *= gamma
-            x += beta
+            if not scaled:
+                x *= scale
+            x += shift
             return x
     else:
         def step(x, points):
@@ -457,10 +474,10 @@ def _pointwise(layer, p: dict):
 class _Rows:
     """One activation of an inference forward as a row source: the rows of
     any points (an index array or a slice), computed when asked for. They are
-    the base's rows of those points (the input features, or a BCL's filtered
-    vertex features sliced at them and normalized) passed through the queued
-    steps. A step may add the rows into the head's sum, so each point's rows
-    must be asked for exactly once."""
+    the base's rows of those points (the input features, or a BCL's scaled
+    filtered vertex features sliced at them and normalized) passed through
+    the queued steps. A step may add the rows into the head's sum, so each
+    point's rows must be asked for exactly once."""
 
     def __init__(self, base, width: int, num_points: int):
         self.base = base
@@ -480,13 +497,13 @@ class _Rows:
 
 def _sliced(filtered: np.ndarray, desc: bcl.BCLDescriptor):
     """A BCL's normalized output rows at given points, from its filtered
-    (V, C) vertex features."""
+    (V, C) vertex features: slice is linear in its weights, so it slices
+    with the barycentric weights divided by the points' denominators."""
     lat = desc.lattice
 
     def base(points):
-        out = bcl.slice(filtered, lat.point_vertices[points], lat.point_bary[points])
-        out /= desc.denominator[points]
-        return out
+        bary = lat.point_bary[points] / desc.denominator[points]
+        return bcl.slice(filtered, lat.point_vertices[points], bary)
     return base
 
 
@@ -507,15 +524,17 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
 
     Each BCL's splat pulls its input rows from the previous activation's row
     source one splat-plan block at a time, so the rows of one block are
-    sliced from the previous BCL's filtered vertex features, normalized, run
-    through the pointwise layers between the two BCLs and added into the
-    head's sum before the splat reads them. After the last BCL, its rows are
-    pulled in _SLICE_ROWS chunks to finish the head's sum; the layers after
-    the head run on the whole (n, C_head) array.
+    sliced from the previous BCL's filtered vertex features (normalized and
+    scaled by its batch norm in the same pass), run through the pointwise
+    layers between the two BCLs and added into the head's sum before the
+    splat reads them. After the last BCL, its rows are pulled in
+    _SLICE_ROWS chunks to finish the head's sum; the layers after the head
+    run on the whole (n, C_head) array.
     """
     n = features.shape[0]
     head = _head_index(spec)
     widths = _layer_widths(spec, features.shape[1])
+    params = [_folded(layer, p) for layer, p in zip(spec.layers, params)]
     head_sum = np.empty((n, widths[head]))
     first = next(iter(rows))
     x = _Rows(features.__getitem__, features.shape[1], n)
@@ -526,9 +545,11 @@ def _stream_forward(spec, params, features, descriptor_iter, rows) -> np.ndarray
             del x  # the previous BCL's rows, and with them its descriptor
             bank = bcl.FilterBank(params[i]["weight"], params[i]["bias"])
             filtered = bcl.convolve(splatted, desc.lattice, bank)
+            filtered *= params[i + 1][0]  # parse_arch puts a batch norm after every BCL
             x = _Rows(_sliced(filtered, desc), layer.width, n)
         elif not isinstance(layer, ConcatSpec):
-            x.then(_pointwise(layer, params[i]), widths[i])
+            scaled = isinstance(spec.layers[i - 1], BCLSpec)
+            x.then(_pointwise(layer, params[i], scaled), widths[i])
         if i in rows:
             x.then(_add_to_head(head_sum, rows[i], assign=i == first), widths[i])
     for start, stop in bcl._pulls(n, bcl._SLICE_ROWS):

@@ -116,18 +116,67 @@ def splat_forward(values, desc, bank):
     return bcl.bcl_forward(splatted, desc, bank), splatted
 
 
-def whole_cloud_inference(spec, params, features, lattice_features):
-    """Inference probabilities computed layer by layer on whole (n, C)
-    arrays: splat then bcl_forward per BCL, batch norm with the running
-    statistics and ReLU in place, and the head's sum built as each concat
-    block appears, in block order."""
-    descs = iter(net.prepare_descriptors(spec, lattice_features))
+def _head_rows(spec, params):
+    """(head index, {concat source: its rows of the head weight})."""
     head = next(i for i, layer in enumerate(spec.layers)
                 if isinstance(layer, net.ConcatSpec)) + 1
     sources = spec.layers[head - 1].sources
     widths = [params[s - 2]["weight"].shape[-1] for s in sources]
     bounds = np.cumsum([0, *widths])
-    rows = {s: params[head]["weight"][a:b] for s, a, b in zip(sources, bounds, bounds[1:])}
+    return head, {s: params[head]["weight"][a:b]
+                  for s, a, b in zip(sources, bounds, bounds[1:])}
+
+
+def whole_cloud_inference(spec, params, features, lattice_features):
+    """Inference probabilities computed layer by layer on whole (n, C)
+    arrays, with each batch norm folded into x * scale + shift: a BCL
+    multiplies its filtered vertex features by the next batch norm's scale
+    and slices with its barycentric weights divided by the denominators,
+    so that batch norm only adds its shift; any other batch norm
+    multiplies and adds in place. ReLU runs in place, and the head's sum is
+    built as each concat block appears, in block order."""
+    descs = iter(net.prepare_descriptors(spec, lattice_features))
+    head, rows = _head_rows(spec, params)
+    head_sum = None
+    x = features
+    for i, layer in enumerate(spec.layers):
+        p = params[i]
+        if isinstance(layer, net.Conv1x1Spec):
+            x = head_sum if i == head else x @ p["weight"]
+            x += p["bias"]
+        elif isinstance(layer, net.BCLSpec):
+            desc = next(descs)
+            lat = desc.lattice
+            bn = params[i + 1]
+            filtered = bcl.convolve(bcl.splat(x, lat), lat, bcl.FilterBank(p["weight"], p["bias"]))
+            filtered *= bn["gamma"] / np.sqrt(bn["running_var"] + net.BN_EPS)
+            x = bcl.slice(filtered, lat.point_vertices, lat.point_bary / desc.denominator)
+        elif isinstance(layer, net.BatchNormSpec):
+            scale = p["gamma"] / np.sqrt(p["running_var"] + net.BN_EPS)
+            if not isinstance(spec.layers[i - 1], net.BCLSpec):
+                x *= scale
+            x += p["beta"] - p["running_mean"] * scale
+        elif isinstance(layer, net.ReLUSpec):
+            np.maximum(x, 0.0, out=x)
+            if i in rows:
+                if head_sum is None:
+                    head_sum = x @ rows[i]
+                else:
+                    head_sum += x @ rows[i]
+        elif isinstance(layer, net.SoftmaxSpec):
+            x = net.softmax(x)
+    return x
+
+
+def unfolded_inference(spec, params, features, lattice_features):
+    """Inference probabilities as the layers define them, on whole (n, C)
+    arrays: splat then bcl_forward per BCL (slice, then divide by the
+    denominators), batch norm with the running statistics in four passes
+    (subtract the mean, multiply by the inverse deviation and by gamma, add
+    beta) and ReLU in place, and the head's sum built as each concat block
+    appears, in block order."""
+    descs = iter(net.prepare_descriptors(spec, lattice_features))
+    head, rows = _head_rows(spec, params)
     head_sum = None
     x = features
     for i, layer in enumerate(spec.layers):

@@ -20,7 +20,14 @@ from latseg.checkpoint import (
 from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, StateError
 from latseg.lattice import LatticeConfig
 
-from oracles import facade, fd_grad, rel_err, traced_peak, whole_cloud_inference
+from oracles import (
+    facade,
+    fd_grad,
+    rel_err,
+    traced_peak,
+    unfolded_inference,
+    whole_cloud_inference,
+)
 
 
 def small_net(seed=0, arch="C3-B4-B4-C4-C2", lam=2.0, input_dim=3):
@@ -236,7 +243,7 @@ def _with_random_statistics(params, rng):
     return params
 
 
-@pytest.mark.parametrize("arch, n", [
+_STREAM_CASES = [
     ("B64-B128-B128-B128-B64-C64-C7", 2000),  # the facade arch
     ("C8-B16-C8-B16-C4-C2", 2000),  # 1x1s before and between the BCLs
     ("B8-B8-C2", 2000),  # every BCL input scattered
@@ -245,30 +252,65 @@ def _with_random_statistics(params, rng):
     ("B64-B128-B128-B128-B64-C64-C7", 130),
     ("B64-B128-B128-B128-B64-C64-C7", 129),  # a one-point last splat block
     ("B64-B128-B128-B128-B64-C64-C7", 257),  # a one-row last head chunk
-])
-def test_streamed_inference_is_bytewise_the_whole_cloud_oracle(arch, n):
+]
+
+
+def _stream_case(arch, n):
+    """(spec, params with random statistics, features, points) of a
+    facade-like cloud of n points."""
     rng = np.random.default_rng(n + len(arch))
     pts, feats = facade(n, rng, side=np.sqrt(max(n, 100) / 100_000))
     spec = net.parse_arch(arch, LatticeConfig(3, 32.0))
     params = _with_random_statistics(net.init_parameters(spec, 7, rng), rng)
+    return spec, params, feats, pts
+
+
+@pytest.mark.parametrize("arch, n", _STREAM_CASES)
+def test_streamed_inference_is_bytewise_the_whole_cloud_oracle(arch, n):
+    spec, params, feats, pts = _stream_case(arch, n)
     probs, _ = net.forward(spec, params, feats, pts)
     want = whole_cloud_inference(spec, params, feats, pts)
     assert probs.tobytes() == want.tobytes()
 
 
-def test_streamed_inference_is_bytewise_the_oracle_on_a_crowded_lattice():
-    # 16 channels meet a lattice of occupancy above 0.25: the second BCL's
-    # input is scattered, pulled all at once
+def _crowded_case():
+    """(spec, params, features, points, descriptors) where 16 channels meet
+    a lattice of occupancy above 0.25."""
     rng = np.random.default_rng(31)
     pts = rng.uniform(0, 20.0, size=(1500, 3))
     spec = net.parse_arch("B16-B16-C4-C3", LatticeConfig(3, 1.0))
     params = _with_random_statistics(net.init_parameters(spec, 16, rng), rng)
     descs = net.prepare_descriptors(spec, pts)
+    return spec, params, rng.normal(size=(1500, 16)), pts, descs
+
+
+def test_streamed_inference_is_bytewise_the_oracle_on_a_crowded_lattice():
+    # the second BCL's input is scattered, pulled all at once
+    spec, params, feats, pts, descs = _crowded_case()
     assert descs[1].lattice.occupancy_ratio() > bcl._PLAN_MAX_OCCUPANCY
-    feats = rng.normal(size=(1500, 16))
     probs, _ = net.forward(spec, params, feats, pts, descriptors=descs)
     assert ["splat_plan" in vars(d.lattice) for d in descs] == [False, False]
     assert probs.tobytes() == whole_cloud_inference(spec, params, feats, pts).tobytes()
+
+
+def _assert_close_to_unfolded(probs, want):
+    # folding batch norm into a scale and a shift, and the denominators
+    # into the slice weights, reorders the rounding only
+    np.testing.assert_allclose(probs, want, atol=1e-13, rtol=0)
+    np.testing.assert_array_equal(net.predict(probs), net.predict(want))
+
+
+@pytest.mark.parametrize("arch, n", _STREAM_CASES)
+def test_folded_inference_is_close_to_the_unfolded_layers(arch, n):
+    spec, params, feats, pts = _stream_case(arch, n)
+    probs, _ = net.forward(spec, params, feats, pts)
+    _assert_close_to_unfolded(probs, unfolded_inference(spec, params, feats, pts))
+
+
+def test_folded_inference_is_close_to_the_unfolded_layers_on_a_crowded_lattice():
+    spec, params, feats, pts, descs = _crowded_case()
+    probs, _ = net.forward(spec, params, feats, pts, descriptors=descs)
+    _assert_close_to_unfolded(probs, unfolded_inference(spec, params, feats, pts))
 
 
 def test_streamed_inference_is_close_to_the_oracle_on_a_narrow_head():
@@ -502,6 +544,17 @@ def test_batchnorm_train_inference_consistency():
     train_out, _ = net.forward(spec, params, pts, pts, training=True, descriptors=descs)
     infer_out, _ = net.forward(spec, params, pts, pts, training=False, descriptors=descs)
     assert np.max(np.abs(train_out - infer_out)) < 1e-3
+
+
+def test_inference_forward_leaves_the_parameters_untouched():
+    # the batch norms are folded into fresh arrays, never into the
+    # parameters: a second forward reads what the first one did
+    spec, params, feats, pts = _stream_case("C8-B16-C8-B16-C4-C2", 300)
+    before = [{k: v.tobytes() for k, v in t.items()} for t in params]
+    first, _ = net.forward(spec, params, feats, pts)
+    second, _ = net.forward(spec, params, feats, pts)
+    assert [{k: v.tobytes() for k, v in t.items()} for t in params] == before
+    assert first.tobytes() == second.tobytes()
 
 
 def test_probing_forward_leaves_no_trace():
