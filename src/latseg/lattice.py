@@ -152,8 +152,8 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     # Rank coordinates by descending differential; ties broken by lower index.
     order = np.argsort(rem0 - elevated, axis=1, kind="stable")
-    # Ranks and their repair below stay within -d1 .. 2d: int16 holds them
-    # for any d a cloud's corner codes could fit in memory for.
+    # Ranks and their repair below stay within -d1 .. 2d, which int16 holds
+    # below d = 16383.
     rank = np.empty((n, d1), dtype=np.int16 if d1 < 2**14 else np.int64)
     np.put_along_axis(rank, order, np.broadcast_to(np.arange(d1), (n, d1)), axis=1)
     del order
