@@ -13,8 +13,11 @@ the child (which includes the cloud, the model and the import) and the
 lattice vertices per BCL level. The filter case, run the same way, is the
 criterion-scale `latseg filter`: `bcl.project` of FILTER_CHANNELS channels
 between two FILTER_POINTS-point clouds uniform in a cube of side n^(1/3),
-at lambda 1; it records the median `project` wall time, the median
-`ru_maxrss` and the source lattice's vertex count. The build case, run the
+at lambda 1, then `data.save_cloud` of the result as the rgb and height of
+the destination cloud to a PLY in a temporary directory; it records the
+median `project` and save wall times, the median `ru_maxrss` (read before
+the save), the median tracemalloc peak of a second `project`, in bytes per
+point, and the source lattice's vertex count. The build case, run the
 same way at each size in BUILD_SIZES, is `build_lattice` of a cloud uniform
 in a cube of side n^(1/3) at lambda 1; it records the median `build_lattice`
 wall time, the median `ru_maxrss` and the vertex count, and the median
@@ -35,8 +38,9 @@ case, every repeat runs one child per label, the order of the labels
 flipping from one repeat to the next, so load drift on a shared machine
 falls on all labels alike. Other labels already in --out are kept.
 
-A child reads `ru_maxrss` before it rebuilds the lattices to count their
-vertices or to trace the build, so that rebuild cannot set the recorded peak.
+A child reads `ru_maxrss` before it saves the filter's output or rebuilds
+the lattices to count their vertices or to trace the build or the filter, so
+none of those can set the recorded peak.
 
 Takes tens of minutes and up to about 3 GB per child at 1M points; it is not part of
 the tests.
@@ -59,6 +63,7 @@ SIZES = (100_000, 300_000, 1_000_000)
 REPEATS = 3
 FILTER_POINTS = 300_000
 FILTER_CHANNELS = 4
+FILTER_AS = ("rgb", "height")  # the channels that hold the filtered values when saved
 BUILD_SIZES = (10_000, 100_000, 1_000_000)
 AS_LIMIT = 6 * 2**30
 REPO = Path(__file__).resolve().parent.parent
@@ -90,9 +95,13 @@ def child(n):
 
 
 def child_filter():
-    """One filter; prints {"seconds", "maxrss_mb", "vertices"}."""
+    """One filter and the save of its output, then one traced filter; prints
+    {"seconds", "save_s", "maxrss_mb", "traced_peak_b_per_point", "vertices"}."""
+    import tempfile
+    import tracemalloc
+
     import numpy as np
-    from latseg import bcl
+    from latseg import bcl, data
     from latseg.lattice import LatticeConfig, build_lattice
 
     n = FILTER_POINTS
@@ -106,8 +115,19 @@ def child_filter():
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if out.shape != (n, FILTER_CHANNELS) or not np.isfinite(out).all():
         raise SystemExit("bad filter output")
+    cloud = data.PointCloud(positions=dst).with_channels(FILTER_AS, out)
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        data.save_cloud(cloud, Path(tmp) / "out.ply")
+        save_s = time.perf_counter() - start
+    del cloud, out
+    tracemalloc.start()
+    bcl.project(values, src, dst, config)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     vertices = build_lattice(src, config).num_vertices
-    print(json.dumps({"seconds": seconds, "maxrss_mb": maxrss_mb, "vertices": vertices}))
+    print(json.dumps({"seconds": seconds, "save_s": save_s, "maxrss_mb": maxrss_mb,
+                      "traced_peak_b_per_point": peak / n, "vertices": vertices}))
 
 
 def child_build(n):
@@ -217,8 +237,9 @@ def main():
     for label, runs in run_alternately("filter", sources).items():
         case = results[label]["filter"] = {"points": FILTER_POINTS, "channels": FILTER_CHANNELS,
                                            "lambda": 1.0, **summarize(runs)}
-        print(f"{label} filter: project {case['seconds']:.2f} s, "
-              f"ru_maxrss {case['maxrss_mb']:.0f} MB", file=sys.stderr)
+        print(f"{label} filter: project {case['seconds']:.2f} s, save {case['save_s']:.2f} s, "
+              f"ru_maxrss {case['maxrss_mb']:.0f} MB, "
+              f"traced peak {case['traced_peak_b_per_point']:.1f} B/point", file=sys.stderr)
     for n in BUILD_SIZES:
         for label, runs in run_alternately(f"build:{n}", sources).items():
             case = results[label]["build"]["sizes"][str(n)] = summarize(runs)

@@ -13,7 +13,8 @@ The parser reads a plain table through np.loadtxt and falls back to
 splitting every line with str.split, which accepts what float() does and
 finds the faulty line, whenever loadtxt refuses the table.
 Floats are written with shortest round-trip precision so save/load is
-lossless for anything the format can represent.
+lossless for anything the format can represent. The writer turns 4096 rows
+at a time into Python numbers and formats each block with one `%` format.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _cloud_to_columns(cloud, ply):
     cols = []
     for name, arr in cloud._channels():
         if ply and name == "rgb":
-            arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.int64)
+            arr = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
         cols += zip(_COLUMNS[name], arr.reshape(-1, len(_COLUMNS[name])).T)
     if not ply:
         cols += sorted(cloud.extras.items())
@@ -207,16 +208,20 @@ def _cloud_to_columns(cloud, ply):
 def _write_table(path, header_lines, columns):
     """Write the header lines, then the (name, values) columns as rows."""
     num_rows = len(columns[0][1])  # positions come first
+    k = len(columns)
+    row = " ".join(["%r"] * k) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header_lines) + "\n")
         # a block of rows at a time, so neither the text nor the Python
-        # numbers of the whole table are held at once; tolist gives Python
-        # floats and ints, and str of a float is its repr, the shortest
-        # string that round-trips
+        # numbers of the whole table are held at once. tolist gives Python
+        # floats and ints, laid out row-major for one % format per block;
+        # %r of a float is its repr, the shortest string that round-trips
         for start in range(0, num_rows, _WRITE_ROWS):
-            cells = [map(str, values[start:start + _WRITE_ROWS].tolist())
-                     for _, values in columns]
-            fh.writelines(" ".join(row) + "\n" for row in zip(*cells))
+            m = min(_WRITE_ROWS, num_rows - start)
+            cells = [None] * (m * k)
+            for j, (_, values) in enumerate(columns):
+                cells[j::k] = values[start:start + m].tolist()
+            fh.write(row * m % tuple(cells))
 
 
 def _read_lines(path):

@@ -291,7 +291,10 @@ class _VertexIndex:
         return self._encode(rows.astype(np.int64) + offset)
 
     def find(self, codes: np.ndarray) -> np.ndarray:
-        """Dense indices of codes; MISSING where no vertex has that code."""
+        """Dense indices of codes; MISSING where no vertex has that code.
+
+        Fastest on sorted codes, which adjacency's shifted codes are; embed
+        sorts its own."""
         pos = np.minimum(np.searchsorted(self.codes, codes), self.codes.size - 1)
         return np.where(self.codes[pos] == codes, pos, MISSING)
 
@@ -394,14 +397,17 @@ class SparseLattice:
         Returns (indices, bary) of shapes (m, d+1): dense vertex indices
         (MISSING where the simplex corner is unoccupied) and barycentric
         weights. Feeding back the source cloud reproduces point_vertices /
-        point_bary exactly.
+        point_bary exactly. Each remainder class's corner codes are searched
+        in sorted order and the results scattered back, since the binary
+        searches run several times faster on sorted queries.
         """
         rem0, rank, bary = _locate_many(elevate_many(features, self.config))
         d = self.config.dim
         idx = np.empty(rank.shape, dtype=np.int64)
         for r in range(d + 1):
-            corners = _corner(rem0, rank, r)[:, :d]
-            idx[:, r] = self._index.find(self._index.encode(corners))
+            codes = self._index.encode(_corner(rem0, rank, r)[:, :d])
+            order = np.argsort(codes)
+            idx[order, r] = self._index.find(codes[order])
         return idx, bary
 
     @property

@@ -76,6 +76,15 @@ def traced_peak(fn):
     return result, peak
 
 
+def write_table_rowwise(path, header_lines, columns):
+    """data._write_table formed one row at a time: str of each Python number
+    and a join per row."""
+    cells = [map(str, values.tolist()) for _, values in columns]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(header_lines) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in zip(*cells))
+
+
 def simplex_corner_keys(rem0, rank):
     """(n, d+1, d+1) full keys of located points' simplex corners, materialised
     in one tensor: keys[i, r] = rem0[i] + canon[r, rank[i]], where canon[r, k]
