@@ -1,4 +1,5 @@
-"""Criterion-scale wall time and memory of a facade inference, a filter and a build.
+"""Criterion-scale wall time and memory of a facade inference, a filter, a build
+and a training step.
 
     python3 bench/stages.py --out BENCH_28.json --label change
     python3 bench/stages.py --out BENCH_28.json --label parent --src ../parent/src \
@@ -25,7 +26,13 @@ tracemalloc peak of a second `build_lattice` of the same cloud, in bytes
 per point: `ru_maxrss` also counts pages the allocator keeps after they
 are freed, so it can move by a few MB when only the order of allocations
 changes, while the traced peak counts live allocations and repeats
-exactly. Every child's
+exactly. The training case, run the same way at each size in TRAIN_SIZES,
+is one step of the facade model above on the same cloud with random labels
+and its lattice descriptors prebuilt: `network.forward` in training mode,
+`train.cross_entropy_loss` and `network.backward`. After one warm-up step it
+records the median forward, backward and whole-step wall times of
+TRAIN_STEPS steps, the `ru_maxrss` after them, and the tracemalloc peak of
+one more step in KB (1024 bytes) per point. Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether the tracked files
@@ -39,8 +46,8 @@ flipping from one repeat to the next, so load drift on a shared machine
 falls on all labels alike. Other labels already in --out are kept.
 
 A child reads `ru_maxrss` before it saves the filter's output or rebuilds
-the lattices to count their vertices or to trace the build or the filter, so
-none of those can set the recorded peak.
+the lattices to count their vertices or to trace the build, the filter or
+the training step, so none of those can set the recorded peak.
 
 Takes tens of minutes and up to about 3 GB per child at 1M points; it is not part of
 the tests.
@@ -65,6 +72,8 @@ FILTER_POINTS = 300_000
 FILTER_CHANNELS = 4
 FILTER_AS = ("rgb", "height")  # the channels that hold the filtered values when saved
 BUILD_SIZES = (10_000, 100_000, 1_000_000)
+TRAIN_SIZES = (20_000, 100_000)
+TRAIN_STEPS = 3
 AS_LIMIT = 6 * 2**30
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -151,8 +160,54 @@ def child_build(n):
                       "traced_peak_b_per_point": peak / n, "vertices": lat.num_vertices}))
 
 
+def child_train(n):
+    """One warm-up training step, TRAIN_STEPS timed ones, then one traced;
+    prints {"step_s", "forward_s", "backward_s", "maxrss_mb",
+    "traced_peak_kb_per_point", "vertices"}."""
+    import tracemalloc
+
+    import numpy as np
+    from latseg import network
+    from latseg.lattice import LatticeConfig
+    from latseg.train import cross_entropy_loss
+
+    sys.path.insert(0, str(REPO / "tests"))
+    from oracles import facade
+
+    rng = np.random.default_rng(111)
+    pts, feats = facade(n, rng)
+    labels = rng.integers(0, 7, n)
+    spec = network.parse_arch(ARCH, LatticeConfig(3, 32.0))
+    params = network.init_parameters(spec, 7, rng)
+    descs = network.prepare_descriptors(spec, pts)
+
+    def step():
+        start = time.perf_counter()
+        probs, tape = network.forward(spec, params, feats, pts, training=True,
+                                      descriptors=descs)
+        middle = time.perf_counter()
+        _, grad_probs = cross_entropy_loss(probs, labels)
+        del probs
+        network.backward(tape, params, grad_probs)
+        return middle - start, time.perf_counter() - middle
+
+    step()
+    times = [step() for _ in range(TRAIN_STEPS)]
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    step()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps({"step_s": statistics.median(f + b for f, b in times),
+                      "forward_s": statistics.median(f for f, _ in times),
+                      "backward_s": statistics.median(b for _, b in times),
+                      "maxrss_mb": maxrss_mb, "traced_peak_kb_per_point": peak / n / 1024,
+                      "vertices": [d.lattice.num_vertices for d in descs]}))
+
+
 def run_case(case, src):
-    """The child's record for case: a facade size, "filter" or "build:<size>"."""
+    """The child's record for case: a facade size, "filter", "build:<size>"
+    or "train:<size>"."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, __file__, "--child", str(case)], env=env,
                           capture_output=True, text=True, check=True)
@@ -219,6 +274,8 @@ def main():
             child_filter()
         elif args.child.startswith("build:"):
             child_build(int(args.child.removeprefix("build:")))
+        elif args.child.startswith("train:"):
+            child_train(int(args.child.removeprefix("train:")))
         else:
             child(int(args.child))
         return
@@ -227,7 +284,8 @@ def main():
     if len(labels) != len(srcs) or len(set(labels)) != len(labels):
         parser.error("give one --src per --label, and distinct labels")
     sources = {label: src.resolve() for label, src in zip(labels, srcs)}
-    results = {label: {"sizes": {}, "filter": None, "build": {"lambda": 1.0, "sizes": {}}}
+    results = {label: {"sizes": {}, "filter": None, "build": {"lambda": 1.0, "sizes": {}},
+                       "train": {"steps": TRAIN_STEPS, "sizes": {}}}
                for label in sources}
     for n in SIZES:
         for label, runs in run_alternately(n, sources).items():
@@ -246,6 +304,14 @@ def main():
             print(f"{label} build n={n}: {case['seconds']:.3f} s, "
                   f"ru_maxrss {case['maxrss_mb']:.0f} MB, "
                   f"traced peak {case['traced_peak_b_per_point']:.1f} B/point", file=sys.stderr)
+
+    for n in TRAIN_SIZES:
+        for label, runs in run_alternately(f"train:{n}", sources).items():
+            case = results[label]["train"]["sizes"][str(n)] = summarize(runs)
+            print(f"{label} train n={n}: step {case['step_s']:.2f} s "
+                  f"(forward {case['forward_s']:.2f}, backward {case['backward_s']:.2f}), "
+                  f"ru_maxrss {case['maxrss_mb']:.0f} MB, "
+                  f"traced peak {case['traced_peak_kb_per_point']:.2f} KB/point", file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
     for label, src in sources.items():

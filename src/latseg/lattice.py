@@ -34,10 +34,11 @@ helper, _ranks, sorts codes and ranks them: it numbers the vertices and
 dedups SplatPlan's (block, vertex) pairs. Both encodings sort like the rows
 themselves (lexicographically) and keep that order under a constant shift,
 so moving every vertex by one one-ring offset yields an already sorted
-query array: an adjacency column is one searchsorted. A vertex's dense
-index is the rank of its code, so vertices are numbered in key order
-whatever the order of the points. Foreign queries are clipped into the box
-first; a clipped row lies in the padding, where no vertex is.
+query array: the adjacency columns of one remainder class, a stack of such
+arrays, are one searchsorted. A vertex's dense index is the rank of its
+code, so vertices are numbered in key order whatever the order of the
+points. Foreign queries are clipped into the box first; a clipped row lies
+in the padding, where no vertex is.
 
 Everything here is deterministic: identical inputs produce identical dense
 indices, embeddings and adjacency, bit for bit.
@@ -277,24 +278,26 @@ class _VertexIndex:
         if self._strides is not None:
             return shifted @ self._strides
         rows = np.ascontiguousarray(shifted, dtype=">u8")
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+        return rows.view(np.dtype((np.void, rows.shape[-1] * 8)))[..., 0]
 
     def encode(self, material: np.ndarray) -> np.ndarray:
         """Codes of arbitrary rows, clipped into the padded box first."""
         return self._encode(np.clip(material, self._lo, self._hi) - self._lo)
 
-    def shifted(self, offset: np.ndarray) -> np.ndarray:
-        """Codes of every indexed row moved by offset, still sorted."""
+    def shifted(self, offsets: np.ndarray) -> np.ndarray:
+        """(k, V) codes of every indexed row moved by each of the (k, d)
+        offsets; each row of codes is sorted."""
         if self._strides is not None:
-            return self.codes + offset @ self._strides
+            return self.codes + (offsets @ self._strides)[:, None]
         rows = self.codes.view(">u8").reshape(self.codes.size, -1)
-        return self._encode(rows.astype(np.int64) + offset)
+        return self._encode(rows.astype(np.int64) + offsets[:, None, :])
 
     def find(self, codes: np.ndarray) -> np.ndarray:
-        """Dense indices of codes; MISSING where no vertex has that code.
+        """Dense indices of codes, an array of any shape; MISSING where no
+        vertex has that code.
 
-        Fastest on sorted codes, which adjacency's shifted codes are; embed
-        sorts its own."""
+        Fastest on sorted runs of codes, which each row of shifted's codes
+        is; embed sorts its own."""
         pos = np.minimum(np.searchsorted(self.codes, codes), self.codes.size - 1)
         return np.where(self.codes[pos] == codes, pos, MISSING)
 
@@ -380,10 +383,16 @@ class SparseLattice:
 
     @functools.cached_property
     def adjacency(self) -> np.ndarray:
+        # One search per remainder class r, whose C(d+1, r) columns are
+        # contiguous in offsets. One search over all K columns runs faster
+        # still, but peaks at 3.1x the result at d = 3, against 2.25x.
         index, d = self._index, self.config.dim
         adjacency = np.empty((self.num_vertices, self.offsets.shape[0]), dtype=np.int64)
-        for col, off in enumerate(self.offsets):
-            adjacency[:, col] = index.find(index.shifted(off[:d]))
+        start = 0
+        for r in range(d + 1):
+            cols = np.s_[start:start + math.comb(d + 1, r)]
+            adjacency[:, cols] = index.find(index.shifted(self.offsets[cols, :d])).T
+            start = cols.stop
         adjacency.setflags(write=False)
         return adjacency
 

@@ -407,17 +407,8 @@ def _train_forward(spec, params, x, descriptor_iter, rows, tape) -> np.ndarray:
             x = bcl.bcl_forward(splatted, desc, bank)
             tape.saved[i] = (desc, bank, splatted)
         elif isinstance(layer, BatchNormSpec):
-            p = params[i]
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (x - mean) * inv
+            x, xhat, inv, tape.pending_running[i] = _batch_norm_forward(x, params[i])
             tape.saved[i] = (xhat, inv)
-            tape.pending_running[i] = (
-                BN_MOMENTUM * p["running_mean"] + (1.0 - BN_MOMENTUM) * mean,
-                BN_MOMENTUM * p["running_var"] + (1.0 - BN_MOMENTUM) * var,
-            )
-            x = p["gamma"] * xhat + p["beta"]
         elif isinstance(layer, ReLUSpec):
             tape.saved[i] = x > 0
             x = np.maximum(x, 0.0)  # the tape keeps x as the batch norm's output
@@ -433,6 +424,47 @@ def _train_forward(spec, params, x, descriptor_iter, rows, tape) -> np.ndarray:
             tape.saved[i] = x
         tape.outputs[i] = x
     return x
+
+
+# The training batch norm, in two passes over owned buffers. The forward runs
+# the sums and divisions of x.mean and x.var (add.reduce, then a division by
+# the count) and backward the operations of inv * (gx - gxm - xhat * gxxm) in
+# their order, so both equal the textbook formulation in tests/oracles.py bit
+# for bit. Reusing the gamma and beta sums for gxm and gxxm changes rounding.
+def _batch_norm_forward(x: np.ndarray, p: dict):
+    """(y, xhat, inv, running) of a training batch norm of x's rows with p's
+    gamma and beta; running is p's running (mean, var) blended with the
+    batch's. x is not changed."""
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0) / n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=0) / n
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv
+    y = xhat * p["gamma"]
+    y += p["beta"]
+    running = (BN_MOMENTUM * p["running_mean"] + (1.0 - BN_MOMENTUM) * mean,
+               BN_MOMENTUM * p["running_var"] + (1.0 - BN_MOMENTUM) * var)
+    return y, xhat, inv, running
+
+
+def _batch_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                         gamma: np.ndarray):
+    """(input cotangent, gamma and beta gradients) of a training batch norm
+    at cotangent g; g is not changed."""
+    n = g.shape[0]
+    t = g * xhat
+    grads = {"gamma": np.add.reduce(t, axis=0), "beta": np.add.reduce(g, axis=0)}
+    gx = g * gamma
+    gxm = np.add.reduce(gx, axis=0) / n
+    np.multiply(gx, xhat, out=t)
+    gxxm = np.add.reduce(t, axis=0) / n
+    # inv * (gx - gxm - xhat * gxxm)
+    gx -= gxm
+    np.multiply(xhat, gxxm, out=t)
+    gx -= t
+    gx *= inv
+    return gx, grads
 
 
 def _folded(layer, p: dict):
@@ -608,15 +640,13 @@ def backward(
             g, weight, bias = bcl.bcl_backward(*tape.saved[i], g)
             grads[i] = {"weight": weight, "bias": bias}
         elif isinstance(layer, BatchNormSpec):
-            xhat, inv = tape.saved[i]
-            gamma = params[i]["gamma"]
-            grads[i] = {"gamma": np.sum(g * xhat, axis=0), "beta": g.sum(axis=0)}
-            gx = g * gamma
-            gxm = gx.mean(axis=0)
-            gxxm = np.mean(gx * xhat, axis=0)
-            g = inv * (gx - gxm - xhat * gxxm)
+            g, grads[i] = _batch_norm_backward(g, *tape.saved[i], params[i]["gamma"])
         elif isinstance(layer, ReLUSpec):
-            g = g * tape.saved[i]
+            # g is the walk's own array here, never grad_probs or a tape
+            # array: the layer above a ReLU is a BCL, a 1x1 or the concat,
+            # so a BCL's backward, g @ W.T, the head's split or a concat
+            # join made it
+            g *= tape.saved[i]
         elif isinstance(layer, SoftmaxSpec):
             g = softmax_grad(g, tape.saved[i])
     return grads, g

@@ -125,6 +125,29 @@ def splat_forward(values, desc, bank):
     return bcl.bcl_forward(splatted, desc, bank), splatted
 
 
+def batch_norm_train(x, p):
+    """(y, xhat, inv, running) of a training batch norm in the textbook
+    formulation, with x.mean and x.var: running is p's running (mean, var)
+    blended with the batch's."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv = 1.0 / np.sqrt(var + net.BN_EPS)
+    xhat = (x - mean) * inv
+    running = (net.BN_MOMENTUM * p["running_mean"] + (1.0 - net.BN_MOMENTUM) * mean,
+               net.BN_MOMENTUM * p["running_var"] + (1.0 - net.BN_MOMENTUM) * var)
+    return p["gamma"] * xhat + p["beta"], xhat, inv, running
+
+
+def batch_norm_train_backward(g, xhat, inv, gamma):
+    """(input cotangent, gamma and beta gradients) of batch_norm_train at
+    cotangent g, as the textbook writes them."""
+    grads = {"gamma": np.sum(g * xhat, axis=0), "beta": g.sum(axis=0)}
+    gx = g * gamma
+    gxm = gx.mean(axis=0)
+    gxxm = np.mean(gx * xhat, axis=0)
+    return inv * (gx - gxm - xhat * gxxm), grads
+
+
 def _head_rows(spec, params):
     """(head index, {concat source: its rows of the head weight})."""
     head = next(i for i, layer in enumerate(spec.layers)

@@ -319,10 +319,19 @@ def test_embed_faraway_points_all_missing():
         assert np.all(idx == MISSING)
 
 
-def test_adjacency_matches_direct_lookup():
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_adjacency_matches_direct_lookup(d):
+    # adjacency fills each remainder class's columns with one search, so
+    # every class boundary of the offset table is crossed here
     rng = np.random.default_rng(14)
-    pts = rng.normal(size=(40, 3)) * 0.7
-    for pts, lat in clouds_for_both_encodings(pts, LatticeConfig(3, 2.0)):
+    clouds = [(rng.normal(size=(40, d)) * 0.7, "int64")]
+    if d > 1:  # keys stay below 2^53, so a 1-d box always has int64 codes
+        far = rng.normal(size=(60, d))
+        far[30:] += 1e12
+        clouds.append((far, "bytes"))
+    for pts, encoding in clouds:
+        lat = build_lattice(pts, LatticeConfig(d, 2.0))
+        assert encoding_of(lat) == encoding
         off = lat.offsets
         keys = vertex_keys(pts, lat.config)
         ref = {tuple(k): i for i, k in enumerate(keys.tolist())}
@@ -330,6 +339,17 @@ def test_adjacency_matches_direct_lookup():
             for c in range(off.shape[0]):
                 neighbor = tuple((keys[v] + off[c]).tolist())
                 assert lat.adjacency[v, c] == ref.get(neighbor, MISSING)
+
+
+def test_adjacency_memory_is_bounded_by_its_result():
+    # one search per remainder class holds its class's shifted codes, search
+    # positions and matches: about 2.25x the result with it at d = 3. One
+    # search per column peaked at 1.21x, one over all K columns at 3.1x
+    rng = np.random.default_rng(23)
+    n = 20_000
+    lat = build_lattice(rng.uniform(0, n ** (1 / 3), size=(n, 3)), LatticeConfig(3, 1.0))
+    adjacency, peak = traced_peak(lambda: lat.adjacency)
+    assert peak <= 2.5 * adjacency.nbytes, peak / adjacency.nbytes
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
@@ -385,7 +405,7 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
     sorted_rows = np.array(list(ref), dtype=np.int64)
     for offset in ([0, 0], [d, -d], [-d - 1, d + 1], [1, 0]):
         expected = [ref.get(tuple(r), MISSING) for r in (sorted_rows + offset).tolist()]
-        np.testing.assert_array_equal(index.find(index.shifted(np.array(offset))), expected)
+        np.testing.assert_array_equal(index.find(index.shifted(np.array([offset])))[0], expected)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])

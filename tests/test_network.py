@@ -21,6 +21,8 @@ from latseg.errors import ConfigError, InvalidInput, ParseError, ShapeError, Sta
 from latseg.lattice import LatticeConfig
 
 from oracles import (
+    batch_norm_train,
+    batch_norm_train_backward,
     facade,
     fd_grad,
     rel_err,
@@ -450,6 +452,77 @@ def test_backward_reads_only_saved_state(arch):
     assert gin2.tobytes() == gin.tobytes()
     for (_, _, a), (_, _, b) in zip(net.named_parameters(grads), net.named_parameters(grads2)):
         assert a.tobytes() == b.tobytes()
+
+
+def _tape_arrays(items):
+    """Every array a tape list holds, a BCL's descriptor and bank included."""
+    for item in items:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            yield from _tape_arrays(item)
+        elif isinstance(item, bcl.BCLDescriptor):
+            yield item.denominator
+        elif isinstance(item, bcl.FilterBank):
+            yield from (item.weights, item.bias)
+
+
+@pytest.mark.parametrize("arch", ["C3-B4-B4-C4-C2", "C5-C4-B6-B6-B3-C7-C5-C3", "B8-C2"])
+def test_backward_leaves_its_inputs_alone(arch):
+    # the ReLU and batch-norm steps of backward work in place, on arrays the
+    # walk made itself
+    spec, params = small_net(seed=4, arch=arch)
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(24, 3))
+    probs, tape = net.forward(spec, params, pts, pts, training=True)
+    cotangent = rng.normal(size=probs.shape)
+
+    def snapshot():
+        return ([a.tobytes() for a in _tape_arrays(tape.saved)],
+                [a.tobytes() for a in _tape_arrays(tape.outputs)], cotangent.tobytes())
+
+    before = snapshot()
+    assert len(before[0]) > len(spec.layers)
+    grads, gin = net.backward(tape, params, cotangent)
+    grads2, gin2 = net.backward(tape, params, cotangent)
+    assert gin2.tobytes() == gin.tobytes()
+    for (_, _, a), (_, _, b) in zip(net.named_parameters(grads), net.named_parameters(grads2)):
+        assert a.tobytes() == b.tobytes()
+    assert snapshot() == before
+
+
+def _batch_norm_case(shape, seed):
+    """(x, batch-norm params, cotangent); shape (300, 4) gets a constant
+    column and a 1e8 offset."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    x = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=c)
+    if shape == (300, 4):
+        x += 1e8
+        x[:, 2] = 1e8 + 0.5
+    p = {"gamma": rng.normal(size=c), "beta": rng.normal(size=c),
+         "running_mean": rng.normal(size=c), "running_var": rng.uniform(0.5, 2.0, size=c)}
+    return x, p, rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (2, 8), (257, 16), (300, 4)],
+                         ids=["1x8", "2x8", "257x16", "300x4_constant_offset"])
+def test_training_batch_norm_is_bytewise_the_textbook_formulation(shape):
+    # two passes with owned buffers run the sums, divisions and products of
+    # x.mean, x.var and inv * (gx - gxm - xhat * gxxm), in their order
+    x, p, g = _batch_norm_case(shape, seed=shape[0])
+    x_before, g_before = x.tobytes(), g.tobytes()
+    got = net._batch_norm_forward(x, p)
+    want = batch_norm_train(x, p)
+    for a, b in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+        assert a.tobytes() == b.tobytes()
+    xhat, inv = want[1], want[2]
+    gx, grads = net._batch_norm_backward(g, xhat, inv, p["gamma"])
+    want_gx, want_grads = batch_norm_train_backward(g, xhat, inv, p["gamma"])
+    assert gx.tobytes() == want_gx.tobytes()
+    for key in ("gamma", "beta"):
+        assert grads[key].tobytes() == want_grads[key].tobytes()
+    assert (x.tobytes(), g.tobytes()) == (x_before, g_before)
 
 
 def test_backward_requires_training_tape():
