@@ -30,9 +30,10 @@ exactly. The training case, run the same way at each size in TRAIN_SIZES,
 is one step of the facade model above on the same cloud with random labels
 and its lattice descriptors prebuilt: `network.forward` in training mode,
 `train.cross_entropy_loss` and `network.backward`. After one warm-up step it
-records the median forward, backward and whole-step wall times of
-TRAIN_STEPS steps, the `ru_maxrss` after them, and the tracemalloc peak of
-one more step in KB (1024 bytes) per point. Every child's
+records the median wall times of the forward, of the loss and backward,
+and of the whole step over TRAIN_STEPS steps, the `ru_maxrss` after them,
+and the tracemalloc peak of one more step in KB (1024 bytes) per point.
+Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
 the git SHA of the checkout that holds --src, whether the tracked files
