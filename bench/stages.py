@@ -1,5 +1,5 @@
-"""Criterion-scale wall time and memory of a facade inference, a filter, a build
-and a training step.
+"""Criterion-scale wall time and memory of a facade inference, a filter, a build,
+a training step and a training loop.
 
     python3 bench/stages.py --out BENCH_28.json --label change
     python3 bench/stages.py --out BENCH_28.json --label parent --src ../parent/src \
@@ -33,6 +33,12 @@ and its lattice descriptors prebuilt: `network.forward` in training mode,
 records the median wall times of the forward, of the loss and backward,
 and of the whole step over TRAIN_STEPS steps, the `ru_maxrss` after them,
 and the tracemalloc peak of one more step in KB (1024 bytes) per point.
+The loop case is criterion 9's training run cut to LOOP_ITERATIONS
+iterations: `train.train_loop` of `B16-B16-B16-C16-C2` at lambda0 = 2 on
+`synthetic_two_blob_dataset(200, 256)`, descriptors built and reused as
+the loop decides, run LOOP_REPEATS times per label; it records the median
+wall time of the loop, the median `ru_maxrss` and the vertices of each BCL
+level summed over the clouds, each cloud's lattice built alone.
 Every child's
 address space is capped at AS_LIMIT bytes, so a case over budget fails with
 a MemoryError instead of exhausting the machine. Under the label go
@@ -75,6 +81,9 @@ FILTER_AS = ("rgb", "height")  # the channels that hold the filtered values when
 BUILD_SIZES = (10_000, 100_000, 1_000_000)
 TRAIN_SIZES = (20_000, 100_000)
 TRAIN_STEPS = 3
+LOOP_ARCH = "B16-B16-B16-C16-C2"
+LOOP_CLOUDS, LOOP_POINTS, LOOP_ITERATIONS = 200, 256, 200
+LOOP_REPEATS = 7
 AS_LIMIT = 6 * 2**30
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -206,9 +215,32 @@ def child_train(n):
                       "vertices": [d.lattice.num_vertices for d in descs]}))
 
 
+def child_loop():
+    """One training loop; prints {"loop_s", "maxrss_mb", "vertices"}."""
+    import numpy as np
+    from latseg import network, train
+    from latseg.data import synthetic_two_blob_dataset
+    from latseg.lattice import LatticeConfig, build_lattice
+
+    dataset = synthetic_two_blob_dataset(LOOP_CLOUDS, LOOP_POINTS, seed=42)
+    spec = network.parse_arch(LOOP_ARCH, LatticeConfig(3, 2.0))
+    config = train.TrainConfig(learning_rate=1e-3, max_iterations=LOOP_ITERATIONS, seed=7,
+                               log_every=100)
+    start = time.perf_counter()
+    result = train.train_loop(spec, dataset, config)
+    seconds = time.perf_counter() - start
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if result.iterations != LOOP_ITERATIONS or not np.isfinite(result.history[-1][1]):
+        raise SystemExit("bad training loop")
+    vertices = [sum(build_lattice(cloud.positions, spec.bcl_config(layer.level)).num_vertices
+                    for cloud in dataset)
+                for layer in spec.layers if isinstance(layer, network.BCLSpec)]
+    print(json.dumps({"loop_s": seconds, "maxrss_mb": maxrss_mb, "vertices": vertices}))
+
+
 def run_case(case, src):
-    """The child's record for case: a facade size, "filter", "build:<size>"
-    or "train:<size>"."""
+    """The child's record for case: a facade size, "filter", "build:<size>",
+    "train:<size>" or "loop"."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, __file__, "--child", str(case)], env=env,
                           capture_output=True, text=True, check=True)
@@ -249,11 +281,11 @@ def numpy_build(src):
     return json.loads(done.stdout)
 
 
-def run_alternately(case, sources):
-    """{label: REPEATS child records of case}, the labels taking turns."""
+def run_alternately(case, sources, repeats=REPEATS):
+    """{label: repeats child records of case}, the labels taking turns."""
     runs = {label: [] for label in sources}
     order = list(sources)
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         for label in order:
             runs[label].append(run_case(case, sources[label]))
         order.reverse()
@@ -277,6 +309,8 @@ def main():
             child_build(int(args.child.removeprefix("build:")))
         elif args.child.startswith("train:"):
             child_train(int(args.child.removeprefix("train:")))
+        elif args.child == "loop":
+            child_loop()
         else:
             child(int(args.child))
         return
@@ -286,7 +320,7 @@ def main():
         parser.error("give one --src per --label, and distinct labels")
     sources = {label: src.resolve() for label, src in zip(labels, srcs)}
     results = {label: {"sizes": {}, "filter": None, "build": {"lambda": 1.0, "sizes": {}},
-                       "train": {"steps": TRAIN_STEPS, "sizes": {}}}
+                       "train": {"steps": TRAIN_STEPS, "sizes": {}}, "loop": None}
                for label in sources}
     for n in SIZES:
         for label, runs in run_alternately(n, sources).items():
@@ -313,6 +347,12 @@ def main():
                   f"(forward {case['forward_s']:.2f}, backward {case['backward_s']:.2f}), "
                   f"ru_maxrss {case['maxrss_mb']:.0f} MB, "
                   f"traced peak {case['traced_peak_kb_per_point']:.2f} KB/point", file=sys.stderr)
+    for label, runs in run_alternately("loop", sources, LOOP_REPEATS).items():
+        case = results[label]["loop"] = {
+            "arch": LOOP_ARCH, "lambda0": 2.0, "clouds": LOOP_CLOUDS, "points": LOOP_POINTS,
+            "iterations": LOOP_ITERATIONS, "repeats": LOOP_REPEATS, **summarize(runs)}
+        print(f"{label} loop: {case['loop_s']:.3f} s, ru_maxrss {case['maxrss_mb']:.0f} MB",
+              file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
     for label, src in sources.items():

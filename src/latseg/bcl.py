@@ -34,7 +34,10 @@ profile (single-channel, bias-free, over the one-ring) -> slice. project
 divides by splat -> slice of all-ones, with no blur. Denominators depend
 only on the lattice geometry, never on features or learnable weights, and
 are floored at 1e-12 (so project's destinations with no lattice support
-get 0; a BCL's own points always have support).
+get 0; a BCL's own points always have support). make_descriptors builds
+the descriptors of several clouds from one lattice over their union, split
+into each cloud's own lattice (SparseLattice.split), so they equal
+make_descriptor's byte for byte; training builds its clouds this way.
 
 All forward ops are linear in the features, and the backward pass is exact:
 splat and slice are mutual adjoints, and convolve (im2col) and its weight and
@@ -293,14 +296,23 @@ class BCLDescriptor:
         return self.lattice.nbytes + self.denominator.nbytes
 
 
+def make_descriptors(clouds: list, config: LatticeConfig) -> list[BCLDescriptor]:
+    """make_descriptor of each cloud, from one lattice built over their union
+    and split into the lattice of each cloud (SparseLattice.split)."""
+    union = clouds[0] if len(clouds) == 1 else np.concatenate(clouds)
+    descriptors = []
+    for lat in build_lattice(union, config).split([len(c) for c in clouds]):
+        profile = default_blur_profile(lat.adjacency.shape[1])
+        mass = convolve(splat(np.ones((lat.num_points, 1)), lat), lat,
+                        FilterBank(profile[:, None, None], np.zeros(1)))
+        descriptors.append(BCLDescriptor(lat, np.maximum(splat_adjoint(mass, lat), NORM_EPS)))
+    return descriptors
+
+
 def make_descriptor(features: np.ndarray, config: LatticeConfig) -> BCLDescriptor:
     """Build the cloud's lattice and run the ones-pass through the default
     blur profile, sliced back onto the cloud's points."""
-    lat = build_lattice(features, config)
-    profile = default_blur_profile(lat.adjacency.shape[1])
-    mass = convolve(splat(np.ones((lat.num_points, 1)), lat), lat,
-                    FilterBank(profile[:, None, None], np.zeros(1)))
-    return BCLDescriptor(lat, np.maximum(splat_adjoint(mass, lat), NORM_EPS))
+    return make_descriptors([features], config)[0]
 
 
 def bcl_forward(splatted: np.ndarray, desc: BCLDescriptor, bank: FilterBank) -> np.ndarray:

@@ -40,6 +40,16 @@ code, so vertices are numbered in key order whatever the order of the
 points. Foreign queries are clipped into the box first; a clipped row lies
 in the padding, where no vertex is.
 
+SparseLattice.split turns the lattice of a union of clouds into the lattice
+each cloud would build on its own, bit for bit, so that many small clouds
+pay for one build. Elevation and locate work row by row, so a cloud's
+points get the same corners and weights in the union. Union dense indices
+are key ranks too, so ranking the union indices of one cloud's corners
+numbers its vertices in key order, as its own build does. Its index keeps
+the union's box, whose codes order rows as the cloud's own box would, and
+whose padding holds no vertex of the cloud either, so adjacency, embed and
+the splat plan answer as they would for the cloud's own build.
+
 Everything here is deterministic: identical inputs produce identical dense
 indices, embeddings and adjacency, bit for bit.
 """
@@ -280,6 +290,15 @@ class _VertexIndex:
         rows = np.ascontiguousarray(shifted, dtype=">u8")
         return rows.view(np.dtype((np.void, rows.shape[-1] * 8)))[..., 0]
 
+    def subset(self, vertices: np.ndarray) -> _VertexIndex:
+        """The index of some of the vertices, by ascending dense index, in this
+        index's box; it owns copies of everything it holds."""
+        sub = object.__new__(_VertexIndex)
+        sub._lo, sub._hi = self._lo.copy(), self._hi.copy()
+        sub._strides = None if self._strides is None else self._strides.copy()
+        sub.codes = self.codes[vertices]
+        return sub
+
     def encode(self, material: np.ndarray) -> np.ndarray:
         """Codes of arbitrary rows, clipped into the padded box first."""
         return self._encode(np.clip(material, self._lo, self._hi) - self._lo)
@@ -418,6 +437,32 @@ class SparseLattice:
             order = np.argsort(codes)
             idx[order, r] = self._index.find(codes[order])
         return idx, bary
+
+    def split(self, counts) -> list[SparseLattice]:
+        """The lattices that consecutive parts of this lattice's cloud, of
+        counts[c] points each, would build on their own, equal byte for byte.
+
+        Ranking a part's own dense indices renumbers its vertices in key
+        order, as its own build would. Each part owns its arrays and keeps
+        this lattice's box; its adjacency and splat plan are resolved on their
+        first read, as for any lattice. One part is this lattice itself.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.sum() != self.num_points:
+            raise InvalidInput(f"parts of {counts.sum()} points split a lattice "
+                               f"of {self.num_points}")
+        if (counts == 0).any():
+            raise EmptyInput("cannot build a lattice from an empty cloud")
+        if counts.size == 1:
+            return [self]
+        ends = np.cumsum(counts)
+        parts = []
+        for start, stop in zip((ends - counts).tolist(), ends.tolist()):
+            vertices, point_vertices = _ranks(self.point_vertices[start:stop], np.int64)
+            parts.append(SparseLattice(self.config, point_vertices,
+                                       self.point_bary[start:stop].copy(),
+                                       self._index.subset(vertices)))
+        return parts
 
     @property
     def nbytes(self) -> int:

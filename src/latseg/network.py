@@ -310,6 +310,14 @@ def prepare_descriptors(spec: NetworkSpec, lattice_features: np.ndarray) -> list
     return list(_descriptors(spec, lattice_features))
 
 
+def prepare_descriptor_lists(spec: NetworkSpec, clouds: list) -> list[list[bcl.BCLDescriptor]]:
+    """prepare_descriptors of each cloud, equal to it byte for byte, from one
+    lattice build per BCL over the union of the clouds (bcl.make_descriptors)."""
+    levels = [bcl.make_descriptors(clouds, spec.bcl_config(layer.level))
+              for layer in spec.layers if isinstance(layer, BCLSpec)]
+    return [list(descriptors) for descriptors in zip(*levels)]
+
+
 @dataclass
 class Tape:
     """Per-forward record: backward reads only saved; outputs are kept for callers.

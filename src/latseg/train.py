@@ -31,6 +31,12 @@ PROB_FLOOR = 1e-12
 # Bytes of descriptor arrays one train_loop may keep for reuse.
 _DESCRIPTOR_CACHE_BYTES = 256 << 20
 
+# Points of the clouds whose lattices one union build serves. Building and
+# splitting unions of 256-point two-blob clouds at lambda 2 cost 378 us per
+# cloud alone, 262-282 us in unions of 4k to 64k points and 357 us at 256k
+# (medians, one BLAS thread), where sorting the union starts to dominate.
+_UNION_POINTS = 1 << 16
+
 # stream tags for SeedSequence spawn keys
 _STREAM_ORDER = 0
 _STREAM_CROP = 1
@@ -195,27 +201,85 @@ def _correct_total(probs, labels, ignore_label):
     return int((network.predict(probs)[keep] == labels[keep]).sum()), int(keep.sum())
 
 
+def _permutation(config, epoch, num_clouds):
+    """The order in which epoch visits the clouds."""
+    return _stream(config.seed, _STREAM_ORDER, epoch).permutation(num_clouds)
+
+
+def _first_visits(config, num_clouds, start_iteration, wanted):
+    """The clouds of wanted (a set of dataset indices) that the iterations from
+    start_iteration on visit, in the order of their first visit."""
+    order, wanted = [], set(wanted)
+    sample, stop = start_iteration * config.batch_size, config.max_iterations * config.batch_size
+    while sample < stop and wanted:
+        epoch, pos = divmod(sample, num_clouds)
+        end = min(num_clouds, pos + stop - sample)
+        for index in _permutation(config, epoch, num_clouds)[pos:end].tolist():
+            if index in wanted:
+                wanted.remove(index)
+                order.append(index)
+        sample += end - pos
+    return order
+
+
 class _DescriptorCache:
     """Descriptor lists by dataset index, kept in first-request order while their
-    arrays (splat plans built here too) fit in _DESCRIPTOR_CACHE_BYTES; no eviction."""
+    arrays (splat plans built here too) fit in _DESCRIPTOR_CACHE_BYTES; no eviction.
 
-    def __init__(self, spec):
+    order lists clouds in the order of their first requests, and
+    lattice_features(index) gives a listed cloud's matrix. The first request
+    of a listed cloud not yet built builds it together with the clouds listed
+    after it, up to _UNION_POINTS points in all, one union per BCL level
+    (network.prepare_descriptor_lists); a list from a union that does not fit
+    serves its cloud's first request only. Any other request that finds
+    nothing kept builds its cloud alone.
+    """
+
+    def __init__(self, spec, order=(), lattice_features=None):
         self.spec = spec
+        self.order = order
+        self.lattice_features = lattice_features
+        self.built = 0  # order[:built] have been built
         self.lists = {}
+        self.once = {}  # union-built lists that did not fit, until their first request
         self.nbytes = 0
 
     def get(self, index, lattice_features):
         """Cloud index's descriptors: kept from an earlier request, or built now."""
+        if self.built < len(self.order) and self.order[self.built] == index:
+            self._build_union()
         descriptors = self.lists.get(index)
         if descriptors is None:
+            descriptors = self.once.pop(index, None)
+        if descriptors is None:
             descriptors = network.prepare_descriptors(self.spec, lattice_features)
-            for desc in descriptors:
-                _ = desc.lattice.splat_plan
-            size = sum(d.nbytes for d in descriptors)
-            if self.nbytes + size <= _DESCRIPTOR_CACHE_BYTES:
-                self.lists[index] = descriptors
-                self.nbytes += size
+            self._keep(index, descriptors)
         return descriptors
+
+    def _keep(self, index, descriptors):
+        """Keep index's list if it fits; returns whether it did."""
+        for desc in descriptors:
+            _ = desc.lattice.splat_plan
+        size = sum(d.nbytes for d in descriptors)
+        if self.nbytes + size > _DESCRIPTOR_CACHE_BYTES:
+            return False
+        self.lists[index] = descriptors
+        self.nbytes += size
+        return True
+
+    def _build_union(self):
+        start, clouds, points = self.built, [], 0
+        for index in self.order[start:]:
+            features = self.lattice_features(index)
+            if clouds and points + features.shape[0] > _UNION_POINTS:
+                break
+            clouds.append(features)
+            points += features.shape[0]
+        self.built += len(clouds)
+        lists = network.prepare_descriptor_lists(self.spec, clouds)
+        for index, descriptors in zip(self.order[start:self.built], lists):
+            if not self._keep(index, descriptors):
+                self.once[index] = descriptors
 
 
 def evaluate(spec, params, dataset, feature_channels=("xyz",),
@@ -274,11 +338,16 @@ def train_loop(spec, dataset, config, *,
     A cloud's BCL descriptors are built once and reused on later visits
     when no visit can change its lattice features: rotate, translate and
     scale are off, color_jitter is off or rgb is not a lattice channel,
-    and the cloud has at most sample_size points. Kept descriptors are
-    bounded by _DESCRIPTOR_CACHE_BYTES of arrays, filled in first-visit
-    order and never evicted; a cloud that does not fit is rebuilt on every
-    visit. Reuse never changes results, and a resumed run starts with
-    nothing kept.
+    and the cloud has at most sample_size points. Such clouds are built
+    only if the run visits them, in the order of their first visits, as
+    unions of up to _UNION_POINTS points: one lattice per BCL level over
+    the union, split into each cloud's own (SparseLattice.split), so a
+    cloud's first visit may build the clouds visited after it, and an
+    error in any of them (an empty cloud, non-finite lattice features)
+    surfaces then. Kept descriptors are bounded by _DESCRIPTOR_CACHE_BYTES
+    of arrays, filled in first-visit order and never evicted; a cloud that
+    does not fit is rebuilt alone on every later visit. Reuse never
+    changes results, and a resumed run starts with nothing kept.
     """
     if not dataset:
         raise EmptyInput("training dataset is empty")
@@ -313,9 +382,14 @@ def train_loop(spec, dataset, config, *,
     # augmenting a lattice channel.
     fixed_lattices = not (config.rotate or config.translate or config.scale
                           or (config.color_jitter and "rgb" in lattice_channels))
-    cache = _DescriptorCache(spec)
-
     num_clouds = len(dataset)
+    cropped = [config.sample_size is not None and cloud.num_points > config.sample_size
+               for cloud in dataset]
+    cacheable = [i for i in range(num_clouds) if fixed_lattices and not cropped[i]]
+    cache = _DescriptorCache(
+        spec, _first_visits(config, num_clouds, start_iteration, cacheable),
+        lambda i: dataset[i].channel_matrix(lattice_channels, config.gravity_axis))
+
     perm_epoch, perm = -1, None
     history = []
     start_time = time.perf_counter()
@@ -347,12 +421,10 @@ def train_loop(spec, dataset, config, *,
                 epoch, pos = divmod(sample, num_clouds)
                 if epoch != perm_epoch:
                     perm_epoch = epoch
-                    perm = _stream(config.seed, _STREAM_ORDER, epoch).permutation(num_clouds)
+                    perm = _permutation(config, epoch, num_clouds)
                 index = int(perm[pos])
                 cloud = dataset[index]
-                cropped = (config.sample_size is not None
-                           and cloud.num_points > config.sample_size)
-                if cropped:
+                if cropped[index]:
                     crop_rng = _stream(config.seed, _STREAM_CROP, iteration, slot)
                     cloud = cloud.take(
                         crop_rng.choice(cloud.num_points, config.sample_size, replace=False)
@@ -364,7 +436,7 @@ def train_loop(spec, dataset, config, *,
                     )
                 features = cloud.channel_matrix(feature_channels, config.gravity_axis)
                 lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
-                if fixed_lattices and not cropped:
+                if fixed_lattices and not cropped[index]:
                     descriptors = cache.get(index, lattice_feats)
                 else:
                     descriptors = network.prepare_descriptors(spec, lattice_feats)

@@ -277,6 +277,10 @@ def test_build_and_embed_memory_per_point():
     assert peak <= 230 * n, peak / n
     _, peak = traced_peak(lambda: lat.embed(other))
     assert peak <= 220 * n, peak / n
+    # a union of 16 parts built and split, as training builds its clouds
+    parts, peak = traced_peak(lambda: build_lattice(pts, cfg).split([n // 16] * 16))
+    assert len(parts) == 16
+    assert peak <= 230 * n, peak / n
 
 
 def test_lattice_retains_no_key_table():
@@ -540,3 +544,76 @@ def test_splat_plan_build_memory_per_point():
     lat = build_lattice(pts, LatticeConfig(3, 32.0))
     _, peak = traced_peak(lambda: SplatPlan(lat.point_vertices, lat.num_vertices))
     assert peak <= 160 * n, peak / n
+
+
+# ---------------------------------------------------------- splitting a union
+
+
+def assert_same_lattice(got, want, foreign):
+    """got equals want byte for byte in everything a lattice's users read."""
+    assert (got.num_points, got.num_vertices) == (want.num_points, want.num_vertices)
+    got_plan, want_plan = got.splat_plan, want.splat_plan
+    pairs = [(got.point_vertices, want.point_vertices), (got.point_bary, want.point_bary),
+             (got.adjacency, want.adjacency), *zip(got.embed(foreign), want.embed(foreign))]
+    pairs += [(getattr(got_plan, name), getattr(want_plan, name))
+              for name in ("order", "local", "vertices", "starts")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got_plan.weight_size == want_plan.weight_size
+
+
+def owned_arrays(lat):
+    return [a for holder in (lat, lat._index, lat.splat_plan)
+            for a in vars(holder).values() if isinstance(a, np.ndarray)]
+
+
+def assert_split_matches_own_builds(parts, cfg, foreign):
+    union = build_lattice(np.concatenate(parts), cfg)
+    union_arrays = owned_arrays(union)
+    split = union.split([len(p) for p in parts])
+    assert len(split) == len(parts)
+    for part, lat in zip(parts, split):
+        assert_same_lattice(lat, build_lattice(part, cfg), foreign)
+        for a in owned_arrays(lat):
+            assert not any(np.shares_memory(a, b) for b in union_arrays)
+    return union, split
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_split_union_equals_each_part_built_alone(d):
+    rng = np.random.default_rng(40 + d)
+    parts = [
+        rng.normal(size=(60, d)),
+        rng.normal(size=(1, d)),  # one point
+        np.repeat(rng.normal(size=(3, d)), 4, axis=0),  # duplicated points
+        rng.normal(size=(25, d)) + 1e3,  # far from the others
+        rng.normal(size=(2 * _SPLAT_BLOCK + 5, d)) * 3,  # three plan blocks
+        rng.normal(size=(40, d)),  # overlaps the first part
+    ]
+    foreign = np.concatenate([rng.normal(size=(50, d)) * 2, rng.normal(size=(5, d)) + 1e3])
+    assert_split_matches_own_builds(parts, LatticeConfig(d, 2.0), foreign)
+
+
+def test_split_of_a_byte_encoded_union_equals_int64_parts():
+    # each part alone has int64 codes; their union's box overflows int64
+    rng = np.random.default_rng(47)
+    cfg = LatticeConfig(3, 2.0)
+    parts = [rng.normal(size=(30, 3)), rng.normal(size=(20, 3)) + 4e11, rng.normal(size=(1, 3))]
+    foreign = np.concatenate([rng.normal(size=(40, 3)), rng.normal(size=(10, 3)) + 4e11])
+    union, split = assert_split_matches_own_builds(parts, cfg, foreign)
+    assert encoding_of(union) == "bytes"
+    assert [encoding_of(build_lattice(p, cfg)) for p in parts] == ["int64"] * 3
+
+
+def test_split_into_one_part_is_the_lattice_itself():
+    lat = build_lattice(np.random.default_rng(48).normal(size=(30, 3)), LatticeConfig(3, 2.0))
+    (part,) = lat.split([30])
+    assert part is lat
+
+
+def test_split_rejects_empty_parts_and_miscounts():
+    lat = build_lattice(np.random.default_rng(49).normal(size=(30, 3)), LatticeConfig(3, 2.0))
+    with pytest.raises(EmptyInput, match="empty cloud"):
+        lat.split([10, 0, 20])
+    with pytest.raises(InvalidInput):
+        lat.split([10, 10])

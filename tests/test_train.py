@@ -12,6 +12,7 @@ from latseg.data import PointCloud, synthetic_two_blob_dataset
 from latseg.errors import (
     ConfigError,
     DegenerateBatch,
+    EmptyInput,
     InvalidInput,
     NonFiniteGradient,
     ShapeError,
@@ -525,15 +526,21 @@ def test_train_loop_saves_each_checkpointed_count_once(tmp_path, monkeypatch):
 
 @pytest.fixture
 def descriptor_builds(monkeypatch):
-    """Row counts of the clouds network.prepare_descriptors was called on."""
+    """Row counts of the clouds whose descriptors were built, whether alone
+    (network.prepare_descriptors) or in a union (prepare_descriptor_lists)."""
     rows = []
-    original = network.prepare_descriptors
+    one, several = network.prepare_descriptors, network.prepare_descriptor_lists
 
-    def counting(spec, lattice_features):
+    def counting_one(spec, lattice_features):
         rows.append(len(lattice_features))
-        return original(spec, lattice_features)
+        return one(spec, lattice_features)
 
-    monkeypatch.setattr(network, "prepare_descriptors", counting)
+    def counting_several(spec, clouds):
+        rows.extend(len(c) for c in clouds)
+        return several(spec, clouds)
+
+    monkeypatch.setattr(network, "prepare_descriptors", counting_one)
+    monkeypatch.setattr(network, "prepare_descriptor_lists", counting_several)
     return rows
 
 
@@ -570,6 +577,48 @@ def test_train_loop_rebuilds_cropped_clouds_only(descriptor_builds):
     train.train_loop(spec, dataset, cfg)
     # every cloud is visited 5 times; only the 64-point one is cropped
     assert sorted(descriptor_builds) == [32] * 3 + [40] * 5
+
+
+def test_train_loop_builds_only_the_clouds_it_visits(descriptor_builds):
+    # cloud i has 20 + i points, so a build's row count names its cloud
+    spec = network.parse_arch("B4-B4-C2", LatticeConfig(3, 2.0))
+    dataset = [synthetic_two_blob_dataset(1, 20 + i, seed=i)[0] for i in range(16)]
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=5, seed=9)
+    train.train_loop(spec, dataset, cfg)
+    visited = train._permutation(cfg, 0, 16)[:5]
+    assert sorted(descriptor_builds) == sorted(20 + i for i in visited)
+
+
+def test_train_loop_union_size_changes_no_bit(descriptor_builds, monkeypatch):
+    spec, dataset = blob_setup(arch="B4-B4-C2", clouds=16, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=40, seed=9, log_every=5)
+    whole = train.train_loop(spec, dataset, cfg)
+    monkeypatch.setattr(train, "_UNION_POINTS", 50)  # two clouds per union
+    pairs = train.train_loop(spec, dataset, cfg)
+    assert len(descriptor_builds) == 32
+    assert params_equal(whole.params, pairs.params)
+    assert [r[:3] for r in whole.history] == [r[:3] for r in pairs.history]
+
+
+def test_train_loop_reports_bad_clouds_before_training(tmp_path):
+    spec, dataset = blob_setup(arch="B4-C2", clouds=4, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=8, seed=9)
+    empty = list(dataset)
+    empty[2] = PointCloud(positions=np.zeros((0, 3)), labels=np.zeros(0, np.int64))
+    metrics = tmp_path / "empty.csv"
+    with pytest.raises(EmptyInput, match="^cannot build a lattice from an empty cloud$"):
+        train.train_loop(spec, empty, cfg, metrics_path=metrics)
+    # the union of all four clouds is built at the first visit, before any
+    # iteration is logged
+    assert metrics.read_text() == "iteration,loss,accuracy,wall_seconds\n"
+
+    rng = np.random.default_rng(5)
+    colored = [c.replace(rgb=rng.uniform(0, 1, size=(c.num_points, 3))) for c in dataset]
+    positions = colored[2].positions.copy()
+    positions[3, 0] = np.nan
+    colored[2] = colored[2].replace(positions=positions)
+    with pytest.raises(InvalidInput):
+        train.train_loop(spec, colored, cfg, feature_channels=("rgb",))
 
 
 def test_train_loop_color_jitter_reuses_unless_rgb_is_a_lattice_channel(descriptor_builds):
