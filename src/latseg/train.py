@@ -207,7 +207,7 @@ def _permutation(config, epoch, num_clouds):
 
 
 def _first_visits(config, num_clouds, start_iteration, wanted):
-    """The clouds of wanted (a set of dataset indices) that the iterations from
+    """The clouds of wanted (dataset indices) that the iterations from
     start_iteration on visit, in the order of their first visit."""
     order, wanted = [], set(wanted)
     sample, stop = start_iteration * config.batch_size, config.max_iterations * config.batch_size
@@ -269,13 +269,13 @@ class _DescriptorCache:
 
     def _build_union(self):
         start, clouds, points = self.built, [], 0
-        for index in self.order[start:]:
-            features = self.lattice_features(index)
+        while self.built < len(self.order):
+            features = self.lattice_features(self.order[self.built])
             if clouds and points + features.shape[0] > _UNION_POINTS:
                 break
             clouds.append(features)
             points += features.shape[0]
-        self.built += len(clouds)
+            self.built += 1
         lists = network.prepare_descriptor_lists(self.spec, clouds)
         for index, descriptors in zip(self.order[start:self.built], lists):
             if not self._keep(index, descriptors):
