@@ -202,8 +202,14 @@ def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarr
     if indices.shape != bary.shape:
         raise ShapeError("embedding indices and weights must have the same shape")
     # MISSING is the only negative index
-    table = _zero_padded(values) if indices.min(initial=0) < 0 else values
-    out = np.empty((indices.shape[0], values.shape[1]))
+    return _gather(_zero_padded(values) if indices.min(initial=0) < 0 else values,
+                   indices, bary)
+
+
+def _gather(table: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """(m, C) barycentric sums of table's rows at indices, which are all
+    rows of table; _SLICE_ROWS points at a time."""
+    out = np.empty((indices.shape[0], table.shape[1]))
     for start in range(0, indices.shape[0], _SLICE_ROWS):
         rows = np.s_[start:start + _SLICE_ROWS]
         np.einsum("mk,mkc->mc", bary[rows], table[indices[rows]], out=out[rows])

@@ -30,15 +30,17 @@ padded box has at most 2^63 - 1 cells, or else as big-endian uint64 rows
 compared as raw bytes. Over r, coordinate j of a point's corners spans
 rem0_j - rank_j ... rem0_j - rank_j + d, which gives the box. Either
 encoding forms the corner codes one remainder class at a time, and one
-helper, _ranks, sorts codes and ranks them: it numbers the vertices and
-dedups SplatPlan's (block, vertex) pairs. Both encodings sort like the rows
-themselves (lexicographically) and keep that order under a constant shift,
-so moving every vertex by one one-ring offset yields an already sorted
-query array: the adjacency columns of one remainder class, a stack of such
-arrays, are one searchsorted. A vertex's dense index is the rank of its
-code, so vertices are numbered in key order whatever the order of the
-points. Foreign queries are clipped into the box first; a clipped row lies
-in the padding, where no vertex is.
+helper, _ranks, ranks codes: it numbers the vertices and dedups SplatPlan's
+(block, vertex) pairs. It counts int64 codes that span few values, as a
+facade's do, over a presence table, and sorts the others (byte rows, and
+sparse clouds whose codes span many times their count). Both encodings
+sort like the rows themselves (lexicographically) and keep that order
+under a constant shift, so moving every vertex by one one-ring offset
+yields an already sorted query array: the adjacency columns of one
+remainder class, a stack of such arrays, are one searchsorted. A vertex's
+dense index is the rank of its code, so vertices are numbered in key order
+whatever the order of the points. Foreign queries are clipped into the box
+first; a clipped row lies in the padding, where no vertex is.
 
 SparseLattice.split turns the lattice of a union of clouds into the lattice
 each cloud would build on its own, bit for bit, so that many small clouds
@@ -79,6 +81,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # and 512 points splatted within 15% of each other and 64 was 1.2-1.5x
 # slower; the smallest of the good sizes keeps the weight buffer smallest.
 _SPLAT_BLOCK = 128
+
+# _ranks counts int64 codes whose span is at most this many times their
+# count, and sorts the others. On random codes counting ran 1.2-1.4x faster
+# than the sort at a span of 4x the count and 3-6x slower at 16-39x. Facade
+# corner codes span 0.02-2.4x their count, and the splat plan's (block,
+# vertex) pairs V/512 for V vertices (1.2x on an 8k facade's finest level);
+# uniform clouds at lambda 1 span about 39x and stay sorted. The table holds
+# a byte and an int32 per spanned value, at most 20 bytes per code.
+_COUNT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,9 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Returns (rem0, rank, bary), each (n, d+1) and row-aligned: rem0 (int64)
     is the point's remainder-0 corner, rank (int16 for d below 16383) ranks
     its coordinates by descending differential (a permutation of 0..d per
-    row), and bary holds the weights of the remainder-0..d corners. The
-    remainder-r corner is _corner(rem0, rank, r).
+    row, ties toward the lower index, found by comparing each pair of
+    coordinates once), and bary holds the weights of the remainder-0..d
+    corners. The remainder-r corner is _corner(rem0, rank, r).
     """
     n, d1 = elevated.shape
     d = d1 - 1
@@ -161,13 +173,22 @@ def _locate_many(elevated: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     rem0 = np.where((up - elevated) < (elevated - down), up, down).astype(np.int64)
     del down, up
 
-    # Rank coordinates by descending differential; ties broken by lower index.
-    order = np.argsort(rem0 - elevated, axis=1, kind="stable")
-    # Ranks and their repair below stay within -d1 .. 2d, which int16 holds
-    # below d = 16383.
-    rank = np.empty((n, d1), dtype=np.int16 if d1 < 2**14 else np.int64)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(d1), (n, d1)), axis=1)
-    del order
+    # Rank coordinates by descending differential, ties toward the lower
+    # index: coordinate j's rank is its position in the stable ascending order
+    # of rem0 - elevated. Each pair j < k is compared once; j goes first when
+    # its value is not above k's. Rows hold one coordinate of every point, so
+    # each comparison runs over contiguous memory. Ranks and their repair
+    # below stay within -d1 .. 2d, which int16 holds below d = 16383.
+    lag = np.empty((d1, n))
+    np.subtract(rem0.T, elevated.T, out=lag)
+    rank = np.empty((d1, n), dtype=np.int16 if d1 < 2**14 else np.int64)
+    rank[:] = np.arange(d, -1, -1)[:, None]  # ranks if every j went after every k > j
+    for j in range(d):
+        before = lag[j] <= lag[j + 1:]
+        rank[j + 1:] += before
+        rank[j] -= before.sum(axis=0, dtype=rank.dtype)
+    del lag
+    rank = np.ascontiguousarray(rank.T)
 
     # Rounding may have left the hyperplane; shift the worst-ranked
     # coordinates by d+1 to repair the sum while keeping ranks a permutation.
@@ -230,16 +251,37 @@ def neighbor_offsets(dim: int) -> np.ndarray:
 
 def _ranks(codes: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, ranks): the sorted distinct codes, and the rank of each code
-    among them as dtype, in codes' shape. The unsorted codes are dropped once
-    sorted, so a caller that passes them as a temporary does not hold them."""
+    among them as dtype, in codes' shape.
+
+    int64 codes whose span max - min + 1 is at most _COUNT_SPAN times their
+    count are counted: a presence table over the span, its cumsum, and each
+    code's entry of it. Other codes (byte rows, wide spans) are sorted, and
+    the unsorted codes are dropped once sorted, so a caller that passes them
+    as a temporary does not hold them. Both paths give the same arrays.
+    """
+    if codes.dtype == np.int64 and codes.size:
+        lo = int(codes.min())
+        span = int(codes.max()) - lo + 1
+        if span <= min(_COUNT_SPAN * codes.size, 2**31):
+            seen = np.zeros(span, dtype=bool)
+            seen[codes - lo] = True
+            distinct = np.flatnonzero(seen)
+            distinct += lo
+            table = np.cumsum(seen, dtype=np.int32)
+            del seen
+            table -= 1
+            return distinct, table[codes - lo].astype(dtype, copy=False)
     shape = codes.shape
     perm = np.argsort(codes, axis=None)
     codes = codes.reshape(-1)[perm]
     first = np.concatenate(([True], codes[1:] != codes[:-1]))
     distinct = codes[first]
     del codes
+    in_order = np.cumsum(first, dtype=dtype)
+    del first
+    in_order -= 1
     ranks = np.empty(shape, dtype=dtype)
-    ranks.reshape(-1)[perm] = np.cumsum(first, dtype=dtype) - 1
+    ranks.reshape(-1)[perm] = in_order
     return distinct, ranks
 
 
@@ -345,6 +387,8 @@ class SplatPlan:
         block = np.arange(n) // _SPLAT_BLOCK
         num_blocks = int(block[-1]) + 1
         # One ranking of (block, vertex) pair codes dedups every block at once.
+        # They span V/512 times their count, so _ranks counts them up to
+        # V = 512 * _COUNT_SPAN vertices and sorts them beyond.
         uniq, self.local = _ranks(point_vertices[self.order] + (block * num_vertices)[:, None],
                                   np.int32)
         self.vertices = uniq % num_vertices

@@ -538,12 +538,14 @@ class _Rows:
 def _sliced(filtered: np.ndarray, desc: bcl.BCLDescriptor):
     """A BCL's normalized output rows at given points, from its filtered
     (V, C) vertex features: slice is linear in its weights, so it slices
-    with the barycentric weights divided by the points' denominators."""
+    with the barycentric weights divided by the points' denominators, all
+    points' at once. The points are the lattice's own, whose corners are
+    never MISSING, so their rows are gathered without slice's check."""
     lat = desc.lattice
+    bary = lat.point_bary / desc.denominator
 
     def base(points):
-        bary = lat.point_bary[points] / desc.denominator[points]
-        return bcl.slice(filtered, lat.point_vertices[points], bary)
+        return bcl._gather(filtered, lat.point_vertices[points], bary[points])
     return base
 
 

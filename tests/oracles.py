@@ -97,6 +97,32 @@ def simplex_corner_keys(rem0, rank):
     return rem0[:, None, :] + np.transpose(canon[:, rank], (1, 0, 2))
 
 
+def locate_by_sort(elevated):
+    """(rem0, rank, bary) of (n, d+1) elevated points as _locate_many returns
+    them, each row's coordinates ranked by a stable argsort of its
+    differentials scattered back with put_along_axis."""
+    n, d1 = elevated.shape
+    d = d1 - 1
+    down = np.floor(elevated / d1) * d1
+    up = down + d1
+    rem0 = np.where((up - elevated) < (elevated - down), up, down).astype(np.int64)
+    order = np.argsort(rem0 - elevated, axis=1, kind="stable")
+    rank = np.empty((n, d1), dtype=np.int16)
+    np.put_along_axis(rank, order, np.broadcast_to(np.arange(d1), (n, d1)), axis=1)
+    rank += (rem0.sum(axis=1) // d1)[:, None]
+    shift = d1 * ((rank < 0).astype(np.int64) - (rank > d))
+    rank += shift
+    rem0 += shift
+    frac = elevated - rem0
+    frac /= d1
+    ranked = np.empty((n, d1), dtype=np.float64)
+    np.put_along_axis(ranked, d - rank, frac, axis=1)
+    bary = np.empty((n, d1), dtype=np.float64)
+    np.subtract(ranked[:, 1:], ranked[:, :d], out=bary[:, 1:])
+    np.add(ranked[:, 0], 1.0 - ranked[:, d], out=bary[:, 0])
+    return rem0, rank, bary
+
+
 def vertex_keys(features, config):
     """(V, d+1) full keys of the vertices a cloud's simplices touch, sorted
     by row, so row g is the key of the vertex a lattice numbers g."""

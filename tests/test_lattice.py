@@ -15,6 +15,7 @@ import pytest
 
 from latseg.errors import EmptyInput, InvalidInput
 from latseg.lattice import (
+    _COUNT_SPAN,
     _MAX_COORD,
     _SPLAT_BLOCK,
     MISSING,
@@ -32,6 +33,7 @@ from latseg.lattice import (
 from oracles import (
     brute_force_one_ring,
     facade,
+    locate_by_sort,
     simplex_corner_keys,
     splat_plan_arrays,
     traced_peak,
@@ -133,6 +135,28 @@ def test_locate_reconstruction_and_classes(d):
         assert bary.min() >= -1e-12
         recon = bary @ vertex_keys
         assert np.max(np.abs(recon - elev[row])) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
+def test_locate_ranks_ties_as_the_stable_sort(d):
+    # rows with exactly equal differentials: an integer grid in the
+    # hyperplane, lattice vertices, midpoints of simplex edges, and repeats
+    rng = np.random.default_rng(40 + d)
+    d1 = d + 1
+    grid = rng.integers(-2 * d1, 2 * d1, size=(300, d1))
+    grid[:, d] = -grid[:, :d].sum(axis=1)
+    general = elevate_many(rng.normal(size=(200, d)) * 3, LatticeConfig(d, 1.0))
+    rem0, rank, _ = _locate_many(general)
+    vertices = np.concatenate([_corner(rem0, rank, r) for r in range(d1)])
+    midpoints = (_corner(rem0, rank, 0) + _corner(rem0, rank, d)) / 2
+    elevated = np.concatenate([grid, vertices, midpoints, general])
+    elevated = np.concatenate([elevated, elevated[::7]])
+    want = locate_by_sort(elevated)
+    lag = np.sort(want[0] - elevated, axis=1)
+    assert (lag[:, 1:] == lag[:, :-1]).any(axis=1).sum() >= 100
+    for name, got, ref in zip(("rem0", "rank", "bary"), _locate_many(elevated), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
 
 
 def test_locate_rejects_nonfinite():
@@ -412,14 +436,36 @@ def test_vertex_index_at_the_int64_limit(spans, kind):
         np.testing.assert_array_equal(index.find(index.shifted(np.array([offset])))[0], expected)
 
 
+def codes_of(case, rng):
+    """(codes, counted): a code array for _ranks, and whether its span puts
+    it on the counting side of _COUNT_SPAN."""
+    m = 1200
+    if case == "bytes":
+        codes = rng.integers(-50, 50, size=(300, 4))
+        return np.ascontiguousarray(codes, dtype=">u8").view(np.dtype((np.void, 8)))[:, :3], False
+    if case == "one code":
+        return np.full((7, 3), -12345, dtype=np.int64), True
+    if case == "int64":  # negative codes among them
+        return rng.integers(-50, 50, size=(300, 4)), True
+    if case == "wide":
+        return rng.integers(-(2**62), 2**62, size=(m // 4, 4)), False
+    # a span of exactly _COUNT_SPAN * m, or one more
+    span = _COUNT_SPAN * m + (case == "just above")
+    codes = rng.integers(0, span, size=m) - 2**40
+    codes[:2] = -(2**40), span - 1 - 2**40
+    return codes.reshape(m // 4, 4), case == "at threshold"
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])
-@pytest.mark.parametrize("kind", ["int64", "bytes"])
-def test_ranks_are_the_unique_inverse(kind, dtype):
-    # the vertex index ranks into int64 dense indices, SplatPlan into int32 rows
-    rng = np.random.default_rng(27)
-    codes = rng.integers(-50, 50, size=(300, 4))
-    if kind == "bytes":
-        codes = np.ascontiguousarray(codes, dtype=">u8").view(np.dtype((np.void, 8)))[:, :3]
+@pytest.mark.parametrize("case", ["int64", "bytes", "one code", "at threshold",
+                                  "just above", "wide"])
+def test_ranks_are_the_unique_inverse(case, dtype):
+    # the vertex index ranks into int64 dense indices, SplatPlan into int32
+    # rows; both sides of the counting threshold give np.unique's answer
+    codes, counted = codes_of(case, np.random.default_rng(27))
+    if codes.dtype == np.int64:
+        span = int(codes.max()) - int(codes.min()) + 1
+        assert (span <= _COUNT_SPAN * codes.size) == counted
     want_distinct, want_inverse = np.unique(codes, return_inverse=True)
     distinct, ranks = _ranks(codes.copy(), dtype)
     assert ranks.dtype == dtype and ranks.shape == codes.shape
