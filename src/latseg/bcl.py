@@ -207,8 +207,8 @@ def slice(values: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarr
 
 
 def _gather(table: np.ndarray, indices: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """(m, C) barycentric sums of table's rows at indices, which are all
-    rows of table; _SLICE_ROWS points at a time."""
+    """(m, C) barycentric sums of table's rows at indices, none of them
+    MISSING; _SLICE_ROWS points at a time."""
     out = np.empty((indices.shape[0], table.shape[1]))
     for start in range(0, indices.shape[0], _SLICE_ROWS):
         rows = np.s_[start:start + _SLICE_ROWS]

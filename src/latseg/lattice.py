@@ -262,15 +262,16 @@ def _ranks(codes: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     if codes.dtype == np.int64 and codes.size:
         lo = int(codes.min())
         span = int(codes.max()) - lo + 1
-        if span <= min(_COUNT_SPAN * codes.size, 2**31):
+        if span <= min(_COUNT_SPAN * codes.size, 2**31 - 1):
+            codes = codes - lo
             seen = np.zeros(span, dtype=bool)
-            seen[codes - lo] = True
+            seen[codes] = True
             distinct = np.flatnonzero(seen)
             distinct += lo
             table = np.cumsum(seen, dtype=np.int32)
             del seen
             table -= 1
-            return distinct, table[codes - lo].astype(dtype, copy=False)
+            return distinct, table[codes].astype(dtype, copy=False)
     shape = codes.shape
     perm = np.argsort(codes, axis=None)
     codes = codes.reshape(-1)[perm]

@@ -538,13 +538,18 @@ class _Rows:
 def _sliced(filtered: np.ndarray, desc: bcl.BCLDescriptor):
     """A BCL's normalized output rows at given points, from its filtered
     (V, C) vertex features: slice is linear in its weights, so it slices
-    with the barycentric weights divided by the points' denominators, all
-    points' at once. The points are the lattice's own, whose corners are
-    never MISSING, so their rows are gathered without slice's check."""
+    with the barycentric weights divided by the points' denominators. They
+    are divided for all points at the first pull, which comes after the next
+    BCL's lattice is built, so the quotient does not raise that build's peak.
+    The points are the lattice's own, whose corners are never MISSING, so
+    their rows are gathered without slice's check."""
     lat = desc.lattice
-    bary = lat.point_bary / desc.denominator
+    bary = None
 
     def base(points):
+        nonlocal bary
+        if bary is None:
+            bary = lat.point_bary / desc.denominator
         return bcl._gather(filtered, lat.point_vertices[points], bary[points])
     return base
 
