@@ -85,10 +85,12 @@ _SPLAT_BLOCK = 128
 # _ranks counts int64 codes whose span is at most this many times their
 # count, and sorts the others. On random codes counting ran 1.2-1.4x faster
 # than the sort at a span of 4x the count and 3-6x slower at 16-39x. Facade
-# corner codes span 0.02-2.4x their count, and the splat plan's (block,
-# vertex) pairs V/512 for V vertices (1.2x on an 8k facade's finest level);
-# uniform clouds at lambda 1 span about 39x and stay sorted. The table holds
-# a byte and an int32 per spanned value, at most 20 bytes per code.
+# corner codes span 0.4-3.8x their count at the finest level (8k to 1M
+# points) and less above it; the splat plan's (block, vertex) pairs span
+# V/512x for V vertices (1.2x at an 8k facade's finest level, 12-15x from
+# 100k points up); uniform clouds at lambda 1 span about 39x and stay sorted.
+# The table holds a byte and an int32 per spanned value, at most 20 bytes per
+# code.
 _COUNT_SPAN = 4
 
 
@@ -254,8 +256,8 @@ def _ranks(codes: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     among them as dtype, in codes' shape.
 
     int64 codes whose span max - min + 1 is at most _COUNT_SPAN times their
-    count are counted: a presence table over the span, its cumsum, and each
-    code's entry of it. Other codes (byte rows, wide spans) are sorted, and
+    count (and below 2^31, so that int32 holds the ranks) are counted: a
+    presence table over the span, its cumsum, and each code's entry of it. Other codes (byte rows, wide spans) are sorted, and
     the unsorted codes are dropped once sorted, so a caller that passes them
     as a temporary does not hold them. Both paths give the same arrays.
     """
