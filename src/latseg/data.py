@@ -30,7 +30,6 @@ from .config import _AXIS_INDEX
 from .errors import (
     ConfigError,
     EmptyEvaluation,
-    EmptyInput,
     InvalidInput,
     ParseError,
     ShapeError,
@@ -578,27 +577,6 @@ def shapenet_miou(predictions, ground_truths, categories, ignore_label=None):
     class_average = float(np.mean(list(per_category.values())))
     instance_average = float(np.mean(instance_scores))
     return ShapeNetScores(class_average, instance_average, per_category, tuple(warnings))
-
-
-# ------------------------------------------------------------------ splits
-
-def split_dataset(num_items, fractions, seed):
-    """Deterministic disjoint index split with cumulative rounding."""
-    if num_items <= 0:
-        raise EmptyInput("cannot split an empty dataset")
-    fractions = [float(f) for f in fractions]
-    if not fractions or any(f <= 0 for f in fractions):
-        raise InvalidInput("fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInput(f"fractions sum to {sum(fractions)!r}, expected 1")
-    perm = np.random.default_rng(seed).permutation(num_items)
-    bounds = np.rint(np.cumsum(fractions) * num_items).astype(np.int64)
-    bounds[-1] = num_items
-    out, start = [], 0
-    for b in bounds:
-        out.append(perm[start:b].copy())
-        start = b
-    return out
 
 
 # --------------------------------------------------------- synthetic data

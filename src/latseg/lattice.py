@@ -495,6 +495,8 @@ class SparseLattice:
         first read, as for any lattice. One part is this lattice itself.
         """
         counts = np.asarray(counts, dtype=np.int64)
+        if (counts < 0).any():
+            raise InvalidInput(f"cannot split a lattice into parts of {counts.tolist()} points")
         if counts.sum() != self.num_points:
             raise InvalidInput(f"parts of {counts.sum()} points split a lattice "
                                f"of {self.num_points}")

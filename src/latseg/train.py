@@ -206,66 +206,46 @@ def _permutation(config, epoch, num_clouds):
     return _stream(config.seed, _STREAM_ORDER, epoch).permutation(num_clouds)
 
 
-def _first_visits(config, num_clouds, start_iteration, wanted):
-    """The clouds of wanted (dataset indices) that the iterations from
-    start_iteration on visit, in the order of their first visit."""
-    order, wanted = [], set(wanted)
+def _visits(config, num_clouds, start_iteration):
+    """The dataset index of every sample from start_iteration on, in visit
+    order: epoch e visits the clouds in _permutation(config, e, num_clouds)."""
     sample, stop = start_iteration * config.batch_size, config.max_iterations * config.batch_size
-    while sample < stop and wanted:
+    while sample < stop:
         epoch, pos = divmod(sample, num_clouds)
         end = min(num_clouds, pos + stop - sample)
-        for index in _permutation(config, epoch, num_clouds)[pos:end].tolist():
-            if index in wanted:
-                wanted.remove(index)
-                order.append(index)
+        yield from _permutation(config, epoch, num_clouds)[pos:end].tolist()
         sample += end - pos
-    return order
 
 
 class _DescriptorCache:
-    """Descriptor lists by dataset index, kept in first-request order while their
-    arrays (splat plans built here too) fit in _DESCRIPTOR_CACHE_BYTES; no eviction.
+    """Descriptor lists by dataset index, for every visit of a run.
 
-    order lists clouds in the order of their first requests, and
-    lattice_features(index) gives a listed cloud's matrix. The first request
-    of a listed cloud not yet built builds it together with the clouds listed
-    after it, up to _UNION_POINTS points in all, one union per BCL level
-    (network.prepare_descriptor_lists); a list from a union that does not fit
-    serves its cloud's first request only. Any other request that finds
-    nothing kept builds its cloud alone.
+    order lists the clouds whose lattices no visit changes, in first-visit
+    order, and lattice_features(index) gives a listed cloud's matrix. While
+    the kept lists' arrays (splat plans built here too) hold fewer than
+    _DESCRIPTOR_CACHE_BYTES, the first visit of the next unbuilt listed cloud
+    builds it with the clouds listed after it, up to _UNION_POINTS points, one
+    union per BCL level (network.prepare_descriptor_lists), and keeps every
+    list, never evicted. A visit that finds nothing kept builds its cloud
+    alone and keeps nothing.
     """
 
-    def __init__(self, spec, order=(), lattice_features=None):
+    def __init__(self, spec, order, lattice_features):
         self.spec = spec
         self.order = order
         self.lattice_features = lattice_features
         self.built = 0  # order[:built] have been built
         self.lists = {}
-        self.once = {}  # union-built lists that did not fit, until their first request
         self.nbytes = 0
 
     def get(self, index, lattice_features):
-        """Cloud index's descriptors: kept from an earlier request, or built now."""
-        if self.built < len(self.order) and self.order[self.built] == index:
+        """A visit's descriptors: kept, or built now from lattice_features."""
+        if (self.built < len(self.order) and self.order[self.built] == index
+                and self.nbytes < _DESCRIPTOR_CACHE_BYTES):
             self._build_union()
-        descriptors = self.lists.get(index)
-        if descriptors is None:
-            descriptors = self.once.pop(index, None)
-        if descriptors is None:
-            descriptors = network.prepare_descriptors(self.spec, lattice_features)
-            self._keep(index, descriptors)
-        return descriptors
-
-    def _keep(self, index, descriptors):
-        """Keep index's list if it fits; returns whether it did."""
-        for desc in descriptors:
-            _ = desc.lattice.splat_plan
-        size = sum(d.nbytes for d in descriptors)
-        if self.nbytes + size > _DESCRIPTOR_CACHE_BYTES:
-            return False
-        self.lists[index] = descriptors
-        self.nbytes += size
-        return True
+        if index in self.lists:
+            return self.lists[index]
+        return network.prepare_descriptors(self.spec, lattice_features)
 
     def _build_union(self):
         start, clouds, points = self.built, [], 0
@@ -278,8 +258,10 @@ class _DescriptorCache:
             self.built += 1
         lists = network.prepare_descriptor_lists(self.spec, clouds)
         for index, descriptors in zip(self.order[start:self.built], lists):
-            if not self._keep(index, descriptors):
-                self.once[index] = descriptors
+            for desc in descriptors:
+                _ = desc.lattice.splat_plan
+            self.lists[index] = descriptors
+            self.nbytes += sum(d.nbytes for d in descriptors)
 
 
 def evaluate(spec, params, dataset, feature_channels=("xyz",),
@@ -344,10 +326,12 @@ def train_loop(spec, dataset, config, *,
     the union, split into each cloud's own (SparseLattice.split), so a
     cloud's first visit may build the clouds visited after it, and an
     error in any of them (an empty cloud, non-finite lattice features)
-    surfaces then. Kept descriptors are bounded by _DESCRIPTOR_CACHE_BYTES
-    of arrays, filled in first-visit order and never evicted; a cloud that
-    does not fit is rebuilt alone on every later visit. Reuse never
-    changes results, and a resumed run starts with nothing kept.
+    surfaces then. A union starts only while the kept descriptors hold
+    fewer than _DESCRIPTOR_CACHE_BYTES of arrays, and every descriptor list
+    it builds is kept, never evicted, so at most that budget plus one
+    union's lists are kept; a cloud left unbuilt is built alone on every
+    visit. Reuse never changes results, and a resumed run starts with
+    nothing kept.
     """
     if not dataset:
         raise EmptyInput("training dataset is empty")
@@ -385,12 +369,19 @@ def train_loop(spec, dataset, config, *,
     num_clouds = len(dataset)
     cropped = [config.sample_size is not None and cloud.num_points > config.sample_size
                for cloud in dataset]
-    cacheable = [i for i in range(num_clouds) if fixed_lattices and not cropped[i]]
+    unseen = {i for i in range(num_clouds) if fixed_lattices and not cropped[i]}
+    first_visits = []
+    for index in _visits(config, num_clouds, start_iteration):
+        if not unseen:
+            break
+        if index in unseen:
+            unseen.remove(index)
+            first_visits.append(index)
     cache = _DescriptorCache(
-        spec, _first_visits(config, num_clouds, start_iteration, cacheable),
+        spec, first_visits,
         lambda i: dataset[i].channel_matrix(lattice_channels, config.gravity_axis))
 
-    perm_epoch, perm = -1, None
+    visits = _visits(config, num_clouds, start_iteration)
     history = []
     start_time = time.perf_counter()
 
@@ -417,12 +408,7 @@ def train_loop(spec, dataset, config, *,
             grad = np.zeros(theta.size)
             loss_sum, correct, total = 0.0, 0, 0
             for slot in range(config.batch_size):
-                sample = iteration * config.batch_size + slot
-                epoch, pos = divmod(sample, num_clouds)
-                if epoch != perm_epoch:
-                    perm_epoch = epoch
-                    perm = _permutation(config, epoch, num_clouds)
-                index = int(perm[pos])
+                index = next(visits)
                 cloud = dataset[index]
                 if cropped[index]:
                     crop_rng = _stream(config.seed, _STREAM_CROP, iteration, slot)
@@ -436,13 +422,9 @@ def train_loop(spec, dataset, config, *,
                     )
                 features = cloud.channel_matrix(feature_channels, config.gravity_axis)
                 lattice_feats = cloud.channel_matrix(lattice_channels, config.gravity_axis)
-                if fixed_lattices and not cropped[index]:
-                    descriptors = cache.get(index, lattice_feats)
-                else:
-                    descriptors = network.prepare_descriptors(spec, lattice_feats)
                 probs, tape = network.forward(
                     spec, params, features, lattice_feats, training=True,
-                    descriptors=descriptors,
+                    descriptors=cache.get(index, lattice_feats),
                 )
                 loss, grad_probs = cross_entropy_loss(
                     probs, cloud.labels, config.ignore_label

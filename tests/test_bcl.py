@@ -673,7 +673,8 @@ def test_prepared_descriptor_bytes_count_the_adjacency():
 
     rng = np.random.default_rng(23)
     spec = network.parse_arch("B8-B8-B8-C2", LatticeConfig(3, 4.0))
-    descs = _DescriptorCache(spec).get(0, rng.normal(size=(300, 3)))
+    feats = rng.normal(size=(300, 3))
+    descs = _DescriptorCache(spec, [0], lambda i: feats).get(0, feats)
     assert [d.nbytes for d in descs] == [178584, 121144, 60648]
     for d in descs:
         assert "adjacency" in vars(d.lattice)

@@ -9,7 +9,6 @@ from latseg import data
 from latseg.errors import (
     ConfigError,
     EmptyEvaluation,
-    EmptyInput,
     InvalidInput,
     ParseError,
     ShapeError,
@@ -600,37 +599,6 @@ def test_shapenet_skips_empty_objects_with_warning():
     assert len(scores.warnings) == 1 and "object 1" in scores.warnings[0]
     with pytest.raises(EmptyEvaluation):
         data.shapenet_miou([[1]], [[9]], ["a"], ignore_label=9)
-
-
-# ------------------------------------------------------------------ splits
-
-
-def test_split_all_in_one():
-    (only,) = data.split_dataset(7, (1.0,), seed=0)
-    assert sorted(only) == list(range(7))
-
-
-def test_split_half_half():
-    a, b = data.split_dataset(10, (0.5, 0.5), seed=1)
-    assert len(a) == 5 and len(b) == 5
-    assert not set(a) & set(b)
-    assert set(a) | set(b) == set(range(10))
-
-
-def test_split_deterministic():
-    for _ in range(2):
-        x = data.split_dataset(20, (0.6, 0.2, 0.2), seed=42)
-        y = data.split_dataset(20, (0.6, 0.2, 0.2), seed=42)
-        assert all(np.array_equal(p, q) for p, q in zip(x, y))
-
-
-def test_split_rejects():
-    with pytest.raises(EmptyInput):
-        data.split_dataset(0, (1.0,), seed=0)
-    with pytest.raises(InvalidInput):
-        data.split_dataset(5, (0.5, 0.4), seed=0)
-    with pytest.raises(InvalidInput):
-        data.split_dataset(5, (1.5, -0.5), seed=0)
 
 
 # -------------------------------------------------------------- synthetic

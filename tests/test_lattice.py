@@ -663,3 +663,5 @@ def test_split_rejects_empty_parts_and_miscounts():
         lat.split([10, 0, 20])
     with pytest.raises(InvalidInput):
         lat.split([10, 10])
+    with pytest.raises(InvalidInput):
+        lat.split([-1, 31])

@@ -600,6 +600,30 @@ def test_train_loop_union_size_changes_no_bit(descriptor_builds, monkeypatch):
     assert [r[:3] for r in whole.history] == [r[:3] for r in pairs.history]
 
 
+def test_visits_walk_the_epoch_permutations_from_any_iteration():
+    # iteration 3 of batch size 2 starts at sample 6, inside epoch 1 of 5 clouds
+    cfg = train.TrainConfig(max_iterations=9, batch_size=2, seed=4)
+    visits = list(train._visits(cfg, 5, 3))
+    assert len(visits) == (9 - 3) * 2
+    walk = np.concatenate([train._permutation(cfg, epoch, 5) for epoch in range(4)])
+    assert visits == walk[6:18].tolist()
+
+
+def test_train_loop_keeps_the_union_started_under_the_budget(descriptor_builds, monkeypatch):
+    spec, dataset = blob_setup(arch="B4-B4-C2", clouds=16, pts=24)
+    cfg = train.TrainConfig(learning_rate=0.01, max_iterations=40, seed=9, log_every=5)
+    whole = train.train_loop(spec, dataset, cfg)
+    descriptor_builds.clear()
+    monkeypatch.setattr(train, "_UNION_POINTS", 50)  # two clouds per union
+    monkeypatch.setattr(train, "_DESCRIPTOR_CACHE_BYTES", 1)  # one union starts
+    one = train.train_loop(spec, dataset, cfg)
+    # the union's two clouds are built once for their 4 visits; the other
+    # 36 visits build alone
+    assert len(descriptor_builds) == 38
+    assert params_equal(whole.params, one.params)
+    assert [r[:3] for r in whole.history] == [r[:3] for r in one.history]
+
+
 def test_train_loop_reports_bad_clouds_before_training(tmp_path):
     spec, dataset = blob_setup(arch="B4-C2", clouds=4, pts=24)
     cfg = train.TrainConfig(learning_rate=0.01, max_iterations=8, seed=9)
